@@ -13,11 +13,15 @@ Layout (all integers little-endian):
 model parameters and "extra" for optimizer or bookkeeping buffers. Loading
 validates magic, version, and payload length; name/shape validation against
 a model happens in the model loader.
+
+A checkpoint is written to ``<path>.tmp`` and then renamed over ``path``, so
+a write that dies part-way leaves any previous checkpoint at ``path`` intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -68,13 +72,20 @@ def save_checkpoint(path, config, params, extras=None, extra_arrays=None):
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for arr in buffers:
-            fh.write(arr.astype("<f8").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for arr in buffers:
+                fh.write(arr.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return path
 
 

@@ -209,6 +209,8 @@ def _boxes_from_labels(root, frame, calib, with_scores):
             continue
         box = lidar_box_from_label(rec, calib)
         key = object_key(frame, rec.box2d)
+        if key in out:
+            raise EvalError(f"{root}: two label rows share the object key {key}")
         out[key] = (box, 1.0 if rec.score is None else rec.score) if with_scores else box
     return out
 

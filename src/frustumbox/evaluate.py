@@ -10,7 +10,6 @@ so there is no objectness score).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,22 +82,6 @@ def _pair(preds, gts):
         extra = sorted(set(preds) - set(gts))
         raise UnmatchedObject(f"missing predictions for {missing}; unmatched {extra}")
     return sorted(gts)
-
-
-def compute_miou(preds, gts):
-    """Mean IoU over id-paired boxes. preds/gts map object id to Box3D."""
-    ids = _pair(preds, gts)
-    if not ids:
-        raise EmptySet("no objects to evaluate")
-    return float(np.mean([iou_3d(preds[i], gts[i]) for i in ids]))
-
-
-def compute_recall(preds, gts, threshold=DEFAULT_IOU_THRESHOLD):
-    """Fraction of pairs at or above the IoU threshold (inclusive)."""
-    ids = _pair(preds, gts)
-    if not ids:
-        raise EmptySet("no objects to evaluate")
-    return float(np.mean([iou_3d(preds[i], gts[i]) >= threshold for i in ids]))
 
 
 def _interpolated_ap(scored, recall_points):

@@ -225,11 +225,10 @@ class BoxAnnotator:
     def _layer_norm(self, x, prefix):
         return T.layer_norm(x, self._p(f"{prefix}.gain"), self._p(f"{prefix}.bias"))
 
-    def _encoder_layer(self, x, prefix, order_invariant=False):
+    def _encoder_layer(self, x, prefix):
         h = self._layer_norm(x, f"{prefix}.ln1")
         attn_out, weights = T.multi_head_attention(
-            h, h, h, self.config.heads, self._attn_params(f"{prefix}.attn"),
-            order_invariant=order_invariant,
+            h, h, h, self.config.heads, self._attn_params(f"{prefix}.attn")
         )
         x = x + attn_out
         h = self._layer_norm(x, f"{prefix}.ln2")
@@ -283,18 +282,26 @@ class BoxAnnotator:
     def forward_global(self, features, capture=False):
         """Cross-object encoder: attends along the batch axis per position.
 
-        The sequence is transposed to (N+7, B, d) so each of the N+7
-        positions sees its batch of peer objects as the attention axis, then
-        transposed back. Reductions over the peer axis are order-invariant,
-        so permuting the batch permutes the output bit-exactly.
+        The batch is first sorted into a canonical order, by the bytes of
+        each object's feature rows, so the stack sees the same batch however
+        the caller ordered it: permuting the batch permutes the output
+        bit-exactly. Objects that tie are byte-identical and get identical
+        rows, so which of them takes which sorted slot does not matter. The
+        sorted sequence is transposed to (N+7, B, d) so each of the N+7
+        positions sees its batch of peer objects as the attention axis. The
+        output and the captured weights (N+7, H, B, B) come back in the
+        caller's order.
         """
-        x = T.transpose_batch_seq(features)
+        features = T.as_tensor(features)
+        order = sorted(range(features.shape[0]), key=lambda b: features.data[b].tobytes())
+        inverse = np.argsort(order)
+        x = T.transpose_batch_seq(features[order])
         traces = []
         for i in range(self.config.n_global_layers):
-            x, w = self._encoder_layer(x, f"global.{i}", order_invariant=True)
+            x, w = self._encoder_layer(x, f"global.{i}")
             if capture:
-                traces.append(w)
-        return T.transpose_batch_seq(x), traces
+                traces.append(w[:, :, inverse[:, None], inverse])
+        return T.transpose_batch_seq(x)[inverse], traces
 
     def forward_decoder(self, encoder_out, capture=False):
         """Box-token queries attend to point features: -> (B, 7, d)."""

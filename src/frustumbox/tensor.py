@@ -4,10 +4,10 @@ A Tensor wraps an ndarray plus an optional backpropagation record. Graphs
 are built eagerly by the op functions below; ``backward`` walks the graph
 once per call and accumulates into ``.grad`` until the caller clears it.
 
-Reductions along an axis that may be permuted between runs (the cross-object
-attention path) use ``sorted_sum``: summands are sorted before summation, so
-the result is a function of the summand multiset only. That is what makes
-batch-permutation equivariance bit-exact rather than merely approximate.
+Every op reduces in numpy's own order, so results depend on the order of
+the inputs at the last bit. Callers that need an output independent of an
+input order put the inputs in a canonical order first (see
+``model.BoxAnnotator.forward_global``).
 """
 
 from __future__ import annotations
@@ -426,24 +426,6 @@ def tmean(a, axis=None, keepdims=False):
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def sorted_sum(a, axis, keepdims=False):
-    """Sum whose value depends only on the summand multiset along `axis`.
-
-    Sorting before summation makes the reduction invariant to permutations
-    of the inputs along the reduced axis, bit for bit. The gradient is the
-    plain broadcast, identical to an ordinary sum.
-    """
-    a = as_tensor(a)
-    shape = a.data.shape
-    out_data = np.sort(a.data, axis=axis).sum(axis=axis, keepdims=keepdims)
-
-    def grad_fn(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return [(a, np.broadcast_to(gg, shape))]
-
-    return _node(out_data, (a,), grad_fn)
-
-
 def matmul(a, b):
     """Batched matrix product with broadcasting over leading axes.
 
@@ -507,18 +489,6 @@ def softmax(a, axis=-1):
     return _node(out_data, (a,), grad_fn)
 
 
-def softmax_orderinv(a, axis=-1):
-    """Softmax whose denominator is order-invariant along `axis`.
-
-    The max subtraction is treated as a constant, which is exact for the
-    softmax value and gradient.
-    """
-    a = as_tensor(a)
-    m = Tensor(a.data.max(axis=axis, keepdims=True))
-    e = exp(a - m)
-    return div(e, sorted_sum(e, axis=axis, keepdims=True))
-
-
 def log_softmax(a, axis=-1):
     a = as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -553,7 +523,7 @@ def layer_norm(x, gain, bias, eps=1e-12):
     return add(mul(mul(centered, inv), gain), bias)
 
 
-def multi_head_attention(q, k, v, heads, params, order_invariant=False):
+def multi_head_attention(q, k, v, heads, params):
     """Scaled dot-product attention with per-head projections.
 
     q: (B, Lq, d), k and v: (B, Lk, d). `params` maps wq, bq, wk, bk, wv,
@@ -561,9 +531,10 @@ def multi_head_attention(q, k, v, heads, params, order_invariant=False):
     (B, heads, Lq, Lk)); the weights are always materialized so callers can
     export attention maps without a second pass.
 
-    order_invariant=True computes every reduction over the key axis in a
-    key-permutation-invariant way (see sorted_sum); used when the key axis
-    is a batch of peer objects whose order must not matter.
+    Permuting the keys permutes the summands of the softmax and context
+    reductions, so the output is key-order-invariant only up to rounding.
+    Where the key axis is a batch of peer objects, the caller sorts that
+    batch into a canonical order first.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
@@ -588,40 +559,11 @@ def multi_head_attention(q, k, v, heads, params, order_invariant=False):
     V = split(linear(v, params["wv"], params["bv"]), Lk)
 
     scores = mul(matmul(Q, swapaxes(K, -1, -2)), 1.0 / math.sqrt(dh))
-    if order_invariant:
-        weights = softmax_orderinv(scores, axis=-1)
-        ctx = _attend_orderinv(weights, V)
-    else:
-        weights = softmax(scores, axis=-1)
-        ctx = matmul(weights, V)
+    weights = softmax(scores, axis=-1)
+    ctx = matmul(weights, V)
 
     merged = reshape(swapaxes(ctx, 1, 2), (B, Lq, d))
     return linear(merged, params["wo"], params["bo"]), weights
-
-
-# Cap on the expanded (B, H, Lq, Lk, dh) product used by the order-invariant
-# contraction; larger inputs are processed in chunks along the batch axis.
-_ATTEND_CHUNK_ELEMS = 8_000_000
-
-
-def _attend_orderinv(weights, values):
-    """weights (B,H,Lq,Lk) x values (B,H,Lk,dh) with sorted-sum contraction."""
-    B, H, Lq, Lk = weights.shape
-    dh = values.shape[-1]
-    per_batch = H * Lq * Lk * dh
-    chunk = max(1, _ATTEND_CHUNK_ELEMS // max(per_batch, 1))
-
-    def contract(w, v):
-        prod = mul(reshape(w, w.shape + (1,)), reshape(v, (v.shape[0], H, 1, Lk, dh)))
-        return sorted_sum(prod, axis=3)
-
-    if chunk >= B:
-        return contract(weights, values)
-    pieces = []
-    for lo in range(0, B, chunk):
-        sl = slice(lo, min(lo + chunk, B))
-        pieces.append(contract(getitem(weights, sl), getitem(values, sl)))
-    return concat(pieces, axis=0)
 
 
 def cross_entropy(logits, labels):

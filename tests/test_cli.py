@@ -192,6 +192,25 @@ class TestAnnotateAndEval:
         assert code == 4
         assert "error category=data" in capsys.readouterr().err
 
+    def test_eval_duplicate_object_key_is_data_error(self, dataset, tmp_path, capsys):
+        from frustumbox.inference import object_key
+
+        frame = manifest_frames(dataset)[0]
+        rows = (Path(dataset) / "label_2" / f"{frame}.txt").read_text().splitlines()
+        dup = tmp_path / "dup"
+        (dup / "label_2").mkdir(parents=True)
+        (dup / "calib").mkdir()
+        # a second row with the same 2D box would silently replace the first
+        (dup / "label_2" / f"{frame}.txt").write_text("\n".join(rows + rows[:1]) + "\n")
+        (dup / "calib" / f"{frame}.txt").write_bytes(
+            (Path(dataset) / "calib" / f"{frame}.txt").read_bytes()
+        )
+        code = run(["eval", "--pred", dup, "--gt", dup])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error category=data" in err
+        assert object_key(frame, parse_kitti_label(rows[0])[0].box2d) in err
+
     def test_annotate_eval_reproduces_train_miou(self, dataset, training, annotated,
                                                  tmp_path, capsys):
         # the number printed at the end of training is the same number an

@@ -10,8 +10,6 @@ from frustumbox.evaluate import (
     UnmatchedObject,
     ablation_config,
     compute_ap,
-    compute_miou,
-    compute_recall,
     evaluate_boxes,
 )
 from frustumbox.geometry import Box3D, iou_3d
@@ -24,6 +22,11 @@ def boxes(*specs):
     return {f"obj{i}": b for i, b in enumerate(specs)}
 
 
+def scored(preds):
+    """Predictions with a dummy confidence, as evaluate_boxes takes them."""
+    return {oid: (box, 0.5) for oid, box in preds.items()}
+
+
 UNIT = Box3D(0, 0, 0, 1, 1, 1, 0.0)
 FAR = Box3D(50, 0, 0, 1, 1, 1, 0.0)
 
@@ -31,12 +34,12 @@ FAR = Box3D(50, 0, 0, 1, 1, 1, 0.0)
 class TestMiou:
     def test_perfect(self):
         gts = boxes(UNIT, FAR)
-        assert compute_miou(gts, gts) == 1.0
+        assert evaluate_boxes(scored(gts), gts).miou == 1.0
 
     def test_all_disjoint(self):
         preds = boxes(FAR, UNIT)
         gts = boxes(UNIT, FAR)
-        assert compute_miou(preds, gts) == 0.0
+        assert evaluate_boxes(scored(preds), gts).miou == 0.0
 
     def test_mixed_with_monte_carlo_oracle(self):
         a = Box3D(0, 0, 0, 2, 4, 1, 0.0)
@@ -44,11 +47,11 @@ class TestMiou:
         x = mc_iou3d(a, b, 10**6, np.random.default_rng(0))
         preds = {"p": UNIT, "q": FAR, "r": a}
         gts = {"p": UNIT, "q": Box3D(90, 0, 0, 1, 1, 1, 0.0), "r": b}
-        assert compute_miou(preds, gts) == pytest.approx((1.0 + 0.0 + x) / 3, abs=0.005)
+        assert evaluate_boxes(scored(preds), gts).miou == pytest.approx((1.0 + 0.0 + x) / 3, abs=0.005)
 
     def test_unmatched_ids_listed(self):
         with pytest.raises(UnmatchedObject) as ei:
-            compute_miou({"a": UNIT}, {"a": UNIT, "b": FAR})
+            evaluate_boxes(scored({"a": UNIT}), {"a": UNIT, "b": FAR})
         assert "b" in str(ei.value)
 
     def test_reorder_invariant(self):
@@ -56,18 +59,19 @@ class TestMiou:
         preds = {f"o{i}": random_box(rng, 1.0) for i in range(6)}
         gts = {f"o{i}": random_box(rng, 1.0) for i in range(6)}
         shuffled_preds = dict(sorted(preds.items(), reverse=True))
-        assert compute_miou(preds, gts) == compute_miou(shuffled_preds, gts)
+        assert (evaluate_boxes(scored(preds), gts).miou
+                == evaluate_boxes(scored(shuffled_preds), gts).miou)
 
 
 class TestRecall:
     def test_perfect(self):
         gts = boxes(UNIT, FAR)
-        assert compute_recall(gts, gts) == 1.0
+        assert evaluate_boxes(scored(gts), gts).recall07 == 1.0
 
     def test_half(self):
         preds = {"a": UNIT, "b": UNIT}
         gts = {"a": UNIT, "b": FAR}
-        assert compute_recall(preds, gts) == 0.5
+        assert evaluate_boxes(scored(preds), gts).recall07 == 0.5
 
     def test_exact_threshold_counts(self):
         # overlap engineered to land exactly on IoU 0.7: shift a unit cube by
@@ -76,7 +80,8 @@ class TestRecall:
         shifted = Box3D(d, 0, 0, 1, 1, 1, 0.0)
         iou = iou_3d(UNIT, shifted)
         thr = round(iou, 12)
-        assert compute_recall({"a": shifted}, {"a": UNIT}, threshold=thr) == 1.0
+        report = evaluate_boxes(scored({"a": shifted}), {"a": UNIT}, threshold=thr)
+        assert report.recall07 == 1.0
 
 
 class TestAp:

@@ -152,7 +152,6 @@ class TestForwardGlobal:
         m = make_model()
         emb = m.embed_points(np.random.default_rng(7).normal(size=(1, 8, 3)))
         x, _ = m.forward_local(emb)
-        _, traces = m.forward_global(x, capture=True)
         # capture=True returns weights shaped (S, H, B, B); B=1 forces 1.0
         out, traces = m.forward_global(x, capture=True)
         assert all((w.data == 1.0).all() for w in traces)
@@ -167,6 +166,23 @@ class TestForwardGlobal:
         out_p = m.forward(pts[perm])
         assert (out.boxes.data[perm] == out_p.boxes.data).all()
         assert (out.direction_logits.data[perm] == out_p.direction_logits.data).all()
+
+    def test_twin_objects_and_traces_under_permutation(self):
+        m = make_model(n_global_layers=2)
+        rng = np.random.default_rng(14)
+        pts = rand_points(rng, 6, 8)
+        pts[4] = pts[1]  # byte-identical twins tie in the canonical order
+        perm = rng.permutation(6)
+        out = m.forward(pts, capture_attention=True)
+        out_p = m.forward(pts[perm], capture_attention=True)
+        assert (out.boxes.data[perm] == out_p.boxes.data).all()
+        assert (out.direction_logits.data[perm] == out_p.direction_logits.data).all()
+        assert (out.boxes.data[1] == out.boxes.data[4]).all()
+        assert (out.direction_logits.data[1] == out.direction_logits.data[4]).all()
+        assert len(out_p.attention.global_layers) == 2
+        for w, w_p in zip(out.attention.global_layers, out_p.attention.global_layers):
+            assert w.shape == (15, 2, 6, 6)
+            assert (w.data[:, :, perm][:, :, :, perm] == w_p.data).all()
 
     def test_cross_object_information_flow(self):
         m = make_model(use_global=True)
@@ -365,6 +381,38 @@ class TestPersistence:
         a = make_model(seed=6).save(tmp_path / "a.ckpt")
         b = make_model(seed=6).save(tmp_path / "b.ckpt")
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        from frustumbox import checkpoint
+
+        path = make_model(seed=6).save(tmp_path / "model.ckpt")
+        before = path.read_bytes()
+        real_open = open
+
+        class DiskFull:
+            """A file that takes the first write, then fails like a full disk."""
+
+            def __init__(self, *args):
+                self.fh = real_open(*args)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(checkpoint, "open", DiskFull, raising=False)
+        with pytest.raises(OSError):
+            make_model(seed=7).save(path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_name_mismatch_fails_loudly(self, tmp_path):
         m = make_model(use_global=True)

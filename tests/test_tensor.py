@@ -173,27 +173,6 @@ class TestSoftmax:
         w = rng.normal(size=(3, 5))
         check_grad(lambda p: (T.softmax(p, axis=-1) * Tensor(w)).sum(), x0, tol=1e-6)
 
-    def test_orderinv_matches_softmax(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(4, 7))
-        a = T.softmax(Tensor(x), axis=-1).data
-        b = T.softmax_orderinv(Tensor(x), axis=-1).data
-        np.testing.assert_allclose(a, b, atol=1e-14)
-
-    def test_orderinv_bit_exact_under_permutation(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=9)
-        perm = rng.permutation(9)
-        a = T.softmax_orderinv(Tensor(x), axis=-1).data
-        b = T.softmax_orderinv(Tensor(x[perm]), axis=-1).data
-        assert (a[perm] == b).all()
-
-    def test_orderinv_gradient(self):
-        rng = np.random.default_rng(12)
-        x0 = rng.normal(size=(2, 6))
-        w = rng.normal(size=(2, 6))
-        check_grad(lambda p: (T.softmax_orderinv(p, axis=-1) * Tensor(w)).sum(), x0, tol=1e-6)
-
     def test_log_softmax_gradient(self):
         rng = np.random.default_rng(13)
         x0 = rng.normal(size=(3, 4))
@@ -312,27 +291,6 @@ class TestTransposeBatchSeq:
         check_grad(lambda p: (T.transpose_batch_seq(p) * Tensor(w)).sum(), x0, tol=1e-6)
 
 
-class TestSortedSum:
-    def test_matches_sum(self):
-        rng = np.random.default_rng(24)
-        x = rng.normal(size=(3, 7))
-        out = T.sorted_sum(Tensor(x), axis=1)
-        np.testing.assert_allclose(out.data, x.sum(axis=1), atol=1e-12)
-
-    def test_permutation_invariant_bitwise(self):
-        rng = np.random.default_rng(25)
-        x = rng.normal(size=100) * 1e3
-        perm = rng.permutation(100)
-        a = T.sorted_sum(Tensor(x), axis=0).item()
-        b = T.sorted_sum(Tensor(x[perm]), axis=0).item()
-        assert a == b
-
-    def test_gradient_is_broadcast(self):
-        x = Tensor(np.array([[3.0, 1.0, 2.0]]), requires_grad=True)
-        backward(T.sorted_sum(x, axis=1).sum())
-        np.testing.assert_array_equal(x.grad, [[1.0, 1.0, 1.0]])
-
-
 class TestAttention:
     def _params(self, rng, d):
         names = ["wq", "wk", "wv", "wo"]
@@ -391,26 +349,6 @@ class TestAttention:
             return (out * Tensor(w)).sum()
 
         check_grad(loss, x0, step=1e-6, tol=1e-4)
-
-    def test_orderinv_matches_standard(self):
-        rng = np.random.default_rng(31)
-        d = 8
-        p = self._params(rng, d)
-        x = Tensor(rng.normal(size=(4, 3, d)))
-        a, wa = T.multi_head_attention(x, x, x, 2, p)
-        b, wb = T.multi_head_attention(x, x, x, 2, p, order_invariant=True)
-        np.testing.assert_allclose(a.data, b.data, atol=1e-12)
-        np.testing.assert_allclose(wa.data, wb.data, atol=1e-12)
-
-    def test_orderinv_chunking_matches(self, monkeypatch):
-        rng = np.random.default_rng(32)
-        d = 8
-        p = self._params(rng, d)
-        x = Tensor(rng.normal(size=(9, 3, d)))
-        full, _ = T.multi_head_attention(x, x, x, 2, p, order_invariant=True)
-        monkeypatch.setattr(T, "_ATTEND_CHUNK_ELEMS", 200)
-        chunked, _ = T.multi_head_attention(x, x, x, 2, p, order_invariant=True)
-        assert (full.data == chunked.data).all()
 
 
 class TestCrossEntropy:
