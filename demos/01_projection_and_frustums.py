@@ -2,8 +2,9 @@
 
 A LiDAR point maps into a camera through the rigid transform, the
 rectification, and the projective matrix; a 2D box then selects the
-sub-cloud whose pixels fall inside it. Run this file directly; it prints
-every intermediate quantity.
+sub-cloud whose pixels fall inside it. A frame's cloud is projected once and
+every box of the frame is cut from the same pixels. Run this file directly;
+it prints every intermediate quantity.
 """
 
 import numpy as np
@@ -31,17 +32,20 @@ rng = np.random.default_rng(7)
 scene = generate_synthetic_scene(SceneSpec(noise_sigma=0.02), rng)
 print(f"\nscene: {len(scene.points)} points, {len(scene.objects)} objects")
 
-for i, obj in enumerate(scene.objects):
-    frustum = extract_frustum(scene.points, obj.box2d, calib)
+# one projection of the cloud serves every box of the frame
+frustums = extract_frustum(scene.points, [obj.box2d for obj in scene.objects], calib)
+for i, (obj, frustum) in enumerate(zip(scene.objects, frustums)):
     b = obj.box2d
     print(
         f"object {i}: 2D box ({b.u_min:6.1f},{b.v_min:6.1f})-({b.u_max:6.1f},{b.v_max:6.1f})"
         f"  frustum holds {len(frustum):4d} of {len(scene.points)} points"
     )
 
-# membership is exact: every frustum point projects back inside its box
+# membership is exact: every frustum point projects back inside its box,
+# and cutting one box alone gives the same points
 obj = scene.objects[0]
 frustum = extract_frustum(scene.points, obj.box2d, calib)
+assert np.array_equal(frustum, frustums[0])
 uv, depth = calib.project(frustum)
 assert (depth > 0).all()
 assert obj.box2d.contains(uv[:, 0], uv[:, 1]).all()

@@ -39,9 +39,10 @@ from .evaluate import (
 from .frustums import (
     EmptyCloud,
     build_dataset_samples,
-    build_frustum_sample,
+    build_frustum_sample,  # noqa: F401 - looked up on this module by perfbench/tracing.py
     dataset_sampling_rng,
     filter_samples,
+    frame_samples,
 )
 from .gradcheck import model_gradient_check
 from .geometry import Box3D, GeometryError
@@ -49,7 +50,7 @@ from .inference import object_key, predict_samples, prediction_record
 from .kitti import (
     KittiFormatError,
     lidar_box_from_label,
-    load_frame,
+    load_frame,  # noqa: F401 - looked up on this module by perfbench/tracing.py
     manifest_frames,
     parse_kitti_calib,
     parse_kitti_label,
@@ -143,10 +144,6 @@ def cmd_train(args):
     return 0
 
 
-def _annotatable(records):
-    return [(i, r) for i, r in enumerate(records) if r.is_care and r.has_box3d]
-
-
 def cmd_annotate(args):
     cfg = _resolve_config(args)
     ckpt = load_checkpoint(args.checkpoint)
@@ -162,22 +159,15 @@ def cmd_annotate(args):
     frame_rows = {f: [] for f in frames}
     for frame in frames:
         try:
-            points, _, calib, records = load_frame(args.dataset, frame)
+            samples, empty = frame_samples(args.dataset, frame, model.config.n_points, rng,
+                                           require_gt=False)
         except FileNotFoundError as err:
             print(f"skipping frame {frame}: {err}")
             frame_rows.pop(frame)
             continue
-        for i, rec in _annotatable(records):
-            sample = build_frustum_sample(
-                points, rec.box2d, calib,
-                lidar_box_from_label(rec, calib),
-                frame_id=frame, object_id=f"{frame}:{i}",
-                n_points=model.config.n_points, rng=rng, cls=rec.cls,
-            )
-            if sample is None:
-                print(f"skipping object {frame}:{i}: empty frustum")
-                continue
-            all_samples.append(sample)
+        for object_id in empty:
+            print(f"skipping object {object_id}: empty frustum")
+        all_samples.extend(samples)
 
     start = time.perf_counter()
     preds = predict_samples(model, all_samples, cfg.train.batch_size)
@@ -263,17 +253,8 @@ def cmd_gradcheck(args):
 def cmd_attn(args):
     cfg = _resolve_config(args)
     model = BoxAnnotator.from_checkpoint(load_checkpoint(args.checkpoint))
-    rng = dataset_sampling_rng(cfg.seed)
-    points, _, calib, records = load_frame(args.dataset, args.frame)
-    samples = []
-    for i, rec in _annotatable(records):
-        sample = build_frustum_sample(
-            points, rec.box2d, calib, lidar_box_from_label(rec, calib),
-            frame_id=args.frame, object_id=f"{args.frame}:{i}",
-            n_points=model.config.n_points, rng=rng, cls=rec.cls,
-        )
-        if sample is not None:
-            samples.append(sample)
+    samples, _ = frame_samples(args.dataset, args.frame, model.config.n_points,
+                               dataset_sampling_rng(cfg.seed), require_gt=False)
     if not samples:
         raise EmptyCloud(f"frame {args.frame} has no annotatable objects")
     if not 0 <= args.object < len(samples):

@@ -85,11 +85,11 @@ def denormalize_frustum(sample):
     )
 
 
-def build_frustum_sample(cloud, box2d, calib, gt_box, frame_id, object_id,
+def build_frustum_sample(frustum, box2d, calib, gt_box, frame_id, object_id,
                          n_points, rng, cls="Car"):
-    """One object's sample from a full frame cloud; None when the frustum
-    holds no points at all."""
-    frustum = extract_frustum(cloud, box2d, calib)
+    """One object's sample from its frustum sub-cloud (see
+    :func:`~frustumbox.geometry.extract_frustum`); None when the frustum
+    holds no points at all, in which case no random numbers are drawn."""
     n_raw = len(frustum)
     if n_raw == 0:
         return None
@@ -145,34 +145,56 @@ def dataset_sampling_rng(seed):
     return np.random.default_rng([seed, _SAMPLING_SALT])
 
 
-def build_dataset_samples(root, n_points, seed, split=None, classes=None):
-    """All frustum samples of a dataset directory, unfiltered.
+def frame_samples(root, frame_id, n_points, rng, require_gt, classes=None):
+    """The frustum samples of one frame, in label-row order.
 
-    Objects without 3D extents (DontCare rows) and objects whose class is
-    outside `classes` (when given) are skipped. Deterministic in
-    (directory contents, n_points, seed).
+    The one sample path for training, annotation and attention dumps. Every
+    care row whose class is in `classes` (all classes when None) gets a
+    sample; with `require_gt`, rows without 3D extents are skipped, and
+    without it a 2D box suffices. The frame's cloud is projected once and
+    every row's frustum is cut from the shared pixel coordinates. A row's 3D
+    box, when present, feeds only the sample's ground truth and foreground
+    count. Random numbers are drawn once per non-empty frustum, in row
+    order; without `require_gt` the stream thus does not depend on which
+    rows carry 3D boxes.
+
+    Returns (samples, empty): the samples, and the object ids of rows whose
+    frustum held no points. Raises FileNotFoundError for a missing frame.
+    """
+    points, _, calib, records = load_frame(root, frame_id)
+    rows = [
+        (i, rec) for i, rec in enumerate(records)
+        if rec.is_care and (rec.has_box3d or not require_gt)
+        and (classes is None or rec.cls in classes)
+    ]
+    if not rows:
+        return [], []
+    frustums = extract_frustum(points, [rec.box2d for _, rec in rows], calib)
+    samples, empty = [], []
+    for (i, rec), frustum in zip(rows, frustums):
+        object_id = f"{frame_id}:{i}"
+        sample = build_frustum_sample(
+            frustum, rec.box2d, calib, lidar_box_from_label(rec, calib),
+            frame_id=frame_id, object_id=object_id, n_points=n_points, rng=rng,
+            cls=rec.cls,
+        )
+        if sample is None:
+            empty.append(object_id)
+        else:
+            samples.append(sample)
+    return samples, empty
+
+
+def build_dataset_samples(root, n_points, seed, split=None, classes=None):
+    """All frustum samples of a dataset directory's labeled objects, unfiltered.
+
+    Objects without 3D extents (DontCare rows, 2D-only rows) and objects
+    whose class is outside `classes` (when given) are skipped. Deterministic
+    in (directory contents, n_points, seed).
     """
     rng = dataset_sampling_rng(seed)
     samples = []
     for frame_id in manifest_frames(root, split=split):
-        points, _, calib, records = load_frame(root, frame_id)
-        for i, rec in enumerate(records):
-            if not rec.is_care or not rec.has_box3d:
-                continue
-            if classes is not None and rec.cls not in classes:
-                continue
-            gt = lidar_box_from_label(rec, calib)
-            sample = build_frustum_sample(
-                points,
-                rec.box2d,
-                calib,
-                gt,
-                frame_id=frame_id,
-                object_id=f"{frame_id}:{i}",
-                n_points=n_points,
-                rng=rng,
-                cls=rec.cls,
-            )
-            if sample is not None:
-                samples.append(sample)
+        samples.extend(frame_samples(root, frame_id, n_points, rng, require_gt=True,
+                                     classes=classes)[0])
     return samples

@@ -178,25 +178,24 @@ def project_point(p, calib):
     return float(uv[0, 0]), float(uv[0, 1])
 
 
-def frustum_mask(cloud, box, calib):
-    """Boolean mask of points projecting inside `box` with positive depth."""
-    pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
-    uv, depth = calib.project(pts)
-    ok = depth > 0
-    inside = np.zeros(len(pts), dtype=bool)
-    inside[ok] = box.contains(uv[ok, 0], uv[ok, 1])
-    return inside
-
-
 def extract_frustum(cloud, box, calib):
-    """Return the sub-cloud whose projection falls inside `box` (inclusive).
+    """The sub-cloud whose projection falls inside a 2D box (inclusive edges).
 
-    Input order is preserved; an empty result is valid.
+    `box` is one Box2D, giving one (M, 3) array, or a sequence of boxes,
+    giving a list with one array per box. Either way the cloud is projected
+    once: the points with positive rectified depth keep their pixels, and
+    every box selects from those. Input order is preserved; an empty result
+    is valid, an empty input cloud is not.
     """
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
         raise ValueError("empty input cloud")
-    return pts[frustum_mask(pts, box, calib)]
+    boxes = [box] if isinstance(box, Box2D) else box
+    uv, depth = calib.project(pts)
+    front = np.flatnonzero(depth > 0)
+    u, v = uv[front, 0], uv[front, 1]
+    frustums = [pts[front[b.contains(u, v)]] for b in boxes]
+    return frustums[0] if isinstance(box, Box2D) else frustums
 
 
 # Local-frame corner template: bottom face counter-clockwise starting at

@@ -295,13 +295,13 @@ class BoxAnnotator:
         features = T.as_tensor(features)
         order = sorted(range(features.shape[0]), key=lambda b: features.data[b].tobytes())
         inverse = np.argsort(order)
-        x = T.transpose_batch_seq(features[order])
+        x = T.transpose_batch_seq(T.permute(features, order))
         traces = []
         for i in range(self.config.n_global_layers):
             x, w = self._encoder_layer(x, f"global.{i}")
             if capture:
                 traces.append(w[:, :, inverse[:, None], inverse])
-        return T.transpose_batch_seq(x)[inverse], traces
+        return T.permute(T.transpose_batch_seq(x), inverse), traces
 
     def forward_decoder(self, encoder_out, capture=False):
         """Box-token queries attend to point features: -> (B, 7, d)."""

@@ -402,6 +402,25 @@ def getitem(a, idx):
                  (a,), grad_fn)
 
 
+def permute(a, perm):
+    """Reorder the leading axis by a permutation: ``out[i] = a[perm[i]]``.
+
+    The forward equals ``a[perm]``; the backward is the inverse gather
+    ``g[argsort(perm)]``, where :func:`getitem` would scatter with
+    ``np.add.at``.
+    """
+    a = as_tensor(a)
+    perm = np.asarray(perm, dtype=np.intp)
+    if not np.array_equal(np.sort(perm), np.arange(a.shape[0])):
+        raise ShapeMismatch(f"not a permutation of {a.shape[0]} rows: {perm.tolist()}")
+    inverse = np.argsort(perm)
+
+    def grad_fn(g):
+        return [(a, g[inverse])]
+
+    return _node(a.data[perm], (a,), grad_fn)
+
+
 # ---------------------------------------------------------------------------
 # Reductions and contractions
 # ---------------------------------------------------------------------------

@@ -1,17 +1,39 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+from pathlib import Path
+
+from frustumbox.cli import main
 from frustumbox.frustums import (
     EmptyCloud,
     FrustumSample,
     build_dataset_samples,
     build_frustum_sample,
+    dataset_sampling_rng,
     denormalize_frustum,
     filter_samples,
+    frame_samples,
     normalize_frustum,
     sample_to_fixed_size,
 )
-from frustumbox.geometry import Box2D, Box3D, iou_3d, points_in_box3d
+from frustumbox.geometry import (
+    Box2D,
+    Box3D,
+    ProjectionModel,
+    extract_frustum,
+    identity_calibration,
+    iou_3d,
+    points_in_box3d,
+)
+from frustumbox.kitti import (
+    lidar_box_from_label,
+    load_frame,
+    manifest_frames,
+    parse_kitti_label,
+    serialize_kitti_label,
+)
+from frustumbox.model import BoxAnnotator, ModelConfig
 from frustumbox.synthetic import SceneSpec, virtual_calibration, write_synthetic_dataset
 
 
@@ -175,3 +197,151 @@ class TestPipeline:
                 s.gt_box.center + s.centroid, original.center, atol=1e-9
             )
             assert s.gt_box.yaw == original.yaw
+
+
+def per_object_frustum(cloud, box, calib):
+    """The per-object cut: project the whole cloud for this one box, keep
+    positive depth and the box's inclusive pixel rectangle, as a mask."""
+    uv, depth = calib.project(cloud)
+    keep = depth > 0
+    keep[keep] = box.contains(uv[keep, 0], uv[keep, 1])
+    return cloud[keep]
+
+
+# a tiny architecture: annotate runs in well under a second
+TINY = ModelConfig(d=16, n_points=16, n_local_layers=1, n_global_layers=1,
+                   n_decoder_layers=1, heads=2, head_hidden=16)
+FAST_SCENES = ["scene.range_min=6", "scene.range_max=14", "scene.points_base=500",
+               "scene.clutter_density=0.02", "scene.n_objects_min=2",
+               "scene.n_objects_max=3"]
+
+
+def write_tiny_checkpoint(path):
+    BoxAnnotator(TINY, rng=np.random.default_rng(5)).save(path)
+    return path
+
+
+def rewrite_labels(root, frame, rewrite):
+    path = Path(root) / "label_2" / f"{frame}.txt"
+    records = rewrite(parse_kitti_label(path.read_text()))
+    path.write_text(serialize_kitti_label(records))
+
+
+def two_d_only(rec):
+    """The no-3D-box convention: dims -1, location -1000, ry -10."""
+    return replace(rec, height=-1.0, width=-1.0, length=-1.0,
+                   location=(-1000.0, -1000.0, -1000.0), rotation_y=-10.0)
+
+
+class TestFrameFrustums:
+    def test_shared_projection_matches_per_object_cut(self):
+        calib = identity_calibration()  # u = x / z, v = y / z, exactly
+        rng = np.random.default_rng(12)
+        cloud = np.vstack([
+            rng.uniform([-4, -4, 0.5], [4, 4, 6], size=(300, 3)),
+            rng.uniform([-4, -4, -6], [4, 4, -0.5], size=(100, 3)),  # behind
+            [[0.5, 0.5, -1.0], [0.0, 0.0, 0.0]],  # pixel inside, depth <= 0
+            [[-1.0, 0.0, 1.0], [1.0, 0.5, 1.0], [0.0, -1.0, 2.0], [2.0, 2.0, 2.0]],  # on edges
+        ])
+        boxes = [
+            Box2D(-1.0, -1.0, 1.0, 1.0),
+            Box2D(-50.0, -0.5, 0.25, 50.0),  # reaches far past any image
+            Box2D(20.0, 20.0, 30.0, 30.0),  # nothing projects here
+        ]
+        got = extract_frustum(cloud, boxes, calib)
+        for box, frustum in zip(boxes, got):
+            want = per_object_frustum(cloud, box, calib)
+            assert frustum.shape == want.shape
+            assert frustum.tobytes() == want.tobytes()
+            assert extract_frustum(cloud, box, calib).tobytes() == want.tobytes()
+        edge_points = cloud[-4:]
+        assert all((got[0] == p).all(axis=1).any() for p in edge_points)
+        assert not (got[0] == [0.5, 0.5, -1.0]).all(axis=1).any()
+        assert len(got[2]) == 0
+
+    def test_frame_samples_match_per_object_path(self, tmp_path):
+        write_synthetic_dataset(tmp_path, SceneSpec(noise_sigma=0.02), 3,
+                                np.random.default_rng(6), val_every=0)
+        frames = manifest_frames(tmp_path)
+        extra = [
+            replace(parse_kitti_label((tmp_path / "label_2" / f"{frames[0]}.txt")
+                                      .read_text())[0], box2d=box)
+            for box in (Box2D(-400.0, 150.0, 600.0, 260.0),  # partly off-image
+                        Box2D(0.0, 0.0, 5.0, 5.0))  # sky: empty frustum
+        ]
+        rewrite_labels(tmp_path, frames[0], lambda rows: rows + [two_d_only(extra[0]), extra[1]])
+        n_rows = len(load_frame(tmp_path, frames[0])[3])
+        off_image, sky = f"{frames[0]}:{n_rows - 2}", f"{frames[0]}:{n_rows - 1}"
+
+        for require_gt in (True, False):
+            rng_new = dataset_sampling_rng(3)
+            rng_old = dataset_sampling_rng(3)
+            built, skipped = [], []
+            for frame in frames:
+                samples, empty = frame_samples(tmp_path, frame, 32, rng_new,
+                                               require_gt=require_gt)
+                built += [s.object_id for s in samples]
+                skipped += empty
+                points, _, calib, records = load_frame(tmp_path, frame)
+                want, want_empty = [], []
+                for i, rec in enumerate(records):
+                    if not rec.is_care or (require_gt and not rec.has_box3d):
+                        continue
+                    sample = build_frustum_sample(
+                        per_object_frustum(points, rec.box2d, calib), rec.box2d, calib,
+                        lidar_box_from_label(rec, calib), frame, f"{frame}:{i}", 32,
+                        rng_old, cls=rec.cls)
+                    if sample is None:
+                        want_empty.append(f"{frame}:{i}")
+                    else:
+                        want.append(sample)
+                assert empty == want_empty
+                assert [s.object_id for s in samples] == [s.object_id for s in want]
+                for s, w in zip(samples, want):
+                    assert s.points.tobytes() == w.points.tobytes()
+                    assert s.centroid.tobytes() == w.centroid.tobytes()
+                    assert (s.n_raw_points, s.n_foreground_points) == (
+                        w.n_raw_points, w.n_foreground_points)
+            assert sky in skipped
+            assert (off_image in built) == (not require_gt)
+
+    def test_annotate_projects_each_frame_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "2", "n_scenes=3",
+                     "val_every=0"] + FAST_SCENES) == 0
+        ckpt = write_tiny_checkpoint(tmp_path / "tiny.bin")
+        project = ProjectionModel.project
+        sizes = []
+
+        def counting(self, points):
+            sizes.append(len(points))
+            return project(self, points)
+
+        monkeypatch.setattr(ProjectionModel, "project", counting)
+        assert main(["annotate", "--checkpoint", str(ckpt), "--dataset", str(data),
+                     "--out", str(tmp_path / "ann"), "--seed", "0"]) == 0
+        frames = manifest_frames(data)
+        assert sizes == [len(load_frame(data, f)[0]) for f in frames]
+
+    def test_two_d_only_copy_annotates_identically(self, tmp_path):
+        full, flat = tmp_path / "full", tmp_path / "flat"
+        argv = ["synth", "--seed", "4", "n_scenes=4", "val_every=0"] + FAST_SCENES
+        assert main(argv[:1] + ["--out", str(full)] + argv[1:]) == 0
+        assert main(argv[:1] + ["--out", str(flat)] + argv[1:]) == 0
+        frames = manifest_frames(flat)
+        for frame in frames:
+            rewrite_labels(flat, frame,
+                           lambda rows: [two_d_only(r) if r.is_care else r for r in rows])
+            assert not any(r.has_box3d for r in load_frame(flat, frame)[3])
+        ckpt = write_tiny_checkpoint(tmp_path / "tiny.bin")
+        for root in (full, flat):
+            assert main(["annotate", "--checkpoint", str(ckpt), "--dataset", str(root),
+                         "--out", str(tmp_path / f"ann_{root.name}"), "--seed", "0"]) == 0
+        labeled = 0
+        for frame in frames:
+            a = (tmp_path / "ann_full" / "label_2" / f"{frame}.txt").read_bytes()
+            b = (tmp_path / "ann_flat" / "label_2" / f"{frame}.txt").read_bytes()
+            assert a == b
+            labeled += len(parse_kitti_label(a.decode()))
+        assert labeled == sum(len(load_frame(full, f)[3]) for f in frames) > 0
+

@@ -241,6 +241,29 @@ class TestShapes:
         expected[1] = 1.0
         np.testing.assert_array_equal(x.grad, expected)
 
+    def test_permute_matches_getitem_forward_and_scatter_backward(self):
+        rng = np.random.default_rng(21)
+        x0 = rng.normal(size=(6, 5, 4))
+        w = rng.normal(size=(6, 5, 4))
+        perm = [3, 0, 5, 1, 4, 2]
+        a = Tensor(x0, requires_grad=True)
+        b = Tensor(x0, requires_grad=True)
+        out_a, out_b = T.permute(a, perm), b[perm]
+        assert out_a.data.tobytes() == out_b.data.tobytes()
+        backward((out_a * Tensor(w)).sum())
+        backward((out_b * Tensor(w)).sum())
+        scattered = np.zeros_like(x0)
+        np.add.at(scattered, perm, w)
+        np.testing.assert_array_equal(a.grad, scattered)
+        np.testing.assert_array_equal(a.grad, b.grad)
+        check_grad(lambda p: (T.permute(p, perm) * Tensor(w)).sum(), x0.copy(), tol=1e-6)
+
+    def test_permute_rejects_non_permutation(self):
+        x = Tensor(np.zeros((3, 2)))
+        for bad in ([0, 0, 1], [0, 1], [0, 1, 3]):
+            with pytest.raises(ShapeMismatch):
+                T.permute(x, bad)
+
     def test_broadcast_to_gradient(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         out = T.broadcast_to(x.reshape(1, 2), (4, 2))
