@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from frustumbox import tensor as T
 from frustumbox.frustums import build_dataset_samples, filter_samples
 from frustumbox.model import BoxAnnotator, ModelConfig, export_attention
 from frustumbox.synthetic import SceneSpec, write_synthetic_dataset
@@ -25,7 +26,8 @@ model = BoxAnnotator(config, rng=np.random.default_rng(0))
 
 samples, _ = filter_samples(build_dataset_samples(root, n_points=96, seed=0))
 batch = np.stack([s.points for s in samples[:4]])
-out = model.forward(batch, capture_attention=True)
+with T.no_grad():  # forward only: the weights are captured, no graph is built
+    out = model.forward(batch, capture_attention=True)
 trace = out.attention
 print(f"captured {len(trace.local_layers)} local layers, "
       f"{len(trace.global_layers)} global, {len(trace.decoder_cross)} decoder cross")

@@ -60,7 +60,7 @@ from .loss import InvalidBox
 from .model import BoxAnnotator, IndexOutOfRange, InvalidMode, export_attention
 from .synthetic import SceneSpec, write_synthetic_dataset
 from .train import NonFiniteLoss, TrainConfig, train
-from .tensor import TensorError
+from .tensor import TensorError, no_grad
 
 _ERROR_CATEGORIES = [
     ((ConfigError, InvalidMode, ValueError), "config", 2),
@@ -262,7 +262,8 @@ def cmd_attn(args):
             f"object {args.object} outside 0..{len(samples) - 1} for frame {args.frame}"
         )
     batch = np.stack([s.points for s in samples])
-    out = model.forward(batch, capture_attention=True)
+    with no_grad():
+        out = model.forward(batch, capture_attention=True)
     export = export_attention(
         out.attention, args.object, args.point, top_k=args.top_k, layer=args.layer,
     )

@@ -8,7 +8,8 @@ never drift apart.
 
 Batch composition matters when the cross-object encoder is on, so inference
 batching is pinned: samples are processed in their given order in chunks of
-``batch_size`` with the final partial chunk kept.
+``batch_size`` with the final partial chunk kept. The forward runs under
+``tensor.no_grad``: inference builds no autodiff graph.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .kitti import label_from_lidar_box, lidar_box_from_label, parse_kitti_label, serialize_kitti_label
 from .model import decode_prediction, direction_score
 
@@ -31,12 +33,14 @@ class Prediction:
 
 
 def predict_samples(model, samples, batch_size):
-    """Forward every sample once; deterministic chunking in list order."""
+    """Forward every sample once, building no graph; deterministic chunking
+    in list order."""
     out = []
     for lo in range(0, len(samples), batch_size):
         chunk = samples[lo : lo + batch_size]
         points = np.stack([s.points for s in chunk])
-        fwd = model.forward(points)
+        with T.no_grad():
+            fwd = model.forward(points)
         raws = fwd.boxes.data
         logits = fwd.direction_logits.data
         for s, raw, logit in zip(chunk, raws, logits):

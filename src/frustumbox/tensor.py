@@ -4,6 +4,12 @@ A Tensor wraps an ndarray plus an optional backpropagation record. Graphs
 are built eagerly by the op functions below; ``backward`` walks the graph
 once per call and accumulates into ``.grad`` until the caller clears it.
 
+Attention's scores, softmax and context are one op, :func:`attention_core`,
+with a hand-written backward; :func:`multi_head_attention` adds the head
+projections around it. Inside a :func:`no_grad` block the ops record no
+parents, so a forward-only pass (inference, attention export) builds no
+graph and frees each intermediate array once the next op has read it.
+
 Every op reduces in numpy's own order, so results depend on the order of
 the inputs at the last bit. Callers that need an output independent of an
 input order put the inputs in a canonical order first (see
@@ -12,6 +18,8 @@ input order put the inputs in a canonical order first (see
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 
 import numpy as np
@@ -149,9 +157,27 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# a context variable, so a no_grad block in one thread leaves the others alone
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: op outputs have no parents and do
+    not require gradients. Nests; the previous state returns on exit, also
+    after an exception."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
+
+
 def _node(data, inputs, grad_fn):
     """Internal: graph node over the `inputs` that require gradients."""
     out = Tensor(data)
+    if not _grad_enabled.get():
+        return out
     parents = tuple(t for t in inputs if t.requires_grad)
     if parents:
         out.requires_grad = True
@@ -398,8 +424,8 @@ def getitem(a, idx):
         np.add.at(buf, idx, g)
         return [(a, buf)]
 
-    return _node(a.data[idx].copy() if isinstance(a.data[idx], np.ndarray) else a.data[idx],
-                 (a,), grad_fn)
+    out = a.data[idx]
+    return _node(out.copy() if isinstance(out, np.ndarray) else out, (a,), grad_fn)
 
 
 def permute(a, perm):
@@ -520,6 +546,46 @@ def log_softmax(a, axis=-1):
     return _node(out_data, (a,), grad_fn)
 
 
+def attention_core(Q, K, V, scale):
+    """Scaled dot-product attention as one node: ``softmax(Q Kᵀ·scale) V``.
+
+    Q: (..., Lq, dh), K and V: (..., Lk, dh). Returns (context (..., Lq, dh),
+    weights (..., Lq, Lk)); the weights are a plain Tensor outside the
+    graph. The forward computes the scores, scale, softmax and context in
+    one buffer with the same numpy operations, in the same order, as
+    ``matmul``, ``mul``, ``softmax`` and ``matmul`` would, and the backward
+    repeats those nodes' gradient formulas in their order, so both agree
+    with the composition bit for bit.
+    """
+    Q, K, V = as_tensor(Q), as_tensor(K), as_tensor(V)
+    # Kᵀ contiguous, as ``swapaxes`` would copy it: BLAS picks its kernel by
+    # memory layout, and ``gs @ K`` read through this layout matches the
+    # composition's ``matmul`` backward bit for bit where a contiguous K
+    # does not
+    kt = K.data.swapaxes(-1, -2).copy()
+    w = Q.data @ kt
+    w *= scale
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def grad_fn(g):
+        out = []
+        if V.requires_grad:
+            out.append((V, w.swapaxes(-1, -2) @ g))
+        gs = g @ V.data.swapaxes(-1, -2)
+        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        gs *= w
+        gs *= scale
+        if Q.requires_grad:
+            out.append((Q, gs @ kt.swapaxes(-1, -2)))
+        if K.requires_grad:
+            out.append((K, (Q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)))
+        return out
+
+    return _node(w @ V.data, (Q, K, V), grad_fn), Tensor(w)
+
+
 def linear(x, weight, bias=None):
     """Affine map along the last axis: x @ weight (+ bias)."""
     out = matmul(x, weight)
@@ -548,7 +614,9 @@ def multi_head_attention(q, k, v, heads, params):
     q: (B, Lq, d), k and v: (B, Lk, d). `params` maps wq, bq, wk, bk, wv,
     bv, wo, bo to tensors. Returns (output (B, Lq, d), weights
     (B, heads, Lq, Lk)); the weights are always materialized so callers can
-    export attention maps without a second pass.
+    export attention maps without a second pass. This function only splits
+    and merges the heads around their projections; the scores, softmax and
+    context are one :func:`attention_core` node.
 
     Permuting the keys permutes the summands of the softmax and context
     reductions, so the output is key-order-invariant only up to rounding.
@@ -577,9 +645,7 @@ def multi_head_attention(q, k, v, heads, params):
     K = split(linear(k, params["wk"], params["bk"]), Lk)
     V = split(linear(v, params["wv"], params["bv"]), Lk)
 
-    scores = mul(matmul(Q, swapaxes(K, -1, -2)), 1.0 / math.sqrt(dh))
-    weights = softmax(scores, axis=-1)
-    ctx = matmul(weights, V)
+    ctx, weights = attention_core(Q, K, V, 1.0 / math.sqrt(dh))
 
     merged = reshape(swapaxes(ctx, 1, 2), (B, Lq, d))
     return linear(merged, params["wo"], params["bo"]), weights

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to check the analytic implementations.
 
 Everything here is deliberately written from first principles (sampling,
-explicit matrix products, per-point loops) and must not call into the code
-paths it validates.
+explicit matrix products, per-point loops, or a composition of simpler
+engine ops) and must not call into the code paths it validates.
 """
 
 import math
@@ -91,3 +91,13 @@ def random_overlapping_pair(rng):
         yaw=rng.uniform(-math.pi, math.pi),
     )
     return a, b
+
+
+def attention_core_composed(Q, K, V, scale):
+    """Scaled dot-product attention as four graph nodes (matmul, scale,
+    softmax, matmul): the composition ``tensor.attention_core`` fuses."""
+    from frustumbox import tensor as T
+
+    scores = T.mul(T.matmul(Q, T.swapaxes(K, -1, -2)), scale)
+    weights = T.softmax(scores, axis=-1)
+    return T.matmul(weights, V), weights

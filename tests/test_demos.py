@@ -20,3 +20,19 @@ def test_projection_and_frustums_demo():
     proc = run_demo("01_projection_and_frustums.py")
     assert proc.returncode == 0, proc.stderr
     assert "verified" in proc.stdout
+
+
+def test_autodiff_engine_demo():
+    proc = run_demo("03_autodiff_engine.py")
+    assert proc.returncode == 0, proc.stderr
+    line = next(l for l in proc.stdout.splitlines() if "vs finite-diff" in l)
+    analytic, numeric = (float(w) for w in line.split() if w[0] in "-0123456789")
+    assert abs(analytic - numeric) < 1e-6 * max(1.0, abs(numeric)), line
+
+
+def test_attention_maps_demo():
+    proc = run_demo("06_attention_maps.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "reference row sums to 1.000000000000" in proc.stdout
+    row_sums = [l for l in proc.stdout.splitlines() if "(row sum 1.000000000)" in l]
+    assert len(row_sums) == 7, proc.stdout

@@ -1,9 +1,11 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from frustumbox import tensor as T
+from oracles import attention_core_composed
 from frustumbox.tensor import (
     HeadDivisibility,
     NonScalarLoss,
@@ -372,6 +374,94 @@ class TestAttention:
             return (out * Tensor(w)).sum()
 
         check_grad(loss, x0, step=1e-6, tol=1e-4)
+
+
+class TestAttentionCore:
+    # (Q shape, K/V shape): local self-attention over 7 tokens + 128 points,
+    # decoder cross-attention of the 7 box tokens, and the global stack's
+    # batch-as-sequence layout (135 positions, a batch of 3 objects)
+    SHAPES = {
+        "self": ((2, 4, 135, 8), (2, 4, 135, 8)),
+        "cross": ((2, 4, 7, 8), (2, 4, 128, 8)),
+        "global": ((135, 4, 3, 8), (135, 4, 3, 8)),
+    }
+
+    def _run(self, fn, q0, k0, v0, g0):
+        Q, K, V = (Tensor(x.copy(), requires_grad=True) for x in (q0, k0, v0))
+        ctx, w = fn(Q, K, V, 1.0 / math.sqrt(q0.shape[-1]))
+        # the upstream gradient arrives strided, as from the head merge
+        backward((T.swapaxes(ctx, 1, 2) * Tensor(g0)).sum())
+        return ctx.data, w.data, Q.grad, K.grad, V.grad
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_bit_identical_to_composition(self, case):
+        q_shape, kv_shape = self.SHAPES[case]
+        rng = np.random.default_rng(41)
+        q0, k0, v0 = rng.normal(size=q_shape), rng.normal(size=kv_shape), rng.normal(size=kv_shape)
+        g0 = rng.normal(size=T.swapaxes(Tensor(q0), 1, 2).shape)
+        fused = self._run(T.attention_core, q0, k0, v0, g0)
+        composed = self._run(attention_core_composed, q0, k0, v0, g0)
+        for name, a, b in zip(("context", "weights", "gQ", "gK", "gV"), fused, composed):
+            assert np.array_equal(a, b), f"{case}: {name} differs"
+
+    def test_weights_outside_graph(self):
+        rng = np.random.default_rng(42)
+        Q, K, V = (Tensor(rng.normal(size=(1, 2, 3, 4)), requires_grad=True) for _ in range(3))
+        ctx, w = T.attention_core(Q, K, V, 0.5)
+        assert ctx.requires_grad and not w.requires_grad and w._parents == ()
+        np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_gradient_matches_finite_differences(self, which):
+        rng = np.random.default_rng(43 + which)
+        ops = [rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(2, 2, 5, 4)),
+               rng.normal(size=(2, 2, 5, 4))]
+        probe = Tensor(rng.normal(size=(2, 2, 3, 4)))
+
+        def loss(t):
+            args = [Tensor(x) for x in ops]
+            args[which] = t
+            ctx, _ = T.attention_core(*args, 0.5)
+            return (ctx * probe).sum()
+
+        check_grad(loss, ops[which], step=1e-6, tol=1e-6)
+
+
+class TestNoGrad:
+    def test_records_no_parents(self):
+        p = Tensor(np.arange(3.0), requires_grad=True)
+        with T.no_grad():
+            out = (p * p).sum()
+            ctx, _ = T.attention_core(*(T.reshape(p, (1, 3, 1)) for _ in range(3)), 1.0)
+        for t in (out, ctx):
+            assert not t.requires_grad and t._parents == () and t._grad_fn is None
+        np.testing.assert_array_equal(out.data, 5.0)
+        assert (p * p).sum()._parents != ()
+
+    def test_nests(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert not (p + 1.0).requires_grad
+            # leaving the inner block keeps the outer one in force
+            assert not (p + 1.0).requires_grad
+        assert (p + 1.0).requires_grad
+
+    def test_other_threads_keep_recording(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append((p + 1.0).requires_grad))
+        with T.no_grad():
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive() and seen == [True]
+
+    def test_restored_after_exception(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ShapeMismatch):
+            with T.no_grad():
+                T.matmul(p, Tensor(np.ones(3)))
+        assert (p * 2.0).requires_grad
 
 
 class TestCrossEntropy:
