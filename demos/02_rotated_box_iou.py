@@ -2,8 +2,9 @@
 
 The exact IoU clips one bird's-eye footprint against the other and scales
 by the vertical overlap. A Monte-Carlo estimate over the same pair shows
-the clipping is right; the distance-IoU penalty and the front/back label
-round out the objective's geometric ingredients.
+the clipping is right, and the training loss's batched kernel gives the
+same IoU; the distance-IoU penalty and the front/back label round out the
+objective's geometric ingredients.
 """
 
 import math
@@ -17,6 +18,8 @@ from frustumbox.geometry import (
     direction_label,
     iou_3d,
 )
+from frustumbox.loss import diou_loss, extent_to_raw
+from frustumbox.tensor import Tensor
 
 a = Box3D(cx=0.0, cy=0.0, cz=0.0, width=2.0, length=4.0, height=1.5, yaw=0.0)
 b = Box3D(cx=0.8, cy=0.4, cz=0.2, width=2.0, length=4.0, height=1.5, yaw=math.pi / 6)
@@ -24,7 +27,13 @@ b = Box3D(cx=0.8, cy=0.4, cz=0.2, width=2.0, length=4.0, height=1.5, yaw=math.pi
 print("corners of box a (bottom face first, counter-clockwise):")
 print(np.round(box_corners(a), 3))
 
-print(f"\nanalytic IoU(a, b) = {iou_3d(a, b):.6f}")
+print(f"\nanalytic IoU(a, b)          = {iou_3d(a, b):.12f}")
+
+# the training loss computes the same IoU from b's raw head outputs
+raw_b = [b.cx, b.cy, b.cz, extent_to_raw(b.width), extent_to_raw(b.length),
+         extent_to_raw(b.height), b.yaw]
+_, (loss_iou,) = diou_loss(Tensor([raw_b]), [a])
+print(f"training-loss IoU(b, a)     = {loss_iou:.12f}")
 
 # Monte-Carlo cross-check: sample the joint bounding volume uniformly
 rng = np.random.default_rng(0)
@@ -47,11 +56,11 @@ def inside(points, box):
 
 in_a, in_b = inside(pts, a), inside(pts, b)
 estimate = (in_a & in_b).sum() / (in_a | in_b).sum()
-print(f"Monte-Carlo IoU            = {estimate:.6f}")
+print(f"Monte-Carlo IoU             = {estimate:.6f}")
 
 # the identical box rotated by pi has the same footprint: IoU is heading-blind
 flipped = Box3D(b.cx, b.cy, b.cz, b.width, b.length, b.height, b.yaw + math.pi)
-print(f"IoU against the pi-flip    = {iou_3d(a, flipped):.6f}")
+print(f"IoU against the pi-flip     = {iou_3d(a, flipped):.6f}")
 
 # which is why the objective carries a separate front/back term
 for yaw in (0.0, math.pi / 3, math.pi / 2, -math.pi):

@@ -8,11 +8,8 @@ Conventions used throughout the package:
   rotates local axes into the sensor frame about +z.
 * Pixel coordinates are (u, v) with u along the image width.
 
-The polygon helpers at the bottom are generic: vertices may be floats or any
-scalar object supporting arithmetic operators and ``.item()`` (the autodiff
-scalars from :mod:`frustumbox.tensor` qualify). Branch decisions are always
-taken on plain float values, so a differentiable caller sees the clip
-structure as fixed.
+Everything here works on plain floats and numpy arrays; the differentiable
+box objective is the batched kernel in :mod:`frustumbox.loss`.
 """
 
 from __future__ import annotations
@@ -296,15 +293,8 @@ def _corner_pairs(box):
 
 
 # ---------------------------------------------------------------------------
-# Generic convex polygon helpers (floats or autodiff scalars).
+# Convex polygon helpers on float vertices.
 # ---------------------------------------------------------------------------
-
-
-def _value(v):
-    """Plain float view of a vertex coordinate (floats or .item() scalars)."""
-    if isinstance(v, (int, float)):
-        return float(v)
-    return float(v.item())
 
 
 def clip_polygon(subject, clip):
@@ -322,11 +312,10 @@ def clip_polygon(subject, clip):
             return []
         ax, ay = clip[i]
         bx, by = clip[(i + 1) % n]
-        axf, ayf = _value(ax), _value(ay)
-        exd, eyd = _value(bx) - axf, _value(by) - ayf
+        ex, ey = bx - ax, by - ay
 
         def side(p):
-            return exd * (_value(p[1]) - ayf) - eyd * (_value(p[0]) - axf)
+            return ex * (p[1] - ay) - ey * (p[0] - ax)
 
         verts = output
         output = []
@@ -346,8 +335,7 @@ def _line_intersection(p, q, a, b):
     """Intersection of segment pq with the infinite line through a, b.
 
     Caller guarantees p and q sit on opposite sides, so the division is
-    well conditioned. Arithmetic runs in the operand types so gradients can
-    flow through the returned coordinates.
+    well conditioned.
     """
     px, py = p
     qx, qy = q

@@ -471,6 +471,30 @@ def tmean(a, axis=None, keepdims=False):
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
+def _select_along(a, axis, keepdims, reduce, arg):
+    """Reduce one axis by picking an entry; the gradient goes to that entry."""
+    a = as_tensor(a)
+
+    def grad_fn(g):
+        buf = np.zeros(a.data.shape)
+        picked = np.expand_dims(arg(a.data, axis=axis), axis)
+        np.put_along_axis(buf, picked, g if keepdims else np.expand_dims(g, axis), axis)
+        return [(a, buf)]
+
+    return _node(reduce(a.data, axis=axis, keepdims=keepdims), (a,), grad_fn)
+
+
+def amax(a, axis, keepdims=False):
+    """Maximum along one axis; ties route the gradient to the first index,
+    as :func:`maximum` routes them to its first argument."""
+    return _select_along(a, axis, keepdims, np.max, np.argmax)
+
+
+def amin(a, axis, keepdims=False):
+    """Minimum along one axis; ties route the gradient to the first index."""
+    return _select_along(a, axis, keepdims, np.min, np.argmin)
+
+
 def matmul(a, b):
     """Batched matrix product with broadcasting over leading axes.
 

@@ -36,3 +36,11 @@ def test_attention_maps_demo():
     assert "reference row sums to 1.000000000000" in proc.stdout
     row_sums = [l for l in proc.stdout.splitlines() if "(row sum 1.000000000)" in l]
     assert len(row_sums) == 7, proc.stdout
+
+
+def test_rotated_box_iou_demo():
+    proc = run_demo("02_rotated_box_iou.py")
+    assert proc.returncode == 0, proc.stderr
+    analytic, loss_iou = (float(l.split("=")[-1]) for l in proc.stdout.splitlines()
+                          if l.startswith(("analytic IoU", "training-loss IoU")))
+    assert abs(analytic - loss_iou) < 1e-9, proc.stdout

@@ -17,7 +17,7 @@ from frustumbox.loss import (
 )
 from frustumbox.tensor import Tensor, backward
 
-from oracles import random_box
+from oracles import random_box, random_overlapping_pair
 
 
 def raw_from_box(box):
@@ -35,7 +35,119 @@ def raw_from_box(box):
     )
 
 
+def along(box, forward, left, **changes):
+    """`box` moved by (forward, left) along its own width and length axes,
+    with any fields replaced."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    fields = dict(cx=box.cx + c * forward - s * left, cy=box.cy + s * forward + c * left,
+                  cz=box.cz, width=box.width, length=box.length, height=box.height,
+                  yaw=box.yaw)
+    fields.update(changes)
+    return Box3D(**fields)
+
+
+def graph_size(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+# Unit extents decode exactly (raw 0), so the "exact" cases put edges of
+# both boxes on one line bit for bit; the others do up to rounding.
+UNIT = Box3D(0.5, -0.25, 0.0, 1.0, 1.0, 1.0, 0.0)
+TURNED = Box3D(0.2, -0.4, 0.1, 1.6, 3.4, 1.5, 0.7)
+HARD_CASES = {
+    # name: (ground truth, prediction, IoU)
+    "identical_exact": (UNIT, UNIT, 1.0),  # turned: see test_perfect_prediction_is_zero
+    "flipped": (TURNED, along(TURNED, 0.0, 0.0, yaw=TURNED.yaw + math.pi), 1.0),
+    "shared_side_exact": (UNIT, along(UNIT, 0.0, 0.5), 1.0 / 3.0),
+    "shared_side": (TURNED, along(TURNED, 0.0, 1.7), 1.0 / 3.0),
+    "inside_on_three_sides_exact": (
+        Box3D(0.0, 0.0, 0.0, 2.0, 1.0, 1.0, 0.0), Box3D(0.5, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0), 0.5),
+    "touching_exact": (UNIT, along(UNIT, 1.0, 0.0), 0.0),
+    "touching": (TURNED, along(TURNED, 0.0, 3.4), 0.0),
+    "contains": (TURNED, along(TURNED, 0.1, -0.3, width=0.6, length=1.0, height=0.9,
+                               yaw=1.9), 0.6 * 1.0 * 0.9 / (1.6 * 3.4 * 1.5)),
+    "contained": (along(TURNED, 0.1, -0.3, width=0.6, length=1.0, height=0.9, yaw=1.9),
+                  TURNED, 0.6 * 1.0 * 0.9 / (1.6 * 3.4 * 1.5)),
+    "parallel_disjoint_exact": (UNIT, along(UNIT, 1.5, 0.25), 0.0),
+    "parallel_disjoint": (TURNED, along(TURNED, 2.0, 0.5), 0.0),
+}
+
+
 class TestDiouLoss:
+    @pytest.mark.parametrize("case", list(HARD_CASES))
+    def test_hard_cases_match_analytic_geometry(self, case):
+        gt, pred, expected = HARD_CASES[case]
+        loss, ious = diou_loss(Tensor(raw_from_box(pred).reshape(1, 7)), [gt])
+        assert ious[0] == pytest.approx(iou_3d(pred, gt), abs=1e-9)
+        assert ious[0] == pytest.approx(expected, abs=1e-9)
+        assert loss.item() == pytest.approx(
+            1.0 - iou_3d(pred, gt) + diou_penalty(pred, gt), abs=1e-9)
+
+    def test_flipped_batch_matches_unflipped(self):
+        rng = np.random.default_rng(7)
+        pairs = [random_overlapping_pair(rng) for _ in range(8)]
+        gts = [gt for gt, _ in pairs]
+        raw = np.stack([raw_from_box(pred) for _, pred in pairs])
+        flipped = raw.copy()
+        flipped[:, 6] += math.pi
+        loss, ious = diou_loss(Tensor(raw), gts)
+        loss_f, ious_f = diou_loss(Tensor(flipped), gts)
+        np.testing.assert_allclose(ious_f, [iou_3d(p, g) for g, p in pairs], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(ious_f, ious, rtol=0, atol=1e-9)
+        assert loss_f.item() == pytest.approx(loss.item(), abs=1e-9)
+
+    def test_graph_size_does_not_depend_on_batch_or_overlap(self):
+        rng = np.random.default_rng(8)
+        sizes = set()
+        for b in (1, 4, 16):
+            pairs = [random_overlapping_pair(rng) for _ in range(b)]
+            for far in (0.0, 50.0):  # overlapping, then every pair disjoint
+                raw = np.stack([raw_from_box(pred) for _, pred in pairs])
+                raw[:, 0] += far
+                p = Tensor(raw, requires_grad=True)
+                loss, ious = diou_loss(p, [gt for gt, _ in pairs])
+                assert (max(ious) == 0.0) == (far > 0)
+                sizes.add(graph_size(loss))
+        assert len(sizes) == 1, sizes
+
+    def test_invalid_box_names_first_bad_object(self):
+        rng = np.random.default_rng(9)
+        gts = [random_box(rng, 1.0) for _ in range(4)]
+        raw = np.stack([raw_from_box(random_box(rng, 1.0)) for _ in range(4)])
+        raw[2, 5] = np.nan
+        raw[3, 3] = np.nan
+        with pytest.raises(InvalidBox, match=r"^object 2: decoded extent nan$"):
+            diou_loss(Tensor(raw), gts)
+
+    def test_batch_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(10)
+        pairs = [random_overlapping_pair(rng) for _ in range(4)]
+        gts = [gt for gt, _ in pairs]
+        x0 = np.stack([raw_from_box(pred) for _, pred in pairs])
+
+        def f(arr):
+            return diou_loss(arr if isinstance(arr, Tensor) else Tensor(arr), gts)[0]
+
+        p = Tensor(x0.copy(), requires_grad=True)
+        backward(f(p))
+        assert np.abs(p.grad).min() > 0.0  # every channel of every object is live
+        step = 1e-6
+        for i in range(4):
+            for j in range(7):
+                hi = x0.copy()
+                hi[i, j] += step
+                lo = x0.copy()
+                lo[i, j] -= step
+                numeric = (f(hi).item() - f(lo).item()) / (2 * step)
+                denom = abs(p.grad[i, j]) + abs(numeric) + 1e-10
+                assert abs(p.grad[i, j] - numeric) / denom < 1e-5, f"object {i}, channel {j}"
+
     def test_perfect_prediction_is_zero(self):
         gt = Box3D(0.2, -0.4, 0.1, 1.6, 3.4, 1.5, 0.7)
         loss, ious = diou_loss(Tensor(raw_from_box(gt).reshape(1, 7)), [gt])

@@ -285,6 +285,41 @@ class TestShapes:
         check_grad(lambda p: (p.mean(axis=0) ** 2).sum(), x0, tol=1e-6)
 
 
+class TestAmaxAmin:
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_forward_matches_numpy(self, axis, keepdims):
+        x = np.random.default_rng(21).normal(size=(3, 4, 5))
+        np.testing.assert_array_equal(T.amax(Tensor(x), axis, keepdims).data,
+                                      np.max(x, axis=axis, keepdims=keepdims))
+        np.testing.assert_array_equal(T.amin(Tensor(x), axis, keepdims).data,
+                                      np.min(x, axis=axis, keepdims=keepdims))
+
+    @pytest.mark.parametrize("op", [T.amax, T.amin])
+    def test_ties_route_to_first_index(self, op):
+        p = Tensor(np.array([[1.0, 3.0, 3.0], [2.0, 2.0, 2.0], [-1.0, -1.0, 0.5]]),
+                   requires_grad=True)
+        backward(op(p, axis=1).sum())
+        first = [1, 0, 2] if op is T.amax else [0, 0, 0]
+        expected = np.zeros((3, 3))
+        expected[np.arange(3), first] = 1.0
+        np.testing.assert_array_equal(p.grad, expected)
+
+    @pytest.mark.parametrize("op", [T.amax, T.amin])
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_gradient_matches_finite_differences(self, op, axis):
+        x0 = np.random.default_rng(22).normal(size=(3, 4, 5))
+        weights = Tensor(np.random.default_rng(23).normal(size=(3, 4, 5)).sum(axis=axis))
+        check_grad(lambda p: (op(p, axis) * weights).sum(), x0, tol=1e-6)
+
+    def test_records_no_parents_under_no_grad(self):
+        p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        with T.no_grad():
+            outs = [T.amax(p, 1), T.amin(p, 0, keepdims=True)]
+        for out in outs:
+            assert not out.requires_grad and out._parents == () and out._grad_fn is None
+
+
 class TestTransposeBatchSeq:
     def test_full_scale_shape(self):
         x = Tensor(np.zeros((24, 1031, 512)))
