@@ -1,10 +1,14 @@
 """Rotated 3D box geometry: corners, exact IoU, and the distance penalty.
 
-The exact IoU clips one bird's-eye footprint against the other and scales
-by the vertical overlap. A Monte-Carlo estimate over the same pair shows
-the clipping is right, and the training loss's batched kernel gives the
-same IoU; the distance-IoU penalty and the front/back label round out the
-objective's geometric ingredients.
+The exact IoU has one implementation, the batched kernel
+``geometry.box_iou``: in the second box's own frame, every edge of each
+bird's-eye footprint is clipped against the other footprint's half-planes,
+the overlap area is summed from the clipped edges by Green's theorem and
+scaled by the vertical overlap. ``iou_3d`` runs it without a graph; the
+training loss runs it with one, here with the two boxes' roles swapped. A
+Monte-Carlo estimate over the same pair shows the clipping is right; the
+distance-IoU penalty and the front/back label round out the objective's
+geometric ingredients.
 """
 
 import math
@@ -29,7 +33,7 @@ print(np.round(box_corners(a), 3))
 
 print(f"\nanalytic IoU(a, b)          = {iou_3d(a, b):.12f}")
 
-# the training loss computes the same IoU from b's raw head outputs
+# the training loss computes the IoU from b's raw head outputs, in a's frame
 raw_b = [b.cx, b.cy, b.cz, extent_to_raw(b.width), extent_to_raw(b.length),
          extent_to_raw(b.height), b.yaw]
 _, (loss_iou,) = diou_loss(Tensor([raw_b]), [a])

@@ -130,18 +130,17 @@ def evaluate_boxes(preds, gts, threshold=DEFAULT_IOU_THRESHOLD):
     ids = _pair(preds, gts)
     if not ids:
         raise EmptySet("no objects to evaluate")
-    records = []
-    for oid in ids:
-        box, score = preds[oid]
-        gt = gts[oid]
-        records.append(
-            ObjectRecord(
-                object_id=oid,
-                iou=iou_3d(box, gt),
-                direction_correct=direction_label(box.yaw) == direction_label(gt.yaw),
-                score=float(score),
-            )
+    boxes = [preds[oid][0] for oid in ids]
+    ious = iou_3d(boxes, [gts[oid] for oid in ids])
+    records = [
+        ObjectRecord(
+            object_id=oid,
+            iou=float(iou),
+            direction_correct=direction_label(box.yaw) == direction_label(gts[oid].yaw),
+            score=float(preds[oid][1]),
         )
+        for oid, box, iou in zip(ids, boxes, ious)
+    ]
     scored = [(r.score, r.iou, r.object_id) for r in records]
     return EvalReport(
         miou=float(np.mean([r.iou for r in records])),

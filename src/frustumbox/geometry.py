@@ -8,8 +8,12 @@ Conventions used throughout the package:
   rotates local axes into the sensor frame about +z.
 * Pixel coordinates are (u, v) with u along the image width.
 
-Everything here works on plain floats and numpy arrays; the differentiable
-box objective is the batched kernel in :mod:`frustumbox.loss`.
+Rotated-box overlap has one implementation, :func:`box_iou`: a batched
+kernel of fixed shapes written in the autodiff engine's ops. The training
+loss (:mod:`frustumbox.loss`) runs it with the graph on; :func:`iou_3d`,
+which eval and the synthetic generator's overlap rejection call, runs it
+on arrays under ``tensor.no_grad()``. Everything else here works on plain
+floats and numpy arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import tensor as T
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,6 +103,9 @@ class Box3D:
     @property
     def volume(self):
         return self.width * self.length * self.height
+
+    def as_tuple(self):
+        return (self.cx, self.cy, self.cz, self.width, self.length, self.height, self.yaw)
 
     def translated(self, offset):
         ox, oy, oz = (float(v) for v in offset)
@@ -221,11 +230,6 @@ def box_corners(box):
     return local @ rot.T + box.center
 
 
-def bev_corners(box):
-    """The 4 bird's-eye-view footprint corners, counter-clockwise, as (4, 2)."""
-    return box_corners(box)[:4, :2]
-
-
 def points_in_box3d(points, box, strict=True):
     """Membership mask of (N, 3) points in an oriented box.
 
@@ -244,27 +248,130 @@ def points_in_box3d(points, box, strict=True):
     return (np.abs(lx) <= hw) & (np.abs(ly) <= hl) & (np.abs(lz) <= hh)
 
 
-def iou_3d(a, b):
-    """Exact IoU of two oriented boxes: BEV polygon clip times z overlap.
+# Footprint corners in a box's own frame, counter-clockwise from
+# (+w/2, +l/2): the order of box_corners' bottom face.
+_FOOTPRINT = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+# (x, y) @ _LEFT = (-y, x), the left normal, so that (v @ _LEFT) . w = cross(v, w).
+_LEFT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# _EDGE @ corners: row i is corner i+1 minus corner i (exact: one rounding).
+_EDGE = np.roll(np.eye(4), 1, axis=1) - np.eye(4)
 
-    Returns 0.0 for degenerate overlap (BEV intersection under 1e-12 m^2 or
-    no vertical overlap). Symmetric in its arguments up to float rounding;
-    identical boxes score exactly 1.
+
+def _axes(cos, sin):
+    """Rows: a box's width and length axes, from its yaw's (..., 1, 1) cosine
+    and sine (Tensors or arrays)."""
+    return cos * np.eye(2) + sin * _LEFT
+
+
+def footprint(boxes):
+    """(B, 4, 2) footprint corners of (B, 7) box rows, relative to each
+    centre, in the order of :func:`box_corners`' bottom face. Rows are
+    (cx, cy, cz, width, length, height, yaw), a Tensor or an array; the
+    result is a Tensor, in the graph when `boxes` is."""
+    boxes = T.as_tensor(boxes)
+    n = boxes.shape[0]
+    yaw = T.reshape(boxes[:, 6], (n, 1, 1))
+    half = T.reshape(boxes[:, 3:5] * 0.5, (n, 1, 2))
+    return T.matmul(half * _FOOTPRINT, _axes(T.cos(yaw), T.sin(yaw)))
+
+
+def _overlap_area(pred, gt):
+    """BEV intersection area of each pair of convex CCW quadrilaterals.
+
+    pred: (B, 4, 2) Tensor, gt: (B, 4, 2) array, both in the ground truth's
+    own frame, where its edges are axis-aligned. By Green's theorem the area
+    is half the sum, over the edges p + t d (t in [0, 1]) of both polygons,
+    of the length of t inside the other polygon times cross(p, d). An edge
+    is clipped against the other polygon's four half-planes as a t-interval
+    (Zhou et al., arXiv:1908.03851); whether each half-plane bounds it from
+    below (the edge enters), from above (it leaves) or not at all (parallel)
+    is decided on float values, so the clip structure is fixed within a
+    backward pass. Coincident edges running the same way count once;
+    running opposite ways, their terms cancel.
     """
-    if a == b:
-        return 1.0
-    inter = clip_polygon(_corner_pairs(a), _corner_pairs(b))
-    if len(inter) < 3:
-        return 0.0
-    area = polygon_area(inter)
-    if area < DEGENERATE_AREA:
-        return 0.0
-    z_lo = max(a.cz - a.height / 2, b.cz - b.height / 2)
-    z_hi = min(a.cz + a.height / 2, b.cz + b.height / 2)
-    if z_hi <= z_lo:
-        return 0.0
-    inter_vol = area * (z_hi - z_lo)
-    return inter_vol / (a.volume + b.volume - inter_vol)
+    # axis 0: pass 0 clips pred's edges against the gt's half-planes, pass 1
+    # the gt's edges against pred's
+    verts = T.concat([T.reshape(pred, (1,) + pred.shape), gt[None]], axis=0)
+    edges = T.matmul(_EDGE, verts)
+    other_verts = T.permute(verts, [1, 0])
+    normals = T.matmul(T.permute(edges, [1, 0]), _LEFT)  # inward, both are CCW
+    lead = verts.shape[:-2]
+    # side of half-plane j at p_i + t d_i: s + t k, inside where >= 0
+    from_corner = T.reshape(verts, lead + (4, 1, 2)) - T.reshape(other_verts, lead + (1, 4, 2))
+    s = T.tsum(from_corner * T.reshape(normals, lead + (1, 4, 2)), axis=-1)
+    k = T.matmul(edges, T.swapaxes(normals, -1, -2))
+    kd, sd = k.data, s.data
+    enters, leaves, parallel = kd > 0, kd < 0, kd == 0
+    outside = parallel & (sd < 0)
+    same_way = np.matmul(edges.data, np.swapaxes(edges.data[::-1], -1, -2)) > 0
+    outside[1] |= parallel[1] & (sd[1] == 0) & same_way[1]
+    ratio = T.div(s, k + parallel)  # -t of each crossing; parallel entries are masked
+    t_lo = T.amax(ratio * -enters.astype(np.float64), axis=-1)
+    t_hi = T.amin(ratio * -leaves.astype(np.float64) + (~leaves & ~outside), axis=-1)
+    length = T.relu(t_hi - t_lo)
+    minus_cross = T.tsum(verts * T.matmul(edges, _LEFT), axis=-1)  # -cross(p, d)
+    return T.tsum(length * minus_cross, axis=(0, -1)) * -0.5
+
+
+def box_iou(pred, gt):
+    """IoU of each pair of rows of two (B, 7) box arrays, differentiable in
+    the first.
+
+    Rows are (cx, cy, cz, width, length, height, yaw); `pred` is a Tensor or
+    an array, `gt` an array, and the result a (B,) Tensor, in the graph when
+    `pred` is. Each prediction's footprint is moved into its ground truth's
+    own frame, where the ground truth's edges are axis-aligned: every side
+    test and crossing against them takes one product, and a prediction
+    whose edges coincide with the target's up to rounding is clipped
+    consistently from both sides. Touching boxes and BEV overlaps under
+    DEGENERATE_AREA score 0. The footprint at yaw + pi is the same point
+    set, so the IoU is blind to the heading.
+    """
+    pred = T.as_tensor(pred)
+    gt = np.asarray(gt, dtype=np.float64)
+    n = gt.shape[0]
+    offset = pred[:, 0:3] - gt[:, 0:3]
+    gt_yaw = gt[:, 6].reshape(n, 1, 1)
+    to_gt = np.swapaxes(_axes(np.cos(gt_yaw), np.sin(gt_yaw)), -1, -2)
+    corners = T.reshape(offset[:, 0:2], (n, 1, 2)) + footprint(pred)
+    area = _overlap_area(T.matmul(corners, to_gt), gt[:, None, 3:5] * 0.5 * _FOOTPRINT)
+    area = area * (area.data >= DEGENERATE_AREA)
+    cz, half_h, gt_half_h = offset[:, 2], pred[:, 5] * 0.5, gt[:, 5] * 0.5
+    inter = area * T.relu(T.minimum(cz + half_h, gt_half_h) - T.maximum(cz - half_h, -gt_half_h))
+    volume = pred[:, 3] * pred[:, 4] * pred[:, 5]
+    return inter / (volume + gt[:, 3] * gt[:, 4] * gt[:, 5] - inter)
+
+
+def box_rows(boxes):
+    """(N, 7) array of a sequence of Box3D, in field order."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 7)
+
+
+def iou_3d(a, b):
+    """Exact IoU of oriented boxes: BEV overlap in b's frame times z overlap.
+
+    One Box3D each gives a float. Two equal-length sequences of Box3D give
+    an (N,) array whose row i is the IoU of a[i] and b[i]. Either form is
+    at most one :func:`box_iou` call with no graph, over the pairs whose
+    footprints' circumscribed circles meet; the others cannot overlap and
+    score 0 without it. Identical boxes score exactly 1; touching boxes and
+    degenerate overlap score 0. Symmetric in its arguments up to float
+    rounding.
+    """
+    single = isinstance(a, Box3D)
+    a, b = ([a], [b]) if single else (list(a), list(b))
+    if len(a) != len(b):
+        raise ValueError(f"iou_3d over {len(a)} boxes against {len(b)}")
+    rows_a, rows_b = box_rows(a), box_rows(b)
+    reach = np.hypot(rows_a[:, 3], rows_a[:, 4]) + np.hypot(rows_b[:, 3], rows_b[:, 4])
+    near = 2.0 * np.hypot(rows_a[:, 0] - rows_b[:, 0], rows_a[:, 1] - rows_b[:, 1]) < reach
+    iou = np.zeros(len(a))
+    if near.any():
+        with T.no_grad():
+            # + 0.0 turns the -0.0 of a negative sliver cut to zero into 0.0
+            iou[near] = box_iou(rows_a[near], rows_b[near]).data + 0.0
+    iou[np.array([x == y for x, y in zip(a, b)], dtype=bool)] = 1.0
+    return float(iou[0]) if single else iou
 
 
 def diou_penalty(a, b):
@@ -286,76 +393,3 @@ def direction_label(yaw):
     """Binary heading label: front for wrapped yaw in [-pi/2, pi/2), else back."""
     w = wrap_angle(yaw)
     return DIRECTION_FRONT if -math.pi / 2 <= w < math.pi / 2 else DIRECTION_BACK
-
-
-def _corner_pairs(box):
-    return [(x, y) for x, y in bev_corners(box)]
-
-
-# ---------------------------------------------------------------------------
-# Convex polygon helpers on float vertices.
-# ---------------------------------------------------------------------------
-
-
-def clip_polygon(subject, clip):
-    """Sutherland-Hodgman clip of `subject` against convex CCW `clip`.
-
-    Both polygons are sequences of (x, y) vertices; the subject must be
-    convex and counter-clockwise as well for the result to be its exact
-    intersection with `clip`. Returns the (possibly empty) vertex list.
-    Inclusive rule: vertices on a clip edge are kept.
-    """
-    output = list(subject)
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            return []
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-
-        def side(p):
-            return ex * (p[1] - ay) - ey * (p[0] - ax)
-
-        verts = output
-        output = []
-        prev = verts[-1]
-        prev_in = side(prev) >= 0.0
-        for cur in verts:
-            cur_in = side(cur) >= 0.0
-            if cur_in != prev_in:
-                output.append(_line_intersection(prev, cur, (ax, ay), (bx, by)))
-            if cur_in:
-                output.append(cur)
-            prev, prev_in = cur, cur_in
-    return output
-
-
-def _line_intersection(p, q, a, b):
-    """Intersection of segment pq with the infinite line through a, b.
-
-    Caller guarantees p and q sit on opposite sides, so the division is
-    well conditioned.
-    """
-    px, py = p
-    qx, qy = q
-    ax, ay = a
-    bx, by = b
-    dx = bx - ax
-    dy = by - ay
-    num = dx * (ay - py) - dy * (ax - px)
-    den = dx * (qy - py) - dy * (qx - px)
-    t = num / den
-    return (px + t * (qx - px), py + t * (qy - py))
-
-
-def polygon_area(vertices):
-    """Shoelace area of a CCW polygon (positive for CCW input)."""
-    n = len(vertices)
-    acc = None
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
-        term = x0 * y1 - x1 * y0
-        acc = term if acc is None else acc + term
-    return acc * 0.5

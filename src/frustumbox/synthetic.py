@@ -197,7 +197,7 @@ def generate_synthetic_scene(spec, rng):
             y = rng.uniform(-0.4, 0.4) * x
             yaw = rng.uniform(*spec.yaw_range)
             cand = Box3D(x, y, spec.ground_z + height / 2, width, length, height, yaw)
-            if all(iou_3d(cand, other) == 0.0 for other in boxes):
+            if (iou_3d([cand] * len(boxes), boxes) == 0.0).all():
                 boxes.append(cand)
                 break
 

@@ -48,6 +48,60 @@ def mc_iou3d(a, b, n_samples, rng):
     return np.count_nonzero(in_a & in_b) / union
 
 
+def _footprint_by_hand(box):
+    """BEV corners, counter-clockwise from (+w/2, +l/2), as (x, y) tuples."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    signs = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+    return [(box.cx + c * sx * box.width / 2 - s * sy * box.length / 2,
+             box.cy + s * sx * box.width / 2 + c * sy * box.length / 2) for sx, sy in signs]
+
+
+def _clip_polygon(subject, clip):
+    """Sutherland-Hodgman clip of convex CCW `subject` against convex CCW
+    `clip`, both lists of (x, y); vertices on a clip edge are kept."""
+    output = list(subject)
+    for i in range(len(clip)):
+        if not output:
+            return []
+        (ax, ay), (bx, by) = clip[i], clip[(i + 1) % len(clip)]
+        ex, ey = bx - ax, by - ay
+
+        def side(p):
+            return ex * (p[1] - ay) - ey * (p[0] - ax)
+
+        verts, output = output, []
+        prev = verts[-1]
+        for cur in verts:
+            if (side(cur) >= 0.0) != (side(prev) >= 0.0):
+                # segment prev-cur crosses the clip line
+                t = side(prev) / (side(prev) - side(cur))
+                output.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
+            if side(cur) >= 0.0:
+                output.append(cur)
+            prev = cur
+    return output
+
+
+def clip_iou3d(a, b):
+    """Exact IoU of two oriented boxes by a float Sutherland-Hodgman clip of
+    the footprints, times the vertical overlap; 0 below 1e-12 m^2 of BEV
+    overlap. One pair at a time, written independently of the library's
+    batched kernel."""
+    inter = _clip_polygon(_footprint_by_hand(a), _footprint_by_hand(b))
+    area = 0.5 * sum(x0 * y1 - x1 * y0
+                     for (x0, y0), (x1, y1) in zip(inter, inter[1:] + inter[:1]))
+    if len(inter) < 3 or area < 1e-12:
+        return 0.0
+    z_lo = max(a.cz - a.height / 2, b.cz - b.height / 2)
+    z_hi = min(a.cz + a.height / 2, b.cz + b.height / 2)
+    if z_hi <= z_lo:
+        return 0.0
+    inter_vol = area * (z_hi - z_lo)
+    volume_a = a.width * a.length * a.height
+    volume_b = b.width * b.length * b.height
+    return inter_vol / (volume_a + volume_b - inter_vol)
+
+
 def project_by_hand(p, P, R0, Tr):
     """Pixel coordinates via explicit homogeneous matrix products."""
     hom = np.ones(4)

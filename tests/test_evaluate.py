@@ -49,6 +49,26 @@ class TestMiou:
         gts = {"p": UNIT, "q": Box3D(90, 0, 0, 1, 1, 1, 0.0), "r": b}
         assert evaluate_boxes(scored(preds), gts).miou == pytest.approx((1.0 + 0.0 + x) / 3, abs=0.005)
 
+    def test_touching_pair_scores_zero_not_nan(self):
+        # a rotated box and its copy moved by its own width share one side
+        gt = Box3D(0.8768790913069613, -1.936033081905712, 1.0318040094257124,
+                   1.7818968081551951, 4.680968993586528, 0.6321649934481495,
+                   2.1445597163470325)
+        pred = Box3D(-0.09032847541848876, -0.43948179384950037, gt.cz,
+                     gt.width, gt.length, gt.height, gt.yaw)
+        report = evaluate_boxes(scored({"a": pred}), {"a": gt})
+        assert (report.miou, math.copysign(1.0, report.miou)) == (0.0, 1.0)  # not NaN or -0.0
+
+    def test_per_object_iou_is_a_python_float(self):
+        rng = np.random.default_rng(2)
+        preds = {f"o{i}": random_box(rng, 1.0) for i in range(4)}
+        gts = {f"o{i}": random_box(rng, 1.0) for i in range(4)}
+        report = evaluate_boxes(scored(preds), gts)
+        assert all(type(r.iou) is float for r in report.per_object)
+        np.testing.assert_allclose([r.iou for r in report.per_object],
+                                   [iou_3d(preds[k], gts[k]) for k in sorted(gts)],
+                                   rtol=0, atol=1e-15)
+
     def test_unmatched_ids_listed(self):
         with pytest.raises(UnmatchedObject) as ei:
             evaluate_boxes(scored({"a": UNIT}), {"a": UNIT, "b": FAR})

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frustumbox import geometry as geo
+from frustumbox import tensor as T
 from frustumbox.geometry import (
     Box2D,
     Box3D,
@@ -218,6 +219,89 @@ class TestIou3d:
         a = Box3D(0, 0, 0, 1, 1, 1, 0.0)
         b = Box3D(1.0 - 1e-15, 0, 0, 1, 1, 1, 0.0)
         assert iou_3d(a, b) == 0.0
+
+
+def _moved_along(box, forward, left):
+    """`box` moved by (forward, left) along its own width and length axes."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    return Box3D(box.cx + c * forward - s * left, box.cy + s * forward + c * left, box.cz,
+                 box.width, box.length, box.height, box.yaw)
+
+
+# a rotated box and its copy moved by its own width: a Sutherland-Hodgman
+# clip returned NaN for this pair in one of the two orders
+TOUCHING = Box3D(0.8768790913069613, -1.936033081905712, 1.0318040094257124,
+                 1.7818968081551951, 4.680968993586528, 0.6321649934481495, 2.1445597163470325)
+TOUCHING_COPY = Box3D(-0.09032847541848876, -0.43948179384950037, 1.0318040094257124,
+                      1.7818968081551951, 4.680968993586528, 0.6321649934481495,
+                      2.1445597163470325)
+
+
+class TestTouchingPairs:
+    def test_found_pair_scores_zero_both_ways(self):
+        assert _moved_along(TOUCHING, TOUCHING.width, 0.0) == TOUCHING_COPY
+        assert iou_3d(TOUCHING, TOUCHING_COPY) == 0.0
+        assert iou_3d(TOUCHING_COPY, TOUCHING) == 0.0
+
+    def test_generated_edge_touching_pairs_score_zero(self):
+        rng = np.random.default_rng(0)
+        boxes = [random_box(rng) for _ in range(2000)]
+        # even rows share a length side, odd rows a width side
+        moved = [_moved_along(b, 0.0, b.length) if i % 2 == 0 else _moved_along(b, b.width, 0.0)
+                 for i, b in enumerate(boxes)]
+        for a, b in ((boxes, moved), (moved, boxes)):
+            iou = iou_3d(a, b)
+            assert iou.shape == (2000,)
+            assert not np.signbit(iou).any()
+            np.testing.assert_array_equal(iou, 0.0)
+
+
+def _pairs(n, seed):
+    rng = np.random.default_rng(seed)
+    return [random_overlapping_pair(rng) for _ in range(n)]
+
+
+class TestIou3dSequences:
+    PAIRS = _pairs(365, 11)
+
+    def test_rows_match_one_pair_calls(self):
+        a, b = zip(*self.PAIRS)
+        batch = iou_3d(a, b)
+        assert batch.shape == (365,) and batch.dtype == np.float64
+        singles = np.array([iou_3d(x, y) for x, y in self.PAIRS])
+        np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-15)
+        assert 0.0 < batch.max() <= 1.0
+
+    def test_identical_rows_score_exactly_one(self):
+        a, b = map(list, zip(*self.PAIRS[:5]))
+        b[2] = a[2]
+        iou = iou_3d(a, b)
+        assert iou[2] == 1.0 and (np.delete(iou, 2) < 1.0).all()
+
+    def test_permuting_pairs_permutes_output_bitwise(self):
+        a, b = zip(*self.PAIRS)
+        iou = iou_3d(a, b)
+        perm = np.random.default_rng(12).permutation(len(a))
+        permuted = iou_3d([a[i] for i in perm], [b[i] for i in perm])
+        assert permuted.tobytes() == iou[perm].tobytes()
+
+    def test_pairs_skipped_as_apart_score_what_the_kernel_scores(self):
+        rng = np.random.default_rng(13)
+        a = [random_box(rng, 4.0) for _ in range(400)]
+        b = [random_box(rng, 4.0) for _ in range(400)]
+        with T.no_grad():
+            kernel = geo.box_iou(geo.box_rows(a), geo.box_rows(b)).data
+        iou = iou_3d(a, b)
+        assert 20 < np.count_nonzero(iou) < 200
+        np.testing.assert_allclose(iou, kernel, rtol=0, atol=1e-15)
+
+    def test_unequal_lengths_raise(self):
+        a, b = zip(*self.PAIRS[:3])
+        with pytest.raises(ValueError, match="3 boxes against 2"):
+            iou_3d(a, b[:2])
+
+    def test_empty_sequences(self):
+        assert iou_3d([], []).shape == (0,)
 
 
 class TestDiouPenalty:

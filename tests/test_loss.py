@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frustumbox import tensor as T
-from frustumbox.geometry import Box3D, diou_penalty, iou_3d
+from frustumbox.geometry import Box3D, diou_penalty
 from frustumbox.loss import (
     DEFAULT_LAMBDA_BOX,
     LOG_EXTENT_CAP,
@@ -17,7 +17,7 @@ from frustumbox.loss import (
 )
 from frustumbox.tensor import Tensor, backward
 
-from oracles import random_box, random_overlapping_pair
+from oracles import clip_iou3d, random_box, random_overlapping_pair
 
 
 def raw_from_box(box):
@@ -84,10 +84,10 @@ class TestDiouLoss:
     def test_hard_cases_match_analytic_geometry(self, case):
         gt, pred, expected = HARD_CASES[case]
         loss, ious = diou_loss(Tensor(raw_from_box(pred).reshape(1, 7)), [gt])
-        assert ious[0] == pytest.approx(iou_3d(pred, gt), abs=1e-9)
+        assert ious[0] == pytest.approx(clip_iou3d(pred, gt), abs=1e-9)
         assert ious[0] == pytest.approx(expected, abs=1e-9)
         assert loss.item() == pytest.approx(
-            1.0 - iou_3d(pred, gt) + diou_penalty(pred, gt), abs=1e-9)
+            1.0 - clip_iou3d(pred, gt) + diou_penalty(pred, gt), abs=1e-9)
 
     def test_flipped_batch_matches_unflipped(self):
         rng = np.random.default_rng(7)
@@ -98,7 +98,8 @@ class TestDiouLoss:
         flipped[:, 6] += math.pi
         loss, ious = diou_loss(Tensor(raw), gts)
         loss_f, ious_f = diou_loss(Tensor(flipped), gts)
-        np.testing.assert_allclose(ious_f, [iou_3d(p, g) for g, p in pairs], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(ious_f, [clip_iou3d(p, g) for g, p in pairs],
+                                   rtol=0, atol=1e-9)
         np.testing.assert_allclose(ious_f, ious, rtol=0, atol=1e-9)
         assert loss_f.item() == pytest.approx(loss.item(), abs=1e-9)
 
@@ -179,9 +180,9 @@ class TestDiouLoss:
             gt = random_box(rng, 1.5)
             pred = random_box(rng, 1.5)
             loss, ious = diou_loss(Tensor(raw_from_box(pred).reshape(1, 7)), [gt])
-            expected = 1.0 - iou_3d(pred, gt) + diou_penalty(pred, gt)
+            expected = 1.0 - clip_iou3d(pred, gt) + diou_penalty(pred, gt)
             assert loss.item() == pytest.approx(expected, abs=1e-9)
-            assert ious[0] == pytest.approx(iou_3d(pred, gt), abs=1e-9)
+            assert ious[0] == pytest.approx(clip_iou3d(pred, gt), abs=1e-9)
 
     def test_yaw_plus_pi_invariance(self):
         rng = np.random.default_rng(2)
