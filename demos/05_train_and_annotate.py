@@ -37,6 +37,8 @@ for r in steps[:: max(1, len(steps) // 6)]:
     print(f"  step {r['step']:4d}  loss {r['total']:7.3f}  batch mIoU {r['batch_miou']:.3f}")
 print(f"train-set mIoU through the export path: {result.final_train_miou:.4f}")
 
+# the full report on the same objects: each prediction scored as its
+# exported label row read back, the numbers `frustumbox eval` prints
 report = evaluate_model(model, samples, batch_size=8)
 print(f"\n{report.format_row()}")
 direction_acc = np.mean([r.direction_correct for r in report.per_object])

@@ -34,6 +34,7 @@ from .evaluate import (
     UnmatchedObject,
     ablation_config,
     evaluate_boxes,
+    object_table,
     run_ablation,
 )
 from .frustums import (
@@ -49,11 +50,11 @@ from .geometry import Box3D, GeometryError
 from .inference import object_key, predict_samples, prediction_record
 from .kitti import (
     KittiFormatError,
-    lidar_box_from_label,
     load_frame,  # noqa: F401 - looked up on this module by perfbench/tracing.py
     manifest_frames,
     parse_kitti_calib,
     parse_kitti_label,
+    scored_box_from_label,
     serialize_kitti_label,
 )
 from .loss import InvalidBox
@@ -191,18 +192,15 @@ def _label_frames(root):
     return sorted(p.stem for p in label_dir.glob("*.txt"))
 
 
-def _boxes_from_labels(root, frame, calib, with_scores):
-    text = (Path(root) / "label_2" / f"{frame}.txt").read_text()
-    out = {}
-    for rec in parse_kitti_label(text):
-        if not rec.is_care or not rec.has_box3d:
-            continue
-        box = lidar_box_from_label(rec, calib)
-        key = object_key(frame, rec.box2d)
-        if key in out:
-            raise EvalError(f"{root}: two label rows share the object key {key}")
-        out[key] = (box, 1.0 if rec.score is None else rec.score) if with_scores else box
-    return out
+def _boxes_from_labels(root, frame, calib):
+    """{object key: (sensor-frame box, score)} of a label file's care rows
+    with 3D extents."""
+    rows = parse_kitti_label((Path(root) / "label_2" / f"{frame}.txt").read_text())
+    return object_table(
+        ((object_key(frame, rec.box2d), scored_box_from_label(rec, calib))
+         for rec in rows if rec.is_care and rec.has_box3d),
+        root,
+    )
 
 
 def cmd_eval(args):
@@ -217,8 +215,9 @@ def cmd_eval(args):
         calib = parse_kitti_calib(
             (Path(args.gt) / "calib" / f"{frame}.txt").read_text()
         )
-        preds.update(_boxes_from_labels(args.pred, frame, calib, with_scores=True))
-        gts.update(_boxes_from_labels(args.gt, frame, calib, with_scores=False))
+        preds.update(_boxes_from_labels(args.pred, frame, calib))
+        gts.update((key, box) for key, (box, _)
+                   in _boxes_from_labels(args.gt, frame, calib).items())
     report = evaluate_boxes(preds, gts)
     print(report.format_row())
     if args.out:

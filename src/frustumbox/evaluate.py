@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import direction_label, iou_3d
+from .inference import object_key, predict_samples, quantize_prediction
+from .model import BoxAnnotator, ModelConfig
 
 DEFAULT_IOU_THRESHOLD = 0.7
 
@@ -74,6 +76,17 @@ class EvalReport:
             f"AP11 {self.ap11:7.4f}  AP40 {self.ap40:7.4f}  "
             f"n {len(self.per_object)}"
         )
+
+
+def object_table(entries, source):
+    """{object key: value} of (key, value) entries, in entry order; two
+    entries with one key are a data error."""
+    table = {}
+    for key, value in entries:
+        if key in table:
+            raise EvalError(f"{source}: two objects share the object key {key}")
+        table[key] = value
+    return table
 
 
 def _pair(preds, gts):
@@ -184,8 +197,6 @@ class AblationRow:
 
 
 def ablation_config(base_config, name):
-    from .model import ModelConfig
-
     if name not in ABLATION_TOGGLES:
         raise ValueError(f"unknown ablation {name!r}; know {sorted(ABLATION_TOGGLES)}")
     cfg = base_config.to_dict()
@@ -194,22 +205,17 @@ def ablation_config(base_config, name):
 
 
 def evaluate_model(model, samples, batch_size):
-    """Predict every sample and score it against its own ground truth."""
-    from .inference import object_key, predict_samples
-
-    preds = {}
-    gts = {}
-    for p in predict_samples(model, samples, batch_size):
-        key = object_key(p.sample.frame_id, p.sample.box2d)
-        preds[key] = (p.box, p.score)
-        gts[key] = _denormalized_gt(p.sample)
-    return evaluate_boxes(preds, gts)
-
-
-def _denormalized_gt(sample):
-    if sample.gt_box is None:
-        raise EvalError(f"sample {sample.object_id} has no ground truth")
-    return sample.gt_box.translated(sample.centroid)
+    """Predict every sample and score it as ``frustumbox eval`` scores the
+    exported labels: each prediction is its label row read back, each
+    ground truth the label's own sensor-frame box (``sensor_gt_box``), both
+    keyed by :func:`~frustumbox.inference.object_key`."""
+    for s in samples:
+        if s.sensor_gt_box is None:
+            raise EvalError(f"sample {s.object_id} has no ground truth")
+    gts = object_table(((object_key(s.frame_id, s.box2d), s.sensor_gt_box) for s in samples),
+                       "samples")
+    preds = predict_samples(model, samples, batch_size)
+    return evaluate_boxes({key: quantize_prediction(p) for key, p in zip(gts, preds)}, gts)
 
 
 def run_ablation(train_samples, eval_samples, base_config, train_config, seeds,
@@ -220,8 +226,7 @@ def run_ablation(train_samples, eval_samples, base_config, train_config, seeds,
     and the same training recipe; the spread is the population standard
     deviation across seeds.
     """
-    from .model import BoxAnnotator
-    from .train import train
+    from .train import train  # train imports this module
 
     rows = []
     for name in variants:

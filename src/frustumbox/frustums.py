@@ -40,6 +40,9 @@ class FrustumSample:
     n_raw_points: int
     n_foreground_points: int
     cls: str = "Car"
+    # the ground truth in the sensor frame exactly as its label row reads,
+    # what eval scores against; normalization and augmentation leave it
+    sensor_gt_box: Box3D | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.points).all():
@@ -75,7 +78,8 @@ def normalize_frustum(sample):
 
 
 def denormalize_frustum(sample):
-    """Exact inverse of :func:`normalize_frustum`."""
+    """Inverse of :func:`normalize_frustum` up to rounding; the label's own
+    box is kept exactly as ``sensor_gt_box``."""
     gt = sample.gt_box.translated(sample.centroid) if sample.gt_box is not None else None
     return replace(
         sample,
@@ -110,6 +114,7 @@ def build_frustum_sample(frustum, box2d, calib, gt_box, frame_id, object_id,
         n_raw_points=n_raw,
         n_foreground_points=n_fg,
         cls=cls,
+        sensor_gt_box=gt_box,
     )
     return normalize_frustum(sample)
 

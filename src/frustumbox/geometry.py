@@ -324,8 +324,8 @@ def box_iou(pred, gt):
     test and crossing against them takes one product, and a prediction
     whose edges coincide with the target's up to rounding is clipped
     consistently from both sides. Touching boxes and BEV overlaps under
-    DEGENERATE_AREA score 0. The footprint at yaw + pi is the same point
-    set, so the IoU is blind to the heading.
+    DEGENERATE_AREA score 0, never -0. The footprint at yaw + pi is the same
+    point set, so the IoU is blind to the heading.
     """
     pred = T.as_tensor(pred)
     gt = np.asarray(gt, dtype=np.float64)
@@ -339,7 +339,8 @@ def box_iou(pred, gt):
     cz, half_h, gt_half_h = offset[:, 2], pred[:, 5] * 0.5, gt[:, 5] * 0.5
     inter = area * T.relu(T.minimum(cz + half_h, gt_half_h) - T.maximum(cz - half_h, -gt_half_h))
     volume = pred[:, 3] * pred[:, 4] * pred[:, 5]
-    return inter / (volume + gt[:, 3] * gt[:, 4] * gt[:, 5] - inter)
+    # + 0.0 turns the -0.0 of a negative sliver cut to zero into 0.0
+    return inter / (volume + gt[:, 3] * gt[:, 4] * gt[:, 5] - inter) + 0.0
 
 
 def box_rows(boxes):
@@ -368,8 +369,7 @@ def iou_3d(a, b):
     iou = np.zeros(len(a))
     if near.any():
         with T.no_grad():
-            # + 0.0 turns the -0.0 of a negative sliver cut to zero into 0.0
-            iou[near] = box_iou(rows_a[near], rows_b[near]).data + 0.0
+            iou[near] = box_iou(rows_a[near], rows_b[near]).data
     iou[np.array([x == y for x, y in zip(a, b)], dtype=bool)] = 1.0
     return float(iou[0]) if single else iou
 

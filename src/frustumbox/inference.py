@@ -1,10 +1,10 @@
-"""Batched prediction and the quantized export path.
+"""Batched prediction and the export path.
 
-The annotator's output boxes live in KITTI label files at two-decimal
-precision. Any metric that must agree with a file-based evaluation therefore
-goes through :func:`quantize_prediction`, which is exactly the
-serialize-then-parse path, so in-memory numbers and on-disk numbers can
-never drift apart.
+The annotator's output boxes live in label files at two-decimal precision.
+:func:`prediction_record` is the row a prediction exports as, and
+:func:`quantize_prediction` is that row serialized, parsed and read back
+the way ``eval`` reads it, so ``evaluate.evaluate_model`` scores exactly
+what ``frustumbox eval`` scores on the files ``annotate`` writes.
 
 Batch composition matters when the cross-object encoder is on, so inference
 batching is pinned: samples are processed in their given order in chunks of
@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .kitti import label_from_lidar_box, lidar_box_from_label, parse_kitti_label, serialize_kitti_label
+from .geometry import Box3D
+from .kitti import (
+    label_from_lidar_box,
+    parse_kitti_label,
+    scored_box_from_label,
+    serialize_kitti_label,
+)
 from .model import decode_prediction, direction_score
 
 
@@ -56,7 +62,7 @@ def predict_samples(model, samples, batch_size):
 _MIN_EXPORT_EXTENT = 0.01
 
 
-def prediction_record(pred, cls=None):
+def prediction_record(pred):
     """The label record a prediction exports as (pre-quantization).
 
     Extents are floored at the smallest value the label format can carry so
@@ -65,8 +71,6 @@ def prediction_record(pred, cls=None):
     s = pred.sample
     box = pred.box
     if min(box.width, box.length, box.height) < _MIN_EXPORT_EXTENT:
-        from .geometry import Box3D
-
         box = Box3D(
             box.cx, box.cy, box.cz,
             max(box.width, _MIN_EXPORT_EXTENT),
@@ -74,18 +78,14 @@ def prediction_record(pred, cls=None):
             max(box.height, _MIN_EXPORT_EXTENT),
             box.yaw,
         )
-    return label_from_lidar_box(cls or s.cls, box, s.box2d, s.calib, score=pred.score)
+    return label_from_lidar_box(s.cls, box, s.box2d, s.calib, score=pred.score)
 
 
-def quantize_prediction(pred, cls=None):
-    """Round-trip a prediction through its label line.
-
-    Returns (sensor-frame box, record) exactly as a reader of the exported
-    file would see them.
-    """
-    record = prediction_record(pred, cls=cls)
-    (parsed,) = parse_kitti_label(serialize_kitti_label([record]))
-    return lidar_box_from_label(parsed, pred.sample.calib), parsed
+def quantize_prediction(pred):
+    """A prediction as eval reads its exported label row: (sensor-frame
+    box, score) after serializing, parsing and reading the row back."""
+    (row,) = parse_kitti_label(serialize_kitti_label([prediction_record(pred)]))
+    return scored_box_from_label(row, pred.sample.calib)
 
 
 def object_key(frame_id, box2d):

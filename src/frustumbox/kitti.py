@@ -208,6 +208,12 @@ def lidar_box_from_label(record, calib):
                  record.width, record.length, record.height, yaw)
 
 
+def scored_box_from_label(record, calib):
+    """A label row as eval reads it: (sensor-frame box, score), with score
+    1.0 for a row that carries none."""
+    return lidar_box_from_label(record, calib), 1.0 if record.score is None else record.score
+
+
 def label_from_lidar_box(cls, box, box2d, calib, truncation=0.0, occlusion=0,
                          score=None):
     """Build a camera-frame label record from a sensor-frame box."""

@@ -544,20 +544,6 @@ def matmul(a, b):
 # ---------------------------------------------------------------------------
 
 
-def softmax(a, axis=-1):
-    """Numerically stabilized softmax along `axis`."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return [(a, out_data * (g - dot))]
-
-    return _node(out_data, (a,), grad_fn)
-
-
 def log_softmax(a, axis=-1):
     a = as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -577,9 +563,9 @@ def attention_core(Q, K, V, scale):
     weights (..., Lq, Lk)); the weights are a plain Tensor outside the
     graph. The forward computes the scores, scale, softmax and context in
     one buffer with the same numpy operations, in the same order, as
-    ``matmul``, ``mul``, ``softmax`` and ``matmul`` would, and the backward
-    repeats those nodes' gradient formulas in their order, so both agree
-    with the composition bit for bit.
+    ``matmul``, ``mul``, a softmax node and ``matmul`` would, and the
+    backward repeats those nodes' gradient formulas in their order, so both
+    agree with the composition bit for bit (``tests/oracles.py`` holds it).
     """
     Q, K, V = as_tensor(Q), as_tensor(K), as_tensor(V)
     # Kᵀ contiguous, as ``swapaxes`` would copy it: BLAS picks its kernel by

@@ -18,8 +18,11 @@ import numpy as np
 from . import tensor as T
 from .augment import augment
 from .checkpoint import CheckpointMismatch, load_checkpoint
-from .evaluate import evaluate_boxes
-from .inference import object_key, predict_samples, quantize_prediction
+from .evaluate import (
+    evaluate_boxes,  # noqa: F401 - looked up on this module by perfbench/tracing.py
+    evaluate_model,
+)
+from .inference import predict_samples  # noqa: F401 - looked up on this module by perfbench/tracing.py
 from .loss import total_loss
 from .optim import Adam, cosine_lr
 
@@ -93,20 +96,9 @@ def _epoch_batches(n, batch_size, order, drop_last):
 
 
 def train_set_miou(model, samples, batch_size):
-    """Training-set mIoU through the quantized export path.
-
-    Predictions are serialized to label lines and parsed back before
-    scoring, so this number is exactly what an external evaluation of the
-    exported annotations computes.
-    """
-    preds = {}
-    gts = {}
-    for p in predict_samples(model, samples, batch_size):
-        box, record = quantize_prediction(p)
-        key = object_key(p.sample.frame_id, p.sample.box2d)
-        preds[key] = (box, record.score)
-        gts[key] = p.sample.gt_box.translated(p.sample.centroid)
-    return evaluate_boxes(preds, gts).miou
+    """Training-set mIoU as ``frustumbox eval`` computes it on the exported
+    labels (see :func:`~frustumbox.evaluate.evaluate_model`)."""
+    return evaluate_model(model, samples, batch_size).miou
 
 
 def _save_train_checkpoint(model, optimizer, config, rng, epoch, step, path,

@@ -147,11 +147,28 @@ def random_overlapping_pair(rng):
     return a, b
 
 
+def softmax(a, axis=-1):
+    """Numerically stabilized softmax along `axis` as one engine node, in
+    the operation order ``tensor.attention_core`` repeats."""
+    from frustumbox import tensor as T
+
+    a = T.as_tensor(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / e.sum(axis=axis, keepdims=True)
+
+    def grad_fn(g):
+        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        return [(a, out_data * (g - dot))]
+
+    return T._node(out_data, (a,), grad_fn)
+
+
 def attention_core_composed(Q, K, V, scale):
     """Scaled dot-product attention as four graph nodes (matmul, scale,
     softmax, matmul): the composition ``tensor.attention_core`` fuses."""
     from frustumbox import tensor as T
 
     scores = T.mul(T.matmul(Q, T.swapaxes(K, -1, -2)), scale)
-    weights = T.softmax(scores, axis=-1)
+    weights = softmax(scores, axis=-1)
     return T.matmul(weights, V), weights

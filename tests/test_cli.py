@@ -249,6 +249,29 @@ class TestAnnotateAndEval:
         report = json.loads(report_path.read_text())
         assert abs(report["miou"] - final["final_train_miou"]) < 1e-9
 
+    def test_in_memory_report_equals_eval_of_exported_labels(self, dataset, training,
+                                                             tmp_path):
+        # the in-memory scorer (ablate, the acceptance gate, train's final
+        # mIoU) scores each prediction as its exported label row read back,
+        # so its report is the one `eval` writes, field for field
+        from frustumbox.checkpoint import load_checkpoint
+        from frustumbox.evaluate import evaluate_model
+        from frustumbox.frustums import build_dataset_samples
+        from frustumbox.model import BoxAnnotator
+
+        ckpt = Path(training) / "ckpt_final.bin"
+        pseudo = tmp_path / "pseudo"
+        assert run(["annotate", "--checkpoint", ckpt, "--dataset", dataset,
+                    "--out", pseudo, "--seed", "0"] + FAST) == 0
+        report_path = tmp_path / "report.json"
+        assert run(["eval", "--pred", pseudo, "--gt", dataset, "--out", report_path]) == 0
+        model = BoxAnnotator.from_checkpoint(load_checkpoint(ckpt))
+        samples = build_dataset_samples(dataset, model.config.n_points, 0)
+        in_memory = evaluate_model(model, samples, batch_size=4).to_dict()
+        on_files = json.loads(report_path.read_text())
+        assert len(on_files["per_object"]) == len(samples)
+        assert in_memory == on_files
+
 
 class TestGradcheckCommand:
     def test_tiny_config_passes(self, capsys):

@@ -3,17 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from frustumbox.evaluate import (
     ABLATION_TOGGLES,
     EmptySet,
+    EvalError,
     EvalReport,
     UnmatchedObject,
     ablation_config,
     compute_ap,
     evaluate_boxes,
+    evaluate_model,
 )
+from frustumbox.frustums import build_dataset_samples
 from frustumbox.geometry import Box3D, iou_3d
-from frustumbox.model import ModelConfig
+from frustumbox.model import BoxAnnotator, ModelConfig
+from frustumbox.synthetic import SceneSpec, write_synthetic_dataset
 
 from oracles import mc_iou3d, random_box
 
@@ -191,6 +197,32 @@ class TestEvaluateBoxes:
         report = evaluate_boxes({"a": (flipped, 1.0)}, {"a": gt})
         assert not report.per_object[0].direction_correct
         assert report.miou == pytest.approx(1.0)  # IoU itself is heading-blind
+
+
+class TestEvaluateModel:
+    @pytest.fixture(scope="class")
+    def samples(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("eval_model_ds")
+        write_synthetic_dataset(root, SceneSpec(n_objects_min=2, n_objects_max=3), 1,
+                                np.random.default_rng(0), val_every=0)
+        return build_dataset_samples(root, n_points=16, seed=0)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        cfg = ModelConfig(d=16, n_points=16, n_local_layers=1, n_global_layers=1,
+                          n_decoder_layers=1, heads=2, head_hidden=16)
+        return BoxAnnotator(cfg, rng=np.random.default_rng(0))
+
+    def test_duplicate_object_key_is_eval_error(self, samples, model):
+        # the same 2D box in the same frame twice would silently replace one
+        # object's score, as two such rows of one label file would in eval
+        with pytest.raises(EvalError, match="object key"):
+            evaluate_model(model, samples + samples[:1], batch_size=2)
+
+    def test_missing_ground_truth_is_eval_error(self, samples, model):
+        broken = [replace(samples[0], gt_box=None, sensor_gt_box=None)] + samples[1:]
+        with pytest.raises(EvalError, match="ground truth"):
+            evaluate_model(model, broken, batch_size=2)
 
 
 class TestAblationConfigs:

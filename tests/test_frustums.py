@@ -135,6 +135,19 @@ class TestFilter:
 
 
 class TestPipeline:
+    def test_sensor_gt_box_is_the_label_box_bit_for_bit(self, tmp_path):
+        # shifting the ground truth to the centroid and back rounds, so the
+        # sample keeps the label's own box, the one eval scores against
+        write_synthetic_dataset(tmp_path, SceneSpec(), 6, np.random.default_rng(0), val_every=0)
+        samples = build_dataset_samples(tmp_path, n_points=16, seed=0)
+        rounded = 0
+        for s in samples:
+            _, _, calib, records = load_frame(tmp_path, s.frame_id)
+            label = lidar_box_from_label(records[int(s.object_id.split(":")[1])], calib)
+            assert s.sensor_gt_box == label
+            rounded += s.gt_box.translated(s.centroid) != label
+        assert rounded, "premise: the centroid round trip rounds some box"
+
     def test_samples_project_inside_their_boxes(self, tmp_path):
         spec = SceneSpec(noise_sigma=0.01)
         write_synthetic_dataset(tmp_path, spec, 4, np.random.default_rng(0), val_every=0)

@@ -13,6 +13,8 @@ from frustumbox.geometry import (
     NonPositiveDepth,
     ProjectionModel,
     box_corners,
+    box_iou,
+    box_rows,
     diou_penalty,
     direction_label,
     extract_frustum,
@@ -254,6 +256,10 @@ class TestTouchingPairs:
             assert iou.shape == (2000,)
             assert not np.signbit(iou).any()
             np.testing.assert_array_equal(iou, 0.0)
+            # the kernel itself, as the loss logs it, carries no -0.0 either
+            kernel = box_iou(box_rows(a), box_rows(b)).data
+            assert not np.signbit(kernel).any()
+            np.testing.assert_array_equal(kernel, 0.0)
 
 
 def _pairs(n, seed):

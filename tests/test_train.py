@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from frustumbox.evaluate import evaluate_model
 from frustumbox.frustums import build_dataset_samples, filter_samples
 from frustumbox.geometry import Box3D
 from frustumbox.model import BoxAnnotator, ModelConfig
@@ -157,8 +158,12 @@ class TestTrainLoop:
 
 class TestTrainSetMiou:
     def test_matches_quantized_reeval(self, tiny_dataset):
+        # the logged final mIoU is the quantized re-evaluation of the
+        # trained model: evaluate_model, which scores the exported labels
         model = tiny_model()
-        a = train_set_miou(model, tiny_dataset, batch_size=4)
-        b = train_set_miou(model, tiny_dataset, batch_size=4)
-        assert a == b
-        assert 0.0 <= a <= 1.0
+        result = train(model, tiny_dataset, TrainConfig(batch_size=4, epochs=1, seed=0))
+        logged = [r["final_train_miou"] for r in result.history if "final_train_miou" in r]
+        expected = evaluate_model(model, tiny_dataset, 4).miou
+        assert logged == [expected] and result.final_train_miou == expected
+        assert train_set_miou(model, tiny_dataset, batch_size=4) == expected
+        assert 0.0 <= expected <= 1.0
