@@ -35,7 +35,7 @@ params = {
 params.update({name: Tensor(np.zeros(d), requires_grad=True)
                for name in ("bq", "bk", "bv", "bo")})
 seq = Tensor(rng.normal(size=(1, 5, d)), requires_grad=True)
-out, weights = T.multi_head_attention(seq, seq, seq, heads, params)
+out, weights = T.multi_head_attention(seq, seq, seq, heads, params, capture=True)
 print(f"\nattention weights shape {weights.shape}, rows sum to "
       f"{weights.data.sum(-1).round(12).max()}")
 

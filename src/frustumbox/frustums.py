@@ -77,18 +77,6 @@ def normalize_frustum(sample):
     )
 
 
-def denormalize_frustum(sample):
-    """Inverse of :func:`normalize_frustum` up to rounding; the label's own
-    box is kept exactly as ``sensor_gt_box``."""
-    gt = sample.gt_box.translated(sample.centroid) if sample.gt_box is not None else None
-    return replace(
-        sample,
-        points=sample.points + sample.centroid,
-        centroid=np.zeros(3),
-        gt_box=gt,
-    )
-
-
 def build_frustum_sample(frustum, box2d, calib, gt_box, frame_id, object_id,
                          n_points, rng, cls="Car"):
     """One object's sample from its frustum sub-cloud (see

@@ -225,10 +225,10 @@ class BoxAnnotator:
     def _layer_norm(self, x, prefix):
         return T.layer_norm(x, self._p(f"{prefix}.gain"), self._p(f"{prefix}.bias"))
 
-    def _encoder_layer(self, x, prefix):
+    def _encoder_layer(self, x, prefix, capture=False):
         h = self._layer_norm(x, f"{prefix}.ln1")
         attn_out, weights = T.multi_head_attention(
-            h, h, h, self.config.heads, self._attn_params(f"{prefix}.attn")
+            h, h, h, self.config.heads, self._attn_params(f"{prefix}.attn"), capture
         )
         x = x + attn_out
         h = self._layer_norm(x, f"{prefix}.ln2")
@@ -268,13 +268,14 @@ class BoxAnnotator:
     def forward_local(self, embeddings, capture=False):
         """Box tokens prepended, then the per-object encoder stack.
 
-        embeddings: (B, N, d). Returns ((B, N+7, d), [attention weights]).
+        embeddings: (B, N, d). Returns ((B, N+7, d), [attention weights]);
+        the weights are built, and the list filled, only under ``capture``.
         """
         B = embeddings.shape[0]
         x = T.concat([self.box_token_sequence(B), embeddings], axis=1)
         traces = []
         for i in range(self.config.n_local_layers):
-            x, w = self._encoder_layer(x, f"local.{i}")
+            x, w = self._encoder_layer(x, f"local.{i}", capture)
             if capture:
                 traces.append(w)
         return x, traces
@@ -298,7 +299,7 @@ class BoxAnnotator:
         x = T.transpose_batch_seq(T.permute(features, order))
         traces = []
         for i in range(self.config.n_global_layers):
-            x, w = self._encoder_layer(x, f"global.{i}")
+            x, w = self._encoder_layer(x, f"global.{i}", capture)
             if capture:
                 traces.append(w[:, :, inverse[:, None], inverse])
         return T.permute(T.transpose_batch_seq(x), inverse), traces
@@ -311,12 +312,12 @@ class BoxAnnotator:
         for i in range(self.config.n_decoder_layers):
             h = self._layer_norm(q, f"dec.{i}.ln1")
             sa, w_self = T.multi_head_attention(
-                h, h, h, self.config.heads, self._attn_params(f"dec.{i}.self")
+                h, h, h, self.config.heads, self._attn_params(f"dec.{i}.self"), capture
             )
             q = q + sa
             h = self._layer_norm(q, f"dec.{i}.ln2")
             ca, w_cross = T.multi_head_attention(
-                h, mem, mem, self.config.heads, self._attn_params(f"dec.{i}.cross")
+                h, mem, mem, self.config.heads, self._attn_params(f"dec.{i}.cross"), capture
             )
             q = q + ca
             h = self._layer_norm(q, f"dec.{i}.ln3")

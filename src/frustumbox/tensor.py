@@ -6,9 +6,11 @@ once per call and accumulates into ``.grad`` until the caller clears it.
 
 Attention's scores, softmax and context are one op, :func:`attention_core`,
 with a hand-written backward; :func:`multi_head_attention` adds the head
-projections around it. Inside a :func:`no_grad` block the ops record no
-parents, so a forward-only pass (inference, attention export) builds no
-graph and frees each intermediate array once the next op has read it.
+projections around it. :func:`linear` and :func:`layer_norm` are one node
+each too, so an encoder layer builds 20 nodes. Inside a :func:`no_grad`
+block the ops record no parents, so a forward-only pass (inference,
+attention export) builds no graph and frees each intermediate array once
+the next op has read it.
 
 Every op reduces in numpy's own order, so results depend on the order of
 the inputs at the last bit. Callers that need an output independent of an
@@ -556,75 +558,129 @@ def log_softmax(a, axis=-1):
     return _node(out_data, (a,), grad_fn)
 
 
-def attention_core(Q, K, V, scale):
+def attention_core(Q, K, V, scale, capture=False):
     """Scaled dot-product attention as one node: ``softmax(Q Kᵀ·scale) V``.
 
     Q: (..., Lq, dh), K and V: (..., Lk, dh). Returns (context (..., Lq, dh),
-    weights (..., Lq, Lk)); the weights are a plain Tensor outside the
-    graph. The forward computes the scores, scale, softmax and context in
-    one buffer with the same numpy operations, in the same order, as
-    ``matmul``, ``mul``, a softmax node and ``matmul`` would, and the
-    backward repeats those nodes' gradient formulas in their order, so both
-    agree with the composition bit for bit (``tests/oracles.py`` holds it).
+    weights). The weights (..., Lq, Lk) are built only when ``capture`` is
+    set, as a plain Tensor outside the graph; otherwise they are None.
+
+    The scale is folded into Q, and the softmax's normalization is applied
+    to the context (the deferred normalization of online softmax, Milakov &
+    Gimelshein): with ``e = exp(S - shift)`` and ``r = 1/Σe`` per row, the
+    context is ``(e V)·r``, so no (Lq, Lk) array is divided or scaled; the
+    shift is the row max. The backward follows the same split (Dao et al.,
+    FlashAttention): with ``gr = g·r`` and ``d = rowsum(gr ∘ context)``, an
+    (Lq, dh) sum, the score gradient is ``e ∘ (gr Vᵀ − d)``. Results agree
+    with the four-node composition (``tests/oracles.py``) to rounding, not
+    bit for bit.
     """
     Q, K, V = as_tensor(Q), as_tensor(K), as_tensor(V)
-    # Kᵀ contiguous, as ``swapaxes`` would copy it: BLAS picks its kernel by
-    # memory layout, and ``gs @ K`` read through this layout matches the
-    # composition's ``matmul`` backward bit for bit where a contiguous K
-    # does not
+    qs = Q.data * scale
+    # a contiguous Kᵀ runs the product ~25% faster than the transposed view
     kt = K.data.swapaxes(-1, -2).copy()
-    w = Q.data @ kt
-    w *= scale
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    e = qs @ kt
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    total = e.sum(axis=-1, keepdims=True)
+    r = 1.0 / total
+    ctx = e @ V.data
+    ctx *= r
+    # dividing keeps a one-key row exactly 1.0, where e·(1/e) may miss by an ulp
+    weights = Tensor(e / total) if capture else None
 
     def grad_fn(g):
         out = []
+        gr = g * r
         if V.requires_grad:
-            out.append((V, w.swapaxes(-1, -2) @ g))
-        gs = g @ V.data.swapaxes(-1, -2)
-        gs -= (gs * w).sum(axis=-1, keepdims=True)
-        gs *= w
-        gs *= scale
+            out.append((V, e.swapaxes(-1, -2) @ gr))
+        d = (gr * ctx).sum(axis=-1, keepdims=True)
+        gs = gr @ V.data.swapaxes(-1, -2)
+        gs -= d
+        gs *= e
         if Q.requires_grad:
-            out.append((Q, gs @ kt.swapaxes(-1, -2)))
+            gq = gs @ K.data
+            gq *= scale
+            out.append((Q, gq))
         if K.requires_grad:
-            out.append((K, (Q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)))
+            out.append((K, gs.swapaxes(-1, -2) @ qs))
         return out
 
-    return _node(w @ V.data, (Q, K, V), grad_fn), Tensor(w)
+    return _node(ctx, (Q, K, V), grad_fn), weights
 
 
-def linear(x, weight, bias=None):
-    """Affine map along the last axis: x @ weight (+ bias)."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
+def linear(x, weight, bias):
+    """Affine map along the last axis, ``x @ weight + bias``, as one node.
+
+    x: (..., k), weight: (k, n), bias: (n,). The forward and the gradients
+    are those of a ``matmul`` node followed by an ``add`` node, including
+    the weight gradient's one product over the folded leading axes.
+    """
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    if weight.ndim != 2 or x.shape[-1:] != weight.shape[:1]:
+        raise ShapeMismatch(f"linear extents disagree: {x.shape} x {weight.shape}")
+    out_data = x.data @ weight.data
+    out_data += bias.data
+
+    def grad_fn(g):
+        out = []
+        if x.requires_grad:
+            out.append((x, g @ weight.data.T))
+        if weight.requires_grad:
+            k, n = weight.shape
+            out.append((weight, x.data.reshape(-1, k).T @ g.reshape(-1, n)))
+        if bias.requires_grad:
+            out.append((bias, _unbroadcast(g, bias.data.shape)))
+        return out
+
+    return _node(out_data, (x, weight, bias), grad_fn)
 
 
 def layer_norm(x, gain, bias, eps=1e-12):
-    """Zero-mean unit-variance normalization over the last axis, then affine.
+    """Zero-mean unit-variance normalization over the last axis, then
+    affine, as one node with an analytic backward.
 
+    The forward repeats the numpy operations of the mean / center /
+    variance / ``power(-0.5)`` / affine chain of elementary nodes
+    (``tests/oracles.py`` holds it), so its output matches the chain bit
+    for bit. The backward is the closed form: with ``x̂`` the normalized
+    input and ``ĝ = g·gain``, ``gx = (ĝ − mean(ĝ) − x̂·mean(ĝ∘x̂)) / σ``.
     The epsilon only guards exact zero variance; float64 keeps the
     normalized variance within ~1e-12 of 1 for any non-degenerate input.
     """
-    x = as_tensor(x)
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    n = x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
+    inv = (var + eps) ** -0.5
+    xhat = centered * inv
+    out_data = xhat * gain.data
+    out_data += bias.data
+
+    def grad_fn(g):
+        out = []
+        if x.requires_grad:
+            gx = g * gain.data
+            gx -= gx.mean(axis=-1, keepdims=True) + xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            gx *= inv
+            out.append((x, gx))
+        if gain.requires_grad:
+            out.append((gain, _unbroadcast(g * xhat, gain.data.shape)))
+        if bias.requires_grad:
+            out.append((bias, _unbroadcast(g, bias.data.shape)))
+        return out
+
+    return _node(out_data, (x, gain, bias), grad_fn)
 
 
-def multi_head_attention(q, k, v, heads, params):
+def multi_head_attention(q, k, v, heads, params, capture=False):
     """Scaled dot-product attention with per-head projections.
 
     q: (B, Lq, d), k and v: (B, Lk, d). `params` maps wq, bq, wk, bk, wv,
-    bv, wo, bo to tensors. Returns (output (B, Lq, d), weights
-    (B, heads, Lq, Lk)); the weights are always materialized so callers can
-    export attention maps without a second pass. This function only splits
+    bv, wo, bo to tensors. Returns (output (B, Lq, d), weights): the
+    weights (B, heads, Lq, Lk) are built only when ``capture`` is set, for
+    callers that export attention maps, and are None otherwise. This
+    function only splits
     and merges the heads around their projections; the scores, softmax and
     context are one :func:`attention_core` node.
 
@@ -655,7 +711,7 @@ def multi_head_attention(q, k, v, heads, params):
     K = split(linear(k, params["wk"], params["bk"]), Lk)
     V = split(linear(v, params["wv"], params["bv"]), Lk)
 
-    ctx, weights = attention_core(Q, K, V, 1.0 / math.sqrt(dh))
+    ctx, weights = attention_core(Q, K, V, 1.0 / math.sqrt(dh), capture)
 
     merged = reshape(swapaxes(ctx, 1, 2), (B, Lq, d))
     return linear(merged, params["wo"], params["bo"]), weights

@@ -148,8 +148,9 @@ def random_overlapping_pair(rng):
 
 
 def softmax(a, axis=-1):
-    """Numerically stabilized softmax along `axis` as one engine node, in
-    the operation order ``tensor.attention_core`` repeats."""
+    """Numerically stabilized softmax along `axis` as one engine node: the
+    reference softmax of ``attention_core_composed``, which the fused
+    ``tensor.attention_core`` matches to ~1e-15 relative."""
     from frustumbox import tensor as T
 
     a = T.as_tensor(a)
@@ -172,3 +173,39 @@ def attention_core_composed(Q, K, V, scale):
     scores = T.mul(T.matmul(Q, T.swapaxes(K, -1, -2)), scale)
     weights = softmax(scores, axis=-1)
     return T.matmul(weights, V), weights
+
+
+def linear_composed(x, weight, bias):
+    """Affine map as a ``matmul`` node and an ``add`` node: the pair
+    ``tensor.linear`` fuses."""
+    from frustumbox import tensor as T
+
+    return T.add(T.matmul(x, weight), bias)
+
+
+def layer_norm_composed(x, gain, bias, eps=1e-12):
+    """Layer normalization over the last axis as a chain of elementary
+    engine nodes: the chain ``tensor.layer_norm`` fuses."""
+    from frustumbox import tensor as T
+
+    x = T.as_tensor(x)
+    mu = T.tmean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
+    inv = T.power(T.add(var, eps), -0.5)
+    return T.add(T.mul(T.mul(centered, inv), gain), bias)
+
+
+def denormalize_frustum(sample):
+    """Undo ``frustums.normalize_frustum`` up to rounding: points and the
+    ground truth move back by the centroid (the label's own box stays as
+    ``sensor_gt_box``)."""
+    from dataclasses import replace
+
+    gt = sample.gt_box.translated(sample.centroid) if sample.gt_box is not None else None
+    return replace(
+        sample,
+        points=sample.points + sample.centroid,
+        centroid=np.zeros(3),
+        gt_box=gt,
+    )

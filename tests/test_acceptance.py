@@ -30,6 +30,8 @@ from frustumbox.train import TrainConfig, train
 
 from oracles import mc_iou3d, project_by_hand, random_overlapping_pair
 
+pytestmark = pytest.mark.slow
+
 
 def report(number, description, passed, detail=""):
     verdict = "PASS" if passed else "FAIL"

@@ -25,6 +25,7 @@ def test_projection_and_frustums_demo():
 def test_autodiff_engine_demo():
     proc = run_demo("03_autodiff_engine.py")
     assert proc.returncode == 0, proc.stderr
+    assert "attention weights shape (1, 2, 5, 5), rows sum to 1.0" in proc.stdout
     line = next(l for l in proc.stdout.splitlines() if "vs finite-diff" in l)
     analytic, numeric = (float(w) for w in line.split() if w[0] in "-0123456789")
     assert abs(analytic - numeric) < 1e-6 * max(1.0, abs(numeric)), line

@@ -11,7 +11,6 @@ from frustumbox.frustums import (
     build_dataset_samples,
     build_frustum_sample,
     dataset_sampling_rng,
-    denormalize_frustum,
     filter_samples,
     frame_samples,
     normalize_frustum,
@@ -35,6 +34,8 @@ from frustumbox.kitti import (
 )
 from frustumbox.model import BoxAnnotator, ModelConfig
 from frustumbox.synthetic import SceneSpec, virtual_calibration, write_synthetic_dataset
+
+from oracles import denormalize_frustum
 
 
 def make_sample(points, gt=None, n_raw=None, n_fg=0):

@@ -309,6 +309,46 @@ class TestForward:
             a.direction_logits.data, b.direction_logits.data, atol=1e-9
         )
 
+    def test_capture_leaves_outputs_byte_identical(self):
+        m = make_model(n_local_layers=2)
+        pts = rand_points(np.random.default_rng(19), 3, 8)
+        plain = m.forward(pts)
+        captured = m.forward(pts, capture_attention=True)
+        assert plain.boxes.data.tobytes() == captured.boxes.data.tobytes()
+        assert plain.direction_logits.data.tobytes() == captured.direction_logits.data.tobytes()
+        trace = captured.attention
+        assert len(trace.local_layers) == 2 and len(trace.global_layers) == 1
+        assert len(trace.decoder_self) == 1 and len(trace.decoder_cross) == 1
+
+    def test_no_weights_built_without_capture(self, monkeypatch):
+        m = make_model()
+        seen = []
+        core = T.attention_core
+
+        def spy(*args, **kwargs):
+            ctx, weights = core(*args, **kwargs)
+            seen.append(weights)
+            return ctx, weights
+
+        monkeypatch.setattr(T, "attention_core", spy)
+        m.forward(rand_points(np.random.default_rng(20), 2, 8))
+        # local, global, decoder self- and cross-attention
+        assert len(seen) == 4 and all(w is None for w in seen)
+
+    def test_encoder_layer_is_twenty_nodes(self):
+        m = make_model()
+        x = T.Tensor(np.random.default_rng(21).normal(size=(2, 15, 16)), requires_grad=True)
+        out, _ = m._encoder_layer(x, "local.0")
+        ops, seen, stack = 0, set(), [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops += node._grad_fn is not None
+                stack.extend(node._parents)
+        # layer norm and linear are one node each, attention's core is one
+        assert ops <= 20, ops
+
     def test_gradient_reaches_all_heads(self):
         from frustumbox.loss import total_loss
         from frustumbox.geometry import Box3D
