@@ -7,8 +7,8 @@ the overlap area is summed from the clipped edges by Green's theorem and
 scaled by the vertical overlap. ``iou_3d`` runs it without a graph; the
 training loss runs it with one, here with the two boxes' roles swapped. A
 Monte-Carlo estimate over the same pair shows the clipping is right; the
-distance-IoU penalty and the front/back label round out the objective's
-geometric ingredients.
+distance-IoU penalty the loss adds and the front/back label round out the
+objective's geometric ingredients.
 """
 
 import math
@@ -18,12 +18,24 @@ import numpy as np
 from frustumbox.geometry import (
     Box3D,
     box_corners,
-    diou_penalty,
     direction_label,
     iou_3d,
 )
 from frustumbox.loss import diou_loss, extent_to_raw
 from frustumbox.tensor import Tensor
+
+
+def raw(box):
+    """The raw head outputs that decode to `box`."""
+    return [box.cx, box.cy, box.cz, extent_to_raw(box.width), extent_to_raw(box.length),
+            extent_to_raw(box.height), box.yaw]
+
+
+def penalty(pred, gt):
+    """The distance penalty the training loss adds, read as loss - (1 - IoU)."""
+    loss, (iou,) = diou_loss(Tensor([raw(pred)]), [gt])
+    return loss.item() - (1.0 - iou)
+
 
 a = Box3D(cx=0.0, cy=0.0, cz=0.0, width=2.0, length=4.0, height=1.5, yaw=0.0)
 b = Box3D(cx=0.8, cy=0.4, cz=0.2, width=2.0, length=4.0, height=1.5, yaw=math.pi / 6)
@@ -34,9 +46,7 @@ print(np.round(box_corners(a), 3))
 print(f"\nanalytic IoU(a, b)          = {iou_3d(a, b):.12f}")
 
 # the training loss computes the IoU from b's raw head outputs, in a's frame
-raw_b = [b.cx, b.cy, b.cz, extent_to_raw(b.width), extent_to_raw(b.length),
-         extent_to_raw(b.height), b.yaw]
-_, (loss_iou,) = diou_loss(Tensor([raw_b]), [a])
+_, (loss_iou,) = diou_loss(Tensor([raw(b)]), [a])
 print(f"training-loss IoU(b, a)     = {loss_iou:.12f}")
 
 # Monte-Carlo cross-check: sample the joint bounding volume uniformly
@@ -72,7 +82,7 @@ for yaw in (0.0, math.pi / 3, math.pi / 2, -math.pi):
     print(f"direction_label(yaw={yaw:+.3f}) = {label}")
 
 # the penalty term: squared center distance over the joint enclosing diagonal
-print(f"\ndIoU penalty(a, b)      = {diou_penalty(a, b):.6f}")
+print(f"\ndIoU penalty(a, b)      = {penalty(b, a):.6f}")
 far = Box3D(9.0, 0.0, 0.0, 2.0, 4.0, 1.5, 0.3)
-print(f"dIoU penalty(a, far)    = {diou_penalty(a, far):.6f}  (grows with separation)")
-print(f"dIoU penalty(a, a)      = {diou_penalty(a, a):.6f}  (zero at coincident centers)")
+print(f"dIoU penalty(a, far)    = {penalty(far, a):.6f}  (grows with separation)")
+print(f"dIoU penalty(a, a)      = {penalty(a, a):.6f}  (zero at coincident centers)")

@@ -59,8 +59,8 @@ from .kitti import (
 )
 from .loss import InvalidBox
 from .model import BoxAnnotator, IndexOutOfRange, InvalidMode, export_attention
-from .synthetic import SceneSpec, write_synthetic_dataset
-from .train import NonFiniteLoss, TrainConfig, train
+from .synthetic import write_synthetic_dataset
+from .train import NonFiniteLoss, train
 from .tensor import TensorError, no_grad
 
 _ERROR_CATEGORIES = [
@@ -106,15 +106,13 @@ def cmd_synth(args):
     cfg = _resolve_config(args)
     out = Path(args.out)
     _log_config(cfg, out)
-    if cfg.n_scenes == 0:
-        write_synthetic_dataset(out, cfg.scene, 0, np.random.default_rng(cfg.seed),
-                                val_every=cfg.val_every)
-        print("warning: n_scenes=0, wrote an empty manifest")
-        return 0
     splits = write_synthetic_dataset(
         out, cfg.scene, cfg.n_scenes, np.random.default_rng(cfg.seed),
         val_every=cfg.val_every,
     )
+    if cfg.n_scenes == 0:
+        print("warning: n_scenes=0, wrote an empty manifest")
+        return 0
     n_val = sum(1 for s in splits.values() if s == "val")
     print(f"wrote {len(splits)} frames ({n_val} val) to {out}")
     return 0

@@ -9,7 +9,7 @@ before doing work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .model import ModelConfig
 from .synthetic import SceneSpec

@@ -138,16 +138,15 @@ def dataset_sampling_rng(seed):
     return np.random.default_rng([seed, _SAMPLING_SALT])
 
 
-def frame_samples(root, frame_id, n_points, rng, require_gt, classes=None):
+def frame_samples(root, frame_id, n_points, rng, require_gt):
     """The frustum samples of one frame, in label-row order.
 
     The one sample path for training, annotation and attention dumps. Every
-    care row whose class is in `classes` (all classes when None) gets a
-    sample; with `require_gt`, rows without 3D extents are skipped, and
-    without it a 2D box suffices. The frame's cloud is projected once and
-    every row's frustum is cut from the shared pixel coordinates. A row's 3D
-    box, when present, feeds only the sample's ground truth and foreground
-    count. Random numbers are drawn once per non-empty frustum, in row
+    care row gets a sample; with `require_gt`, rows without 3D extents are
+    skipped, and without it a 2D box suffices. The frame's cloud is
+    projected once and every row's frustum is cut from the shared pixel
+    coordinates. A row's 3D box, when present, feeds only the sample's
+    ground truth and foreground count. Random numbers are drawn once per non-empty frustum, in row
     order; without `require_gt` the stream thus does not depend on which
     rows carry 3D boxes.
 
@@ -158,7 +157,6 @@ def frame_samples(root, frame_id, n_points, rng, require_gt, classes=None):
     rows = [
         (i, rec) for i, rec in enumerate(records)
         if rec.is_care and (rec.has_box3d or not require_gt)
-        and (classes is None or rec.cls in classes)
     ]
     if not rows:
         return [], []
@@ -178,16 +176,14 @@ def frame_samples(root, frame_id, n_points, rng, require_gt, classes=None):
     return samples, empty
 
 
-def build_dataset_samples(root, n_points, seed, split=None, classes=None):
+def build_dataset_samples(root, n_points, seed, split=None):
     """All frustum samples of a dataset directory's labeled objects, unfiltered.
 
-    Objects without 3D extents (DontCare rows, 2D-only rows) and objects
-    whose class is outside `classes` (when given) are skipped. Deterministic
-    in (directory contents, n_points, seed).
+    Objects without 3D extents (DontCare rows, 2D-only rows) are skipped.
+    Deterministic in (directory contents, n_points, seed).
     """
     rng = dataset_sampling_rng(seed)
     samples = []
     for frame_id in manifest_frames(root, split=split):
-        samples.extend(frame_samples(root, frame_id, n_points, rng, require_gt=True,
-                                     classes=classes)[0])
+        samples.extend(frame_samples(root, frame_id, n_points, rng, require_gt=True)[0])
     return samples

@@ -10,10 +10,11 @@ Conventions used throughout the package:
 
 Rotated-box overlap has one implementation, :func:`box_iou`: a batched
 kernel of fixed shapes written in the autodiff engine's ops. The training
-loss (:mod:`frustumbox.loss`) runs it with the graph on; :func:`iou_3d`,
-which eval and the synthetic generator's overlap rejection call, runs it
-on arrays under ``tensor.no_grad()``. Everything else here works on plain
-floats and numpy arrays.
+loss (:mod:`frustumbox.loss`) runs it with the graph on and takes its
+distance penalty's enclosing box from the footprint corners the kernel
+returns; :func:`iou_3d`, which eval and the synthetic generator's overlap
+rejection call, runs it on arrays under ``tensor.no_grad()``. Everything
+else here works on plain floats and numpy arrays.
 """
 
 from __future__ import annotations
@@ -318,14 +319,16 @@ def box_iou(pred, gt):
     the first.
 
     Rows are (cx, cy, cz, width, length, height, yaw); `pred` is a Tensor or
-    an array, `gt` an array, and the result a (B,) Tensor, in the graph when
-    `pred` is. Each prediction's footprint is moved into its ground truth's
-    own frame, where the ground truth's edges are axis-aligned: every side
-    test and crossing against them takes one product, and a prediction
-    whose edges coincide with the target's up to rounding is clipped
-    consistently from both sides. Touching boxes and BEV overlaps under
-    DEGENERATE_AREA score 0, never -0. The footprint at yaw + pi is the same
-    point set, so the IoU is blind to the heading.
+    an array, `gt` an array. Returns (iou, corners): the (B,) IoU and the
+    (B, 4, 2) footprint corners of each prediction relative to its ground
+    truth's centre, in sensor-frame axes; both are Tensors, in the graph
+    when `pred` is. Each prediction's footprint is moved into its ground
+    truth's own frame, where the ground truth's edges are axis-aligned:
+    every side test and crossing against them takes one product, and a
+    prediction whose edges coincide with the target's up to rounding is
+    clipped consistently from both sides. Touching boxes and BEV overlaps
+    under DEGENERATE_AREA score 0, never -0. The footprint at yaw + pi is
+    the same point set, so the IoU is blind to the heading.
     """
     pred = T.as_tensor(pred)
     gt = np.asarray(gt, dtype=np.float64)
@@ -340,7 +343,7 @@ def box_iou(pred, gt):
     inter = area * T.relu(T.minimum(cz + half_h, gt_half_h) - T.maximum(cz - half_h, -gt_half_h))
     volume = pred[:, 3] * pred[:, 4] * pred[:, 5]
     # + 0.0 turns the -0.0 of a negative sliver cut to zero into 0.0
-    return inter / (volume + gt[:, 3] * gt[:, 4] * gt[:, 5] - inter) + 0.0
+    return inter / (volume + gt[:, 3] * gt[:, 4] * gt[:, 5] - inter) + 0.0, corners
 
 
 def box_rows(boxes):
@@ -369,24 +372,9 @@ def iou_3d(a, b):
     iou = np.zeros(len(a))
     if near.any():
         with T.no_grad():
-            iou[near] = box_iou(rows_a[near], rows_b[near]).data
+            iou[near] = box_iou(rows_a[near], rows_b[near])[0].data
     iou[np.array([x == y for x, y in zip(a, b)], dtype=bool)] = 1.0
     return float(iou[0]) if single else iou
-
-
-def diou_penalty(a, b):
-    """Normalized center-distance penalty for the distance-IoU objective.
-
-    Squared center distance over the squared diagonal of the minimal
-    axis-aligned 3D box enclosing both boxes' corners. Zero iff the centers
-    coincide; always < 1 for valid boxes.
-    """
-    rho2 = float(np.sum((a.center - b.center) ** 2))
-    if rho2 == 0.0:
-        return 0.0
-    corners = np.vstack([box_corners(a), box_corners(b)])
-    extents = corners.max(axis=0) - corners.min(axis=0)
-    return rho2 / float(np.sum(extents**2))
 
 
 def direction_label(yaw):

@@ -9,7 +9,6 @@ as a large relative error in the parameters feeding it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

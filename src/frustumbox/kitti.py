@@ -16,7 +16,7 @@ decimals, the de-facto benchmark convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

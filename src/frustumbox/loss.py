@@ -4,7 +4,8 @@ The box term is one graph of fixed shapes over the whole batch: the IoU is
 ``geometry.box_iou``, the package's one rotated-box overlap (the
 parametric-clip, Green's-theorem kernel of Zhou et al., arXiv:1908.03851),
 run here with the graph on, plus the distance penalty of Zheng et al.
-(arXiv:1911.08287). The kernel decides which half-plane bounds which edge
+(arXiv:1911.08287), whose enclosing box reuses the prediction footprint
+the kernel returns. The kernel decides which half-plane bounds which edge
 on plain float values, so within one backward pass the clip structure is a
 fixed piecewise region and the gradient is the exact derivative of the
 surviving expression. Eval and the synthetic generator score boxes with
@@ -88,12 +89,11 @@ def diou_loss(pred_raw, gt_boxes):
         i, j = bad[0]
         raise InvalidBox(f"object {i}: decoded extent {float(extent.data[i, j])!r}")
     boxes = T.concat([pred_raw[:, 0:3], extent, pred_raw[:, 6:7]], axis=1)
-    iou = box_iou(boxes, gt)
+    iou, corners = box_iou(boxes, gt)
 
     # penalty: squared center distance over the diagonal of the axis-aligned
     # box enclosing both, in the frame centred on each ground truth
     offset = pred_raw[:, 0:3] - gt[:, 0:3]
-    corners = T.reshape(offset[:, 0:2], (n, 1, 2)) + footprint(boxes)
     gt_corners = footprint(gt).data
     hi = T.maximum(gt_corners.max(axis=1), T.amax(corners, axis=1))
     lo = T.minimum(gt_corners.min(axis=1), T.amin(corners, axis=1))

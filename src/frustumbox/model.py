@@ -331,26 +331,26 @@ class BoxAnnotator:
         h = T.leaky_relu(self._linear(x, f"{prefix}.l1"))
         return self._linear(h, f"{prefix}.l2")
 
-    def regress_box(self, decoded):
-        """Three tokenwise heads: location from tokens 0-2, extents (as logs)
-        from tokens 3-5, yaw from token 6. Returns the raw (B, 7) vector."""
-        x = self._layer_norm(decoded, "head.norm")
-        loc = T.reshape(self._head(x[:, 0:3], "head.loc"), (decoded.shape[0], 3))
-        dim = T.reshape(self._head(x[:, 3:6], "head.dim"), (decoded.shape[0], 3))
-        yaw = T.reshape(self._head(x[:, 6:7], "head.yaw"), (decoded.shape[0], 1))
+    def regress_box(self, x):
+        """Three tokenwise heads on the (B, 7, d) box tokens after
+        ``head.norm``: location from tokens 0-2, extents (as logs) from
+        tokens 3-5, yaw from token 6. Returns the raw (B, 7) vector."""
+        loc = T.reshape(self._head(x[:, 0:3], "head.loc"), (x.shape[0], 3))
+        dim = T.reshape(self._head(x[:, 3:6], "head.dim"), (x.shape[0], 3))
+        yaw = T.reshape(self._head(x[:, 6:7], "head.yaw"), (x.shape[0], 1))
         return T.concat([loc, dim, yaw], axis=1)
 
-    def classify_direction(self, decoded):
-        """Front/back logits from the yaw token's feature: (B, 2).
+    def classify_direction(self, x):
+        """Front/back logits from the yaw token of the (B, 7, d) box tokens
+        after ``head.norm``: (B, 2).
 
         The yaw token is kept as a length-1 sequence axis so the product
         stays batched per object; collapsing to a bare (B, d) matrix would
         let the BLAS micro-kernel's row tiling make results depend on an
         object's position in the batch at the last-bit level.
         """
-        x = self._layer_norm(decoded, "head.norm")
         out = self._head(x[:, 6:7], "head.dir")
-        return T.reshape(out, (decoded.shape[0], 2))
+        return T.reshape(out, (x.shape[0], 2))
 
     def forward(self, points, capture_attention=False):
         """Full pass: embed, encode, decode, regress.
@@ -378,9 +378,10 @@ class BoxAnnotator:
                 trace.decoder_cross = w_cross
         else:
             decoded = x[:, :N_BOX_TOKENS]
+        tokens = self._layer_norm(decoded, "head.norm")
         return ForwardOutput(
-            boxes=self.regress_box(decoded),
-            direction_logits=self.classify_direction(decoded),
+            boxes=self.regress_box(tokens),
+            direction_logits=self.classify_direction(tokens),
             attention=trace,
         )
 

@@ -102,6 +102,21 @@ def clip_iou3d(a, b):
     return inter_vol / (volume_a + volume_b - inter_vol)
 
 
+def diou_penalty(a, b):
+    """Normalized center-distance penalty of the distance-IoU objective for
+    one pair of Box3D: squared center distance over the squared diagonal of
+    the minimal axis-aligned 3D box enclosing both boxes' corners. Zero iff
+    the centers coincide; always < 1 for valid boxes."""
+    from frustumbox.geometry import box_corners
+
+    rho2 = float(np.sum((a.center - b.center) ** 2))
+    if rho2 == 0.0:
+        return 0.0
+    corners = np.vstack([box_corners(a), box_corners(b)])
+    extents = corners.max(axis=0) - corners.min(axis=0)
+    return rho2 / float(np.sum(extents**2))
+
+
 def project_by_hand(p, P, R0, Tr):
     """Pixel coordinates via explicit homogeneous matrix products."""
     hom = np.ones(4)

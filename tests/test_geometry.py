@@ -15,7 +15,6 @@ from frustumbox.geometry import (
     box_corners,
     box_iou,
     box_rows,
-    diou_penalty,
     direction_label,
     extract_frustum,
     identity_calibration,
@@ -23,8 +22,9 @@ from frustumbox.geometry import (
     project_point,
     wrap_angle,
 )
+from frustumbox.loss import diou_loss, extent_to_raw
 
-from oracles import mc_iou3d, project_by_hand, random_box, random_overlapping_pair
+from oracles import diou_penalty, mc_iou3d, project_by_hand, random_box, random_overlapping_pair
 
 # A real KITTI calibration triple (training frame style).
 KITTI_P2 = np.array(
@@ -257,7 +257,7 @@ class TestTouchingPairs:
             assert not np.signbit(iou).any()
             np.testing.assert_array_equal(iou, 0.0)
             # the kernel itself, as the loss logs it, carries no -0.0 either
-            kernel = box_iou(box_rows(a), box_rows(b)).data
+            kernel = box_iou(box_rows(a), box_rows(b))[0].data
             assert not np.signbit(kernel).any()
             np.testing.assert_array_equal(kernel, 0.0)
 
@@ -296,7 +296,7 @@ class TestIou3dSequences:
         a = [random_box(rng, 4.0) for _ in range(400)]
         b = [random_box(rng, 4.0) for _ in range(400)]
         with T.no_grad():
-            kernel = geo.box_iou(geo.box_rows(a), geo.box_rows(b)).data
+            kernel = geo.box_iou(geo.box_rows(a), geo.box_rows(b))[0].data
         iou = iou_3d(a, b)
         assert 20 < np.count_nonzero(iou) < 200
         np.testing.assert_allclose(iou, kernel, rtol=0, atol=1e-15)
@@ -310,11 +310,20 @@ class TestIou3dSequences:
         assert iou_3d([], []).shape == (0,)
 
 
+def loss_penalty(pred, gt):
+    """The distance penalty `diou_loss` adds for one pair, read back as
+    loss - (1 - IoU)."""
+    raw = [pred.cx, pred.cy, pred.cz, *map(extent_to_raw, (pred.width, pred.length, pred.height)),
+           pred.yaw]
+    loss, ious = diou_loss(T.Tensor(np.array([raw])), [gt])
+    return loss.item() - (1.0 - ious[0])
+
+
 class TestDiouPenalty:
     def test_coincident_centers(self):
         a = Box3D(0, 0, 0, 1, 2, 1, 0.4)
         b = Box3D(0, 0, 0, 2, 1, 2, -0.9)
-        assert diou_penalty(a, b) == 0.0
+        assert loss_penalty(a, b) == pytest.approx(0.0, abs=1e-12)
 
     @given(st.floats(min_value=0.01, max_value=50.0))
     @settings(max_examples=50, deadline=None)
@@ -322,21 +331,17 @@ class TestDiouPenalty:
         a = Box3D(0, 0, 0, 1, 1, 1, 0.0)
         b = Box3D(d, 0, 0, 1, 1, 1, 0.0)
         expected = d**2 / ((d + 1) ** 2 + 1 + 1)
-        assert diou_penalty(a, b) == pytest.approx(expected, rel=1e-12)
+        assert loss_penalty(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_random_pairs_in_range_and_match_corner_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             a, b = random_overlapping_pair(rng)
-            pen = diou_penalty(a, b)
+            pen = loss_penalty(a, b)
             if np.allclose(a.center, b.center):
                 continue
             assert 0.0 < pen < 1.0
-            # corner-extent oracle: explicit min/max over both corner sets
-            corners = np.vstack([box_corners(a), box_corners(b)])
-            c2 = sum((corners[:, k].max() - corners[:, k].min()) ** 2 for k in range(3))
-            rho2 = sum((ca - cb) ** 2 for ca, cb in zip(a.center, b.center))
-            assert pen == pytest.approx(rho2 / c2, rel=1e-12)
+            assert pen == pytest.approx(diou_penalty(a, b), abs=1e-12)
 
 
 class TestDirectionLabel:

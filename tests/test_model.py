@@ -242,6 +242,19 @@ class TestHeads:
         assert m.regress_box(decoded).shape == (3, 7)
         assert m.classify_direction(decoded).shape == (3, 2)
 
+    def test_readout_normalized_once(self):
+        m = make_model()
+        out = m.forward(rand_points(np.random.default_rng(14), 2, 8))
+        nodes, seen, stack = [], set(), [out.boxes, out.direction_logits]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        gain = m.params["head.norm.gain"]
+        assert sum(any(p is gain for p in n._parents) for n in nodes) == 1
+
     def test_log_dimension_decoding(self):
         box = decode_prediction(np.zeros(7), np.array([1.0, 0.0]))
         assert box.width == box.length == box.height == pytest.approx(1.0)
