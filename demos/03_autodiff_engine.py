@@ -56,7 +56,7 @@ w_true = np.array([[2.0], [-1.0], [0.5]])
 X = rng.normal(size=(64, 3))
 y = Tensor(X @ w_true)
 w = Parameter(np.zeros((3, 1)), name="w")
-opt = Adam({"w": w}, lr=0.05, weight_decay=0.0)
+opt = Adam({"w": w}, weight_decay=0.0)
 steps = 200
 for step in range(steps):
     opt.zero_grad()

@@ -42,10 +42,10 @@ def apply_augmentation(sample, shift=(0.0, 0.0, 0.0), scale=1.0, flip=False):
     return replace(sample, points=points, gt_box=gt)
 
 
-def augment(sample, rng, shift_range=0.25, scale_low=0.95, scale_high=1.05,
-            flip_prob=0.5):
+def augment(sample, rng, shift_range, scale_low, scale_high, flip_prob):
     """One random draw of each transform; the rng is consumed identically
-    regardless of the magnitudes so seeded streams stay aligned."""
+    regardless of the magnitudes so seeded streams stay aligned. The
+    magnitudes are the run's ``TrainConfig`` fields of the same names."""
     shift = rng.uniform(-shift_range, shift_range, size=3)
     scale = rng.uniform(scale_low, scale_high)
     flip = rng.uniform() < flip_prob

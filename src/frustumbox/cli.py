@@ -240,7 +240,8 @@ def cmd_gradcheck(args):
         for _ in range(b)
     ]
     report = model_gradient_check(
-        model, points, gts, probes=args.probes, step=args.step, seed=cfg.seed,
+        model, points, gts, cfg.train.lambda_box, probes=args.probes, step=args.step,
+        seed=cfg.seed,
     )
     for line in report.format_lines():
         print(line)
@@ -364,7 +365,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("overrides", nargs="*", metavar="key=value",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import direction_label, iou_3d
 from .inference import object_key, predict_samples, quantize_prediction
-from .model import BoxAnnotator, ModelConfig
+from .model import BoxAnnotator
 
 DEFAULT_IOU_THRESHOLD = 0.7
 
@@ -170,13 +170,16 @@ def evaluate_boxes(preds, gts, threshold=DEFAULT_IOU_THRESHOLD):
 
 # The five studied configurations: a per-object encoder alone, plus the
 # cross-object encoder, plus the decoder, and the two positional variants.
+# A variant sets the layer count of each stage it drops to 0 and keeps the
+# base configuration's count for the others.
 ABLATION_TOGGLES = {
-    "A": dict(use_global=False, use_decoder=False, pos_mode="none"),
-    "B": dict(use_global=True, use_decoder=False, pos_mode="none"),
-    "C": dict(use_global=True, use_decoder=True, pos_mode="none"),
-    "D": dict(use_global=True, use_decoder=True, pos_mode="sine"),
-    "full": dict(use_global=True, use_decoder=True, pos_mode="mlp"),
+    "A": dict(n_global_layers=0, n_decoder_layers=0, pos_mode="none"),
+    "B": dict(n_decoder_layers=0, pos_mode="none"),
+    "C": dict(pos_mode="none"),
+    "D": dict(pos_mode="sine"),
+    "full": dict(pos_mode="mlp"),
 }
+_STAGE_COUNTS = ("n_global_layers", "n_decoder_layers")
 
 _METRICS = ("miou", "recall07", "ap11", "ap40")
 
@@ -197,11 +200,19 @@ class AblationRow:
 
 
 def ablation_config(base_config, name):
+    """The base configuration with variant ``name``'s toggles applied.
+
+    Raises ValueError when the variant keeps a stage that the base
+    configuration has 0 layers of, since that variant would silently be
+    another one."""
     if name not in ABLATION_TOGGLES:
         raise ValueError(f"unknown ablation {name!r}; know {sorted(ABLATION_TOGGLES)}")
-    cfg = base_config.to_dict()
-    cfg.update(ABLATION_TOGGLES[name])
-    return ModelConfig.from_dict(cfg)
+    toggles = ABLATION_TOGGLES[name]
+    for count in _STAGE_COUNTS:
+        if count not in toggles and getattr(base_config, count) == 0:
+            raise ValueError(f"ablation {name} keeps a stage the base config has "
+                             f"{count}=0 of")
+    return replace(base_config, **toggles)
 
 
 def evaluate_model(model, samples, batch_size):
@@ -228,9 +239,9 @@ def run_ablation(train_samples, eval_samples, base_config, train_config, seeds,
     """
     from .train import train  # train imports this module
 
+    configs = {name: ablation_config(base_config, name) for name in variants}
     rows = []
-    for name in variants:
-        cfg = ablation_config(base_config, name)
+    for name, cfg in configs.items():
         reports = []
         for seed in seeds:
             model = BoxAnnotator(cfg, rng=np.random.default_rng([seed, 271]))
@@ -242,6 +253,7 @@ def run_ablation(train_samples, eval_samples, base_config, train_config, seeds,
                 log(f"[{name} seed {seed}] {report.format_row()}")
         mean = {m: float(np.mean([getattr(r, m) for r in reports])) for m in _METRICS}
         spread = {m: float(np.std([getattr(r, m) for r in reports])) for m in _METRICS}
-        rows.append(AblationRow(name=name, toggles=dict(ABLATION_TOGGLES[name]),
+        toggles = {key: getattr(cfg, key) for key in _STAGE_COUNTS + ("pos_mode",)}
+        rows.append(AblationRow(name=name, toggles=toggles,
                                 reports=reports, mean=mean, spread=spread))
     return rows

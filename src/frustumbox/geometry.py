@@ -101,10 +101,6 @@ class Box3D:
     def center(self):
         return np.array([self.cx, self.cy, self.cz])
 
-    @property
-    def volume(self):
-        return self.width * self.length * self.height
-
     def as_tuple(self):
         return (self.cx, self.cy, self.cz, self.width, self.length, self.height, self.yaw)
 

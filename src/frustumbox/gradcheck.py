@@ -66,10 +66,12 @@ def _loss_value(model, points, gt_boxes, lambda_box):
     return total_loss(out.boxes, out.direction_logits, gt_boxes, lambda_box).total.item()
 
 
-def model_gradient_check(model, points, gt_boxes, lambda_box=5.0, probes=2,
+def model_gradient_check(model, points, gt_boxes, lambda_box, probes=2,
                          step=DEFAULT_STEP, seed=0, tolerance=DEFAULT_TOLERANCE,
                          log=None):
-    """Directional finite-difference check over every parameter.
+    """Directional finite-difference check over every parameter of the
+    training objective weighted by ``lambda_box`` (the run's
+    ``TrainConfig.lambda_box``).
 
     Returns a GradCheckReport with one row per parameter (its worst probe).
     The training objective is piecewise smooth; probes are taken at the

@@ -23,8 +23,6 @@ from . import tensor as T
 from .geometry import box_iou, box_rows, direction_label, footprint
 from .tensor import Tensor
 
-DEFAULT_LAMBDA_BOX = 5.0
-
 # The raw extent channel carries a smoothly bounded log extent:
 # extent = exp(CAP * tanh(raw / CAP)). Near zero this is exp(raw); the bound
 # (extents in [e^-2, e^2] meters, a car-scale bound) removes the degenerate optimum where an
@@ -110,8 +108,9 @@ def direction_loss(logits, gt_yaws):
     return T.cross_entropy(logits, labels)
 
 
-def total_loss(pred_raw, logits, gt_boxes, lambda_box=DEFAULT_LAMBDA_BOX):
-    """Combine both terms: total = lambda_box * box + direction."""
+def total_loss(pred_raw, logits, gt_boxes, lambda_box):
+    """Combine both terms: total = lambda_box * box + direction, with
+    ``lambda_box`` the run's ``TrainConfig.lambda_box``."""
     box, ious = diou_loss(pred_raw, gt_boxes)
     direction = direction_loss(logits, [b.yaw for b in gt_boxes])
     total = box * lambda_box + direction

@@ -2,10 +2,11 @@
 
 Pipeline per forward pass: pointwise embedding MLP, optional positional
 encoding, seven learned box tokens prepended to the point sequence, a
-per-object (local) pre-norm transformer stack, an optional cross-object
-(global) stack that attends along the batch axis, an optional decoder whose
-queries are the box-token features, and small MLP heads that emit the raw
-box vector (center offset, log extents, yaw) plus front/back logits.
+per-object (local) pre-norm transformer stack, a cross-object (global) stack
+that attends along the batch axis, a decoder whose queries are the box-token
+features, and small MLP heads that emit the raw box vector (center offset,
+log extents, yaw) plus front/back logits. The global stack and the decoder
+are optional: a layer count of 0 leaves the stage out.
 
 All learned state lives in a flat name-to-Parameter mapping so the
 optimizer and checkpoints stay structure-agnostic.
@@ -39,10 +40,11 @@ SINE_FREQS = 8  # fixed frequencies 2^0 .. 2^7 per coordinate
 
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters and ablation toggles.
+    """Architecture hyperparameters.
 
     Defaults are the full-scale configuration; ``desk()`` is the small
-    preset used by the test and acceptance suites.
+    preset used by the test and acceptance suites. ``n_global_layers=0`` or
+    ``n_decoder_layers=0`` switches that stage off (the ablation toggles).
     """
 
     d: int = 512
@@ -52,8 +54,6 @@ class ModelConfig:
     n_decoder_layers: int = 3
     heads: int = 8
     head_hidden: int = 1024
-    use_global: bool = True
-    use_decoder: bool = True
     pos_mode: str = "mlp"
 
     def __post_init__(self):
@@ -68,10 +68,8 @@ class ModelConfig:
             raise ValueError("widths and point counts must be >= 1")
         if self.n_local_layers < 1:
             raise ValueError("at least one local layer is required")
-        if self.use_global and self.n_global_layers < 1:
-            raise ValueError("use_global requires n_global_layers >= 1")
-        if self.use_decoder and self.n_decoder_layers < 1:
-            raise ValueError("use_decoder requires n_decoder_layers >= 1")
+        if self.n_global_layers < 0 or self.n_decoder_layers < 0:
+            raise ValueError("layer counts must be >= 0")
 
     @classmethod
     def desk(cls, **overrides):
@@ -92,6 +90,14 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """Build from ``to_dict`` output. A dict written before the layer
+        counts switched the stages may carry ``use_global`` and
+        ``use_decoder``; False there means 0 layers of that stage."""
+        d = dict(d)
+        for flag, count in (("use_global", "n_global_layers"),
+                            ("use_decoder", "n_decoder_layers")):
+            if not d.pop(flag, True):
+                d[count] = 0
         return cls(**d)
 
 
@@ -179,18 +185,16 @@ class BoxAnnotator:
         self._add("tokens.box", rng.normal(0.0, 0.02, size=(N_BOX_TOKENS, d)))
         for i in range(cfg.n_local_layers):
             self._add_encoder_layer(rng, f"local.{i}")
-        if cfg.use_global:
-            for i in range(cfg.n_global_layers):
-                self._add_encoder_layer(rng, f"global.{i}")
-        if cfg.use_decoder:
-            for i in range(cfg.n_decoder_layers):
-                self._add_layer_norm(f"dec.{i}.ln1")
-                self._add_attention(rng, f"dec.{i}.self")
-                self._add_layer_norm(f"dec.{i}.ln2")
-                self._add_attention(rng, f"dec.{i}.cross")
-                self._add_layer_norm(f"dec.{i}.ln3")
-                self._add_linear(rng, f"dec.{i}.mlp.l1", d, 2 * d)
-                self._add_linear(rng, f"dec.{i}.mlp.l2", 2 * d, d)
+        for i in range(cfg.n_global_layers):
+            self._add_encoder_layer(rng, f"global.{i}")
+        for i in range(cfg.n_decoder_layers):
+            self._add_layer_norm(f"dec.{i}.ln1")
+            self._add_attention(rng, f"dec.{i}.self")
+            self._add_layer_norm(f"dec.{i}.ln2")
+            self._add_attention(rng, f"dec.{i}.cross")
+            self._add_layer_norm(f"dec.{i}.ln3")
+            self._add_linear(rng, f"dec.{i}.mlp.l1", d, 2 * d)
+            self._add_linear(rng, f"dec.{i}.mlp.l2", 2 * d, d)
         # the pre-norm residual stream is scale-free, so the readout gets one
         # shared normalization before the head MLPs
         self._add_layer_norm("head.norm")
@@ -356,8 +360,10 @@ class BoxAnnotator:
         """Full pass: embed, encode, decode, regress.
 
         points: (B, N, 3) array or Tensor of centroid-normalized
-        coordinates. Returns a ForwardOutput; the attention trace is
-        captured only when requested.
+        coordinates. The global stack and the decoder run only when their
+        layer count is positive; without a decoder the heads read the
+        encoder's box tokens. Returns a ForwardOutput; the attention trace
+        is captured only when requested.
         """
         pts = T.as_tensor(points)
         emb = self.embed_points(pts)
@@ -367,11 +373,11 @@ class BoxAnnotator:
         x, local_w = self.forward_local(emb, capture=capture_attention)
         if capture_attention:
             trace.local_layers = local_w
-        if self.config.use_global:
+        if self.config.n_global_layers:
             x, global_w = self.forward_global(x, capture=capture_attention)
             if capture_attention:
                 trace.global_layers = global_w
-        if self.config.use_decoder:
+        if self.config.n_decoder_layers:
             decoded, w_self, w_cross = self.forward_decoder(x, capture=capture_attention)
             if capture_attention:
                 trace.decoder_self = w_self

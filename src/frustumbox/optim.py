@@ -24,14 +24,16 @@ def cosine_lr(step, total, lr_max, lr_min=0.0):
 
 class Adam:
     """Bias-corrected Adam; weight decay is applied to the value, not the
-    gradient, before the moment update (decoupled decay).
+    gradient, before the moment update (decoupled decay, Loshchilov & Hutter,
+    arXiv:1711.05101).
 
+    The rate comes with each ``step`` and the decay with construction, both
+    from the run's config; the state is only the step count and moments.
     Gradients are left untouched; the caller clears them between steps.
     """
 
-    def __init__(self, params, lr=1e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.05):
+    def __init__(self, params, weight_decay, betas=(0.9, 0.999), eps=1e-8):
         self.params = dict(params)
-        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -39,9 +41,8 @@ class Adam:
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
 
-    def step(self, lr=None):
-        """One update over all parameters at the given (or stored) rate."""
-        lr = self.lr if lr is None else lr
+    def step(self, lr):
+        """One update over all parameters at learning rate ``lr``."""
         for name, p in self.params.items():
             if p.grad is None:
                 raise MissingGradient(f"parameter {name!r} has no gradient")
@@ -66,13 +67,9 @@ class Adam:
             p.grad = None
 
     def state_dict(self):
-        """Moment buffers and counters for exact training resumption."""
+        """Step count and moment buffers for exact training resumption."""
         return {
             "step_count": self.step_count,
-            "lr": self.lr,
-            "betas": (self.beta1, self.beta2),
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
             "m": {k: v.copy() for k, v in self.m.items()},
             "v": {k: v.copy() for k, v in self.v.items()},
         }
@@ -81,10 +78,6 @@ class Adam:
         if set(state["m"]) != set(self.m):
             raise ValueError("optimizer state parameter names do not match")
         self.step_count = int(state["step_count"])
-        self.lr = float(state["lr"])
-        self.beta1, self.beta2 = (float(b) for b in state["betas"])
-        self.eps = float(state["eps"])
-        self.weight_decay = float(state["weight_decay"])
         for k in self.m:
             self.m[k] = np.array(state["m"][k], dtype=np.float64)
             self.v[k] = np.array(state["v"][k], dtype=np.float64)

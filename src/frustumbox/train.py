@@ -1,9 +1,11 @@
 """The optimization loop: batching, augmentation, schedule, checkpoints.
 
-Training is a pure function of (samples, config, seed): the shuffle, the
-augmentation draws, and the optimizer all run off one seeded generator whose
-state is persisted in every checkpoint, so a resumed run continues the exact
-stream an uninterrupted run would have produced.
+Training is a pure function of (samples, config, seed): the shuffle and the
+augmentation draws run off one seeded generator whose state is persisted in
+every checkpoint beside the weights and the optimizer's step count and
+moments, so a resumed run continues the exact stream an uninterrupted run
+would have produced. Every hyperparameter of a run, resumed or not, comes
+from its ``TrainConfig``, the one place training defaults live.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .evaluate import (
 )
 from .inference import predict_samples  # noqa: F401 - looked up on this module by perfbench/tracing.py
 from .loss import total_loss
+from .model import ModelConfig
 from .optim import Adam, cosine_lr
 
 
@@ -71,7 +74,7 @@ class TrainResult:
     final_train_miou: float
 
 
-def train_step(model, points, gt_boxes, optimizer, lr, lambda_box=5.0,
+def train_step(model, points, gt_boxes, optimizer, lr, lambda_box,
                sample_ids=None):
     """One optimization step; gradients are cleared here before use."""
     optimizer.zero_grad()
@@ -103,52 +106,39 @@ def train_set_miou(model, samples, batch_size):
 
 def _save_train_checkpoint(model, optimizer, config, rng, epoch, step, path,
                            final_train_miou=None):
+    state = optimizer.state_dict()
     extras = {
         "train": config.to_dict(),
         "epoch": int(epoch),
         "step": int(step),
         "rng_state": rng.bit_generator.state,
         "final_train_miou": final_train_miou,
+        "optimizer": {"step_count": state["step_count"]},
     }
-    opt_state = optimizer.state_dict()
-    extras["optimizer"] = {
-        "step_count": opt_state["step_count"],
-        "lr": opt_state["lr"],
-        "betas": list(opt_state["betas"]),
-        "eps": opt_state["eps"],
-        "weight_decay": opt_state["weight_decay"],
-    }
-    extra_arrays = {}
-    for name, arr in opt_state["m"].items():
-        extra_arrays[f"opt.m.{name}"] = arr
-    for name, arr in opt_state["v"].items():
-        extra_arrays[f"opt.v.{name}"] = arr
+    extra_arrays = {f"opt.{moment}.{name}": arr
+                    for moment in ("m", "v") for name, arr in state[moment].items()}
     model.save(path, extras=extras, extra_arrays=extra_arrays)
     return str(path)
 
 
 def _restore(model, optimizer, rng, resume_from):
+    """Load weights, optimizer step count and moments, and the generator
+    state from a training checkpoint. Hyperparameters are not read back: the
+    resumed run keeps its own config's (a stored model config must equal the
+    run's)."""
     ckpt = load_checkpoint(resume_from)
-    stored_model = ckpt.config.get("model")
-    if stored_model != model.config.to_dict():
+    stored_model = ModelConfig.from_dict(ckpt.config["model"])
+    if stored_model != model.config:
         raise CheckpointMismatch(
-            f"resume model config {stored_model} differs from {model.config.to_dict()}"
+            f"resume model config {stored_model} differs from {model.config}"
         )
     model.load_state(ckpt.params)
-    meta = ckpt.extras["optimizer"]
-    optimizer.load_state_dict(
-        {
-            "step_count": meta["step_count"],
-            "lr": meta["lr"],
-            "betas": tuple(meta["betas"]),
-            "eps": meta["eps"],
-            "weight_decay": meta["weight_decay"],
-            "m": {k[len("opt.m."):]: v for k, v in ckpt.extra_arrays.items()
-                  if k.startswith("opt.m.")},
-            "v": {k[len("opt.v."):]: v for k, v in ckpt.extra_arrays.items()
-                  if k.startswith("opt.v.")},
-        }
-    )
+    state = {"step_count": ckpt.extras["optimizer"]["step_count"]}
+    for moment in ("m", "v"):
+        prefix = f"opt.{moment}."
+        state[moment] = {k[len(prefix):]: v for k, v in ckpt.extra_arrays.items()
+                         if k.startswith(prefix)}
+    optimizer.load_state_dict(state)
     rng.bit_generator.state = ckpt.extras["rng_state"]
     return int(ckpt.extras["epoch"]), int(ckpt.extras["step"])
 
@@ -157,32 +147,31 @@ def train(model, samples, config, out_dir=None, resume_from=None, log=None):
     """Run the optimization; returns checkpoint path, metrics, and history.
 
     Requires every sample to carry ground truth and the dataset to hold at
-    least one full batch. When the cross-object encoder is on, the batch
-    size must be at least 2 and each epoch's trailing partial batch is
-    dropped (peer attention wants a stable group size); otherwise partial
-    batches train too.
+    least one full batch. When the cross-object encoder is on
+    (``n_global_layers`` > 0), the batch size must be at least 2 and each
+    epoch's trailing partial batch is dropped (peer attention wants a stable
+    group size); otherwise partial batches train too. With ``resume_from``,
+    the weights, the optimizer's step count and moments, and the generator
+    state come from that checkpoint; every hyperparameter comes from
+    ``config``.
     """
     n = len(samples)
     if n < config.batch_size:
         raise ValueError(
             f"dataset holds {n} samples, smaller than one batch of {config.batch_size}"
         )
-    if model.config.use_global and config.batch_size < 2:
+    drop_last = model.config.n_global_layers > 0
+    if drop_last and config.batch_size < 2:
         raise ValueError("batch_size must be >= 2 when the cross-object encoder is on")
     for s in samples:
         if s.gt_box is None:
             raise ValueError(f"sample {s.object_id} has no ground truth")
 
-    drop_last = model.config.use_global
     steps_per_epoch = n // config.batch_size if drop_last else math.ceil(n / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
     lr_span = max(total_steps - 1, 1)
 
-    optimizer = Adam(
-        model.params,
-        lr=config.lr_max,
-        weight_decay=config.weight_decay,
-    )
+    optimizer = Adam(model.params, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
     start_epoch, step = 0, 0
     if resume_from is not None:
@@ -212,14 +201,8 @@ def train(model, samples, config, out_dir=None, resume_from=None, log=None):
                 batch = [samples[i] for i in idx]
                 if config.augment:
                     batch = [
-                        augment(
-                            s,
-                            rng,
-                            shift_range=config.shift_range,
-                            scale_low=config.scale_low,
-                            scale_high=config.scale_high,
-                            flip_prob=config.flip_prob,
-                        )
+                        augment(s, rng, config.shift_range, config.scale_low,
+                                config.scale_high, config.flip_prob)
                         for s in batch
                     ]
                 points = np.stack([s.points for s in batch])

@@ -67,7 +67,8 @@ def test_criterion_1_gradient_integrity():
     model = BoxAnnotator(ModelConfig.desk(), rng=np.random.default_rng(0))
     points, gts = desk_batch(b=4, n=128, seed=1)
     start = time.perf_counter()
-    result = model_gradient_check(model, points, gts, probes=2, step=1e-4, seed=0)
+    result = model_gradient_check(model, points, gts, TrainConfig().lambda_box, probes=2,
+                                  step=1e-4, seed=0)
     elapsed = time.perf_counter() - start
     report(
         1,
@@ -137,7 +138,7 @@ def test_criterion_3_equivariance_suite():
         np.abs(base.direction_logits.data - shuffled.direction_logits.data).max(),
     )
 
-    local_model = BoxAnnotator(ModelConfig.desk(use_global=False),
+    local_model = BoxAnnotator(ModelConfig.desk(n_global_layers=0),
                                rng=np.random.default_rng(3))
     bumped = points.copy()
     bumped[3] += 0.25
@@ -175,6 +176,10 @@ def overfit_samples(tmp_path_factory):
 
 
 def test_criterion_4_overfit_sanity(overfit_samples):
+    # The printed mIoU moves with last-bit gradient differences: a change
+    # whose loss gradients differed by <= 5.6e-17 moved it 0.9481 -> 0.9410
+    # on one host, as 500 Adam steps carry the rounding into the trajectory.
+    # Only the 0.8 bound is the check; the figure is not a quality signal.
     start = time.perf_counter()
     model = BoxAnnotator(ModelConfig.desk(), rng=np.random.default_rng(0))
     cfg = TrainConfig(batch_size=8, epochs=500, lr_max=1e-3, seed=0)

@@ -5,6 +5,11 @@ from frustumbox.augment import apply_augmentation, augment
 from frustumbox.frustums import FrustumSample
 from frustumbox.geometry import Box2D, Box3D, iou_3d
 from frustumbox.synthetic import virtual_calibration
+from frustumbox.train import TrainConfig
+
+CFG = TrainConfig()
+MAGNITUDES = dict(shift_range=CFG.shift_range, scale_low=CFG.scale_low,
+                  scale_high=CFG.scale_high, flip_prob=CFG.flip_prob)
 
 
 def make_sample(seed=0):
@@ -80,7 +85,7 @@ class TestApplyAugmentation:
 
     def test_counts_unchanged(self):
         s = make_sample()
-        out = augment(s, np.random.default_rng(0))
+        out = augment(s, np.random.default_rng(0), **MAGNITUDES)
         assert out.n_raw_points == s.n_raw_points
         assert out.n_foreground_points == s.n_foreground_points
 
@@ -88,8 +93,8 @@ class TestApplyAugmentation:
 class TestAugmentDraws:
     def test_seeded_determinism(self):
         s = make_sample()
-        a = augment(s, np.random.default_rng(5))
-        b = augment(s, np.random.default_rng(5))
+        a = augment(s, np.random.default_rng(5), **MAGNITUDES)
+        b = augment(s, np.random.default_rng(5), **MAGNITUDES)
         np.testing.assert_array_equal(a.points, b.points)
         assert a.gt_box == b.gt_box
 
@@ -104,6 +109,6 @@ class TestAugmentDraws:
         s = make_sample()
         rng = np.random.default_rng(7)
         for _ in range(50):
-            out = augment(s, rng)
+            out = augment(s, rng, **MAGNITUDES)
             assert out.gt_box.width > 0 and out.gt_box.length > 0
             assert np.isfinite(out.points).all()

@@ -114,8 +114,43 @@ class TestTrain:
         from frustumbox.checkpoint import load_checkpoint
 
         cfg = load_checkpoint(out / "ckpt_final.bin").config["model"]
-        assert cfg["use_global"] is False and cfg["use_decoder"] is False
+        assert cfg["n_global_layers"] == 0 and cfg["n_decoder_layers"] == 0
         assert cfg["pos_mode"] == "none"
+        assert "use_global" not in cfg and "use_decoder" not in cfg
+        resolved = (out / "resolved_config.txt").read_text()
+        assert "model.use_global" not in resolved and "model.use_decoder" not in resolved
+
+    def test_stage_flag_is_unknown_key(self, dataset, tmp_path, capsys):
+        out = tmp_path / "flag"
+        code = run(["train", "--dataset", dataset, "--out", out, "model.use_global=false"]
+                   + FAST)
+        assert code == 2
+        assert "unknown configuration key 'model.use_global'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_from_checkpoint_with_stage_flags(self, dataset, tmp_path):
+        # a training checkpoint as written while the model config carried
+        # use_global/use_decoder and the optimizer record its hyperparameters
+        from frustumbox.checkpoint import load_checkpoint, save_checkpoint
+
+        args = ["train", "--dataset", dataset, "--seed", "0", "--ablation", "A"] + FAST + [
+            "train.checkpoint_every=1"]
+        full = tmp_path / "full"
+        assert run(args + ["--out", full]) == 0
+        ckpt = load_checkpoint(full / "ckpt_epoch0001.bin")
+        ckpt.config["model"].update(use_global=False, n_global_layers=1,
+                                    use_decoder=False, n_decoder_layers=1)
+        ckpt.extras["optimizer"].update(lr=1e-4, betas=[0.9, 0.999], eps=1e-8,
+                                        weight_decay=0.05)
+        older = save_checkpoint(tmp_path / "older.bin", ckpt.config, ckpt.params,
+                                ckpt.extras, ckpt.extra_arrays)
+        resumed = tmp_path / "resumed"
+        assert run(args + ["--out", resumed, "--resume", older]) == 0
+        full_lines = (full / "metrics.jsonl").read_text().splitlines()
+        resumed_lines = (resumed / "metrics.jsonl").read_text().splitlines()
+        assert resumed_lines == full_lines[len(full_lines) - len(resumed_lines):]
+        assert (resumed / "ckpt_final.bin").read_bytes() == (
+            full / "ckpt_final.bin").read_bytes()
 
     def test_undersized_dataset_message(self, dataset, tmp_path, capsys):
         out = tmp_path / "small"
@@ -286,6 +321,22 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "embed.l0.w" in out and "head.dir.l2.w" in out
 
+    def test_checks_the_configured_box_weight(self, capsys):
+        def box_head_rows(overrides):
+            assert run(["gradcheck", "--seed", "0", "--probes", "1"] + FAST + overrides) == 0
+            rows = {}
+            for line in capsys.readouterr().out.splitlines():
+                words = line.split()
+                if words and words[0].startswith(("head.loc.", "head.dim.", "head.yaw.")):
+                    rows[words[0]] = float(words[words.index("analytic") + 1])
+            return rows
+
+        default = box_head_rows([])
+        unweighted = box_head_rows(["train.lambda_box=0"])
+        assert len(default) == len(unweighted) == 12
+        assert any(v != 0.0 for v in default.values())
+        assert all(v == 0.0 for v in unweighted.values()), unweighted
+
 
 class TestAttnCommand:
     def test_dump_rows(self, dataset, training, tmp_path):
@@ -379,3 +430,9 @@ class TestAblateCommand:
         assert len(table.strip().splitlines()) == 5
         payload = json.loads((out / "ablation.json").read_text())
         assert sorted(payload) == ["A", "B", "C", "D", "full"]
+        assert payload["A"]["toggles"] == {"n_global_layers": 0, "n_decoder_layers": 0,
+                                           "pos_mode": "none"}
+        assert payload["B"]["toggles"] == {"n_global_layers": 1, "n_decoder_layers": 0,
+                                           "pos_mode": "none"}
+        assert payload["D"]["toggles"] == {"n_global_layers": 1, "n_decoder_layers": 1,
+                                           "pos_mode": "sine"}

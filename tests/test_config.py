@@ -38,7 +38,7 @@ class TestBuild:
         cfg = build_run_config(
             {
                 "model.d": "32",
-                "model.use_global": "false",
+                "model.n_global_layers": "0",
                 "model.pos_mode": "sine",
                 "train.epochs": "3",
                 "train.lr_max": "5e-4",
@@ -47,7 +47,7 @@ class TestBuild:
                 "n_scenes": "9",
             }
         )
-        assert cfg.model.d == 32 and cfg.model.use_global is False
+        assert cfg.model.d == 32 and cfg.model.n_global_layers == 0
         assert cfg.model.pos_mode == "sine"
         assert cfg.train.epochs == 3 and cfg.train.lr_max == 5e-4
         assert cfg.scene.occlusion == 0.4
@@ -58,6 +58,8 @@ class TestBuild:
         with pytest.raises(UnknownConfigKey):
             build_run_config({"model.dd": "1"})
         with pytest.raises(UnknownConfigKey):
+            build_run_config({"model.use_global": "false"})
+        with pytest.raises(UnknownConfigKey):
             build_run_config({"banana": "1"})
 
     def test_overrides_beat_file(self):
@@ -66,7 +68,7 @@ class TestBuild:
 
     def test_bad_bool(self):
         with pytest.raises(ConfigError):
-            build_run_config({"model.use_global": "maybe"})
+            build_run_config({"train.augment": "maybe"})
 
     def test_invalid_resulting_config_raises(self):
         # d not divisible by heads is rejected at construction

@@ -228,11 +228,28 @@ class TestEvaluateModel:
 class TestAblationConfigs:
     def test_model_a_is_local_only(self):
         cfg = ablation_config(ModelConfig.desk(), "A")
-        assert not cfg.use_global and not cfg.use_decoder and cfg.pos_mode == "none"
+        assert cfg.n_global_layers == 0 and cfg.n_decoder_layers == 0
+        assert cfg.pos_mode == "none"
 
     def test_model_d_uses_sine(self):
-        cfg = ablation_config(ModelConfig.desk(), "D")
-        assert cfg.pos_mode == "sine" and cfg.use_decoder and cfg.use_global
+        cfg = ablation_config(ModelConfig.desk(n_global_layers=2), "D")
+        assert cfg.pos_mode == "sine"
+        assert cfg.n_global_layers == 2 and cfg.n_decoder_layers == 1
+
+    def test_model_b_keeps_base_global_count_drops_decoder(self):
+        cfg = ablation_config(ModelConfig.desk(n_global_layers=3), "B")
+        assert cfg.n_global_layers == 3 and cfg.n_decoder_layers == 0
+
+    def test_kept_stage_with_zero_base_layers_rejected(self):
+        no_global = ModelConfig.desk(n_global_layers=0)
+        assert ablation_config(no_global, "A").n_global_layers == 0
+        for name in ("B", "C", "D", "full"):
+            with pytest.raises(ValueError, match="n_global_layers=0"):
+                ablation_config(no_global, name)
+        no_decoder = ModelConfig.desk(n_decoder_layers=0)
+        assert ablation_config(no_decoder, "B").n_decoder_layers == 0
+        with pytest.raises(ValueError, match="n_decoder_layers=0"):
+            ablation_config(no_decoder, "C")
 
     def test_five_variants(self):
         assert sorted(ABLATION_TOGGLES) == ["A", "B", "C", "D", "full"]

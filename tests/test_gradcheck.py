@@ -5,6 +5,9 @@ from frustumbox import tensor as T
 from frustumbox.geometry import Box3D
 from frustumbox.gradcheck import model_gradient_check
 from frustumbox.model import BoxAnnotator, ModelConfig
+from frustumbox.train import TrainConfig
+
+LAMBDA_BOX = TrainConfig().lambda_box
 
 
 def tiny_model():
@@ -27,14 +30,14 @@ class TestModelGradientCheck:
     def test_tiny_model_passes(self):
         model = tiny_model()
         pts, gts = tiny_batch()
-        report = model_gradient_check(model, pts, gts, probes=2, seed=0)
+        report = model_gradient_check(model, pts, gts, LAMBDA_BOX, probes=2, seed=0)
         assert report.passed, report.format_lines()[-1]
         assert report.worst < 1e-3
 
     def test_reports_every_parameter(self):
         model = tiny_model()
         pts, gts = tiny_batch()
-        report = model_gradient_check(model, pts, gts, probes=1, seed=0)
+        report = model_gradient_check(model, pts, gts, LAMBDA_BOX, probes=1, seed=0)
         assert {r.name for r in report.rows} == set(model.params)
 
     def test_corrupted_backward_fails(self, monkeypatch):
@@ -51,15 +54,15 @@ class TestModelGradientCheck:
             return T._node(a.data * mask, (a,), grad_fn)
 
         monkeypatch.setattr(T, "relu", bad_relu)
-        report = model_gradient_check(model, pts, gts, probes=1, seed=0)
+        report = model_gradient_check(model, pts, gts, LAMBDA_BOX, probes=1, seed=0)
         assert not report.passed
         assert report.worst > 1e-2
 
     def test_deterministic(self):
         model = tiny_model()
         pts, gts = tiny_batch()
-        a = model_gradient_check(model, pts, gts, probes=2, seed=3)
-        b = model_gradient_check(model, pts, gts, probes=2, seed=3)
+        a = model_gradient_check(model, pts, gts, LAMBDA_BOX, probes=2, seed=3)
+        b = model_gradient_check(model, pts, gts, LAMBDA_BOX, probes=2, seed=3)
         assert [(r.name, r.rel_error) for r in a.rows] == [
             (r.name, r.rel_error) for r in b.rows
         ]
@@ -68,7 +71,7 @@ class TestModelGradientCheck:
         model = tiny_model()
         before = {k: v.data.copy() for k, v in model.params.items()}
         pts, gts = tiny_batch()
-        model_gradient_check(model, pts, gts, probes=1, seed=0)
+        model_gradient_check(model, pts, gts, LAMBDA_BOX, probes=1, seed=0)
         for k, v in model.params.items():
             np.testing.assert_array_equal(v.data, before[k])
             assert v.grad is None  # cleared on exit
@@ -76,5 +79,5 @@ class TestModelGradientCheck:
     def test_format_lines_mention_worst(self):
         model = tiny_model()
         pts, gts = tiny_batch()
-        report = model_gradient_check(model, pts, gts, probes=1, seed=0)
+        report = model_gradient_check(model, pts, gts, LAMBDA_BOX, probes=1, seed=0)
         assert "worst relative error" in report.format_lines()[-1]

@@ -6,7 +6,6 @@ import pytest
 from frustumbox import tensor as T
 from frustumbox.geometry import Box3D
 from frustumbox.loss import (
-    DEFAULT_LAMBDA_BOX,
     LOG_EXTENT_CAP,
     InvalidBox,
     diou_loss,
@@ -16,6 +15,7 @@ from frustumbox.loss import (
     total_loss,
 )
 from frustumbox.tensor import Tensor, backward
+from frustumbox.train import TrainConfig
 
 from oracles import clip_iou3d, diou_penalty, random_box, random_overlapping_pair
 
@@ -302,14 +302,14 @@ class TestTotalLoss:
         assert out.total.item() == pytest.approx(out.dir_loss.item(), abs=1e-15)
 
     def test_default_lambda_is_five(self):
-        assert DEFAULT_LAMBDA_BOX == 5.0
+        assert TrainConfig().lambda_box == 5.0
 
     def test_perfect_prediction_near_zero(self):
         gt = Box3D(0.1, 0.2, 0.0, 1.6, 3.6, 1.5, 0.3)
         raw = Tensor(raw_from_box(gt).reshape(1, 7))
         logits = np.zeros((1, 2))
         logits[0, 0] = 40.0  # yaw 0.3 is front
-        out = total_loss(raw, Tensor(logits), [gt])
+        out = total_loss(raw, Tensor(logits), [gt], TrainConfig().lambda_box)
         assert out.total.item() == pytest.approx(0.0, abs=1e-9)
 
     def test_breakdown_invariant(self):
@@ -317,7 +317,7 @@ class TestTotalLoss:
         gts = [random_box(rng, 1.0) for _ in range(3)]
         raw = Tensor(np.stack([raw_from_box(random_box(rng, 1.0)) for _ in range(3)]))
         logits = Tensor(rng.normal(size=(3, 2)))
-        out = total_loss(raw, logits, gts)
+        out = total_loss(raw, logits, gts, lambda_box=5.0)
         assert out.total.item() == out.box_loss.item() * 5.0 + out.dir_loss.item()
         assert len(out.per_object_iou) == 3
         assert all(np.isfinite(v) for v in out.per_object_iou)

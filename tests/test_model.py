@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frustumbox import tensor as T
-from frustumbox.checkpoint import CheckpointMismatch, load_checkpoint
+from frustumbox.checkpoint import CheckpointMismatch, load_checkpoint, save_checkpoint
 from frustumbox.model import (
     AttentionTrace,
     BoxAnnotator,
@@ -49,8 +49,27 @@ class TestConfig:
             ModelConfig(d=10, heads=3)
 
     def test_roundtrip_dict(self):
-        cfg = ModelConfig.desk(use_global=False, pos_mode="sine")
+        cfg = ModelConfig.desk(n_global_layers=0, pos_mode="sine")
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_eight_fields_no_stage_flags(self):
+        keys = ModelConfig().to_dict()
+        assert len(keys) == 8
+        assert "use_global" not in keys and "use_decoder" not in keys
+
+    def test_negative_layer_counts_rejected(self):
+        with pytest.raises(ValueError):
+            ModelConfig.desk(n_global_layers=-1)
+        with pytest.raises(ValueError):
+            ModelConfig.desk(n_decoder_layers=-1)
+        with pytest.raises(ValueError):
+            ModelConfig.desk(n_local_layers=0)
+
+    def test_stage_flags_of_older_dicts_map_to_zero_layers(self):
+        old = dict(ModelConfig.desk().to_dict(), use_global=False, use_decoder=True)
+        assert ModelConfig.from_dict(old) == ModelConfig.desk(n_global_layers=0)
+        old = dict(ModelConfig.desk().to_dict(), use_global=True, use_decoder=False)
+        assert ModelConfig.from_dict(old) == ModelConfig.desk(n_decoder_layers=0)
 
 
 class TestEmbedPoints:
@@ -185,7 +204,7 @@ class TestForwardGlobal:
             assert (w.data[:, :, perm][:, :, :, perm] == w_p.data).all()
 
     def test_cross_object_information_flow(self):
-        m = make_model(use_global=True)
+        m = make_model()
         rng = np.random.default_rng(9)
         pts = rand_points(rng, 3, 8)
         base = m.forward(pts).boxes.data.copy()
@@ -196,7 +215,7 @@ class TestForwardGlobal:
         assert np.abs(moved[0] - base[0]).max() > 0
 
     def test_no_cross_object_flow_when_global_off(self):
-        m = make_model(use_global=False)
+        m = make_model(n_global_layers=0)
         rng = np.random.default_rng(10)
         pts = rand_points(rng, 3, 8)
         base = m.forward(pts).boxes.data.copy()
@@ -228,7 +247,7 @@ class TestForwardDecoder:
         np.testing.assert_allclose(q1.data, q2.data, atol=1e-9)
 
     def test_decoder_off_reads_encoder_tokens(self):
-        m = make_model(use_decoder=False)
+        m = make_model(n_decoder_layers=0)
         assert not any(name.startswith("dec.") for name in m.params)
         out = m.forward(np.zeros((2, 8, 3)))
         assert out.boxes.shape == (2, 7)
@@ -287,11 +306,11 @@ class TestForward:
     @pytest.mark.parametrize(
         "toggles",
         [
-            dict(use_global=False, use_decoder=False, pos_mode="none"),  # A
-            dict(use_global=True, use_decoder=False, pos_mode="none"),   # B
-            dict(use_global=True, use_decoder=True, pos_mode="none"),    # C
-            dict(use_global=True, use_decoder=True, pos_mode="sine"),    # D
-            dict(use_global=True, use_decoder=True, pos_mode="mlp"),     # full
+            dict(n_global_layers=0, n_decoder_layers=0, pos_mode="none"),  # A
+            dict(n_global_layers=1, n_decoder_layers=0, pos_mode="none"),  # B
+            dict(n_global_layers=1, n_decoder_layers=1, pos_mode="none"),  # C
+            dict(n_global_layers=1, n_decoder_layers=1, pos_mode="sine"),  # D
+            dict(n_global_layers=1, n_decoder_layers=1, pos_mode="mlp"),   # full
         ],
     )
     def test_all_toggle_configurations_run(self, toggles):
@@ -365,6 +384,7 @@ class TestForward:
     def test_gradient_reaches_all_heads(self):
         from frustumbox.loss import total_loss
         from frustumbox.geometry import Box3D
+        from frustumbox.train import TrainConfig
 
         m = make_model()
         rng = np.random.default_rng(17)
@@ -372,7 +392,8 @@ class TestForward:
         gts = [Box3D(0.1, -0.2, 0.0, 1.5, 3.0, 1.4, 0.3),
                Box3D(-0.3, 0.4, 0.1, 1.6, 3.5, 1.5, -1.2)]
         out = m.forward(pts)
-        breakdown = total_loss(out.boxes, out.direction_logits, gts)
+        breakdown = total_loss(out.boxes, out.direction_logits, gts,
+                               TrainConfig().lambda_box)
         T.backward(breakdown.total)
         for head in ("loc", "dim", "yaw", "dir"):
             g = m.params[f"head.{head}.l2.w"].grad
@@ -430,6 +451,21 @@ class TestPersistence:
         ckpt = load_checkpoint(path)
         assert ckpt.extras == {"note": 1}
 
+    def test_checkpoint_with_stage_flag_loads_as_zero_layers(self, tmp_path):
+        # a header written while the model config still carried use_global:
+        # use_global=False beside n_global_layers=1 built no global stack
+        direct = make_model(seed=5, n_global_layers=0)
+        header = dict(direct.config.to_dict(), use_global=False, use_decoder=True,
+                      n_global_layers=1)
+        path = save_checkpoint(tmp_path / "older.ckpt", {"model": header},
+                               direct.state_arrays())
+        loaded = BoxAnnotator.from_checkpoint(str(path))
+        assert loaded.config == direct.config and loaded.config.n_global_layers == 0
+        pts = rand_points(np.random.default_rng(21), 3, 8)
+        a, b = loaded.forward(pts), direct.forward(pts)
+        assert a.boxes.data.tobytes() == b.boxes.data.tobytes()
+        assert a.direction_logits.data.tobytes() == b.direction_logits.data.tobytes()
+
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         a = make_model(seed=6).save(tmp_path / "a.ckpt")
         b = make_model(seed=6).save(tmp_path / "b.ckpt")
@@ -468,9 +504,9 @@ class TestPersistence:
         assert sorted(tmp_path.iterdir()) == [path]
 
     def test_name_mismatch_fails_loudly(self, tmp_path):
-        m = make_model(use_global=True)
+        m = make_model()
         path = m.save(tmp_path / "model.ckpt")
-        other = make_model(use_global=False)
+        other = make_model(n_global_layers=0)
         ckpt = load_checkpoint(path)
         with pytest.raises(CheckpointMismatch):
             other.load_state(ckpt.params)

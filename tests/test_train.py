@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from frustumbox.train import (
 
 
 def tiny_model(seed=0, **kw):
-    cfg = ModelConfig(d=16, n_points=16, n_local_layers=1, n_global_layers=1,
-                      n_decoder_layers=1, heads=2, head_hidden=16, **kw)
+    base = dict(d=16, n_points=16, n_local_layers=1, n_global_layers=1,
+                n_decoder_layers=1, heads=2, head_hidden=16)
+    cfg = ModelConfig(**dict(base, **kw))
     return BoxAnnotator(cfg, rng=np.random.default_rng(seed))
 
 
@@ -40,14 +42,15 @@ def tiny_dataset(tmp_path_factory):
 class TestTrainStep:
     def test_loss_decreases_over_fixed_batch(self, tiny_dataset):
         model = tiny_model()
-        opt = Adam(model.params, lr=1e-3, weight_decay=0.0)
+        opt = Adam(model.params, weight_decay=0.0)
         batch = tiny_dataset[:4]
         points = np.stack([s.points for s in batch])
         gts = [s.gt_box for s in batch]
-        first = train_step(model, points, gts, opt, 1e-3).total.item()
+        lam = TrainConfig().lambda_box
+        first = train_step(model, points, gts, opt, 1e-3, lam).total.item()
         for _ in range(48):
-            train_step(model, points, gts, opt, 1e-3)
-        last = train_step(model, points, gts, opt, 1e-3).total.item()
+            train_step(model, points, gts, opt, 1e-3, lam)
+        last = train_step(model, points, gts, opt, 1e-3, lam).total.item()
         assert last < first
 
     def test_identical_samples_identical_predictions(self, tiny_dataset):
@@ -61,13 +64,13 @@ class TestTrainStep:
     def test_nonfinite_loss_reports_ids(self, tiny_dataset):
         model = tiny_model()
         model.params["head.loc.l2.b"].data[:] = np.nan  # poisons the forward
-        opt = Adam(model.params)
+        opt = Adam(model.params, weight_decay=TrainConfig().weight_decay)
         batch = tiny_dataset[:2]
         points = np.stack([s.points for s in batch])
         gts = [s.gt_box for s in batch]
         with np.errstate(invalid="ignore"):
             with pytest.raises((NonFiniteLoss, Exception)) as ei:
-                train_step(model, points, gts, opt, 1e-4,
+                train_step(model, points, gts, opt, 1e-4, TrainConfig().lambda_box,
                            sample_ids=[s.object_id for s in batch])
         assert ei.type.__name__ in ("NonFiniteLoss", "InvalidBox")
         if ei.type.__name__ == "NonFiniteLoss":
@@ -113,6 +116,28 @@ class TestTrainLoop:
         assert res_steps[-1]["total"] == pytest.approx(full_steps[-1]["total"], abs=1e-12)
         assert resumed.final_train_miou == pytest.approx(full.final_train_miou, abs=1e-12)
 
+    def test_resume_applies_its_own_weight_decay(self, tiny_dataset, tmp_path,
+                                                 monkeypatch):
+        cfg = TrainConfig(batch_size=4, epochs=2, seed=7, checkpoint_every=1,
+                          weight_decay=0.05)
+        full = train(tiny_model(seed=2), tiny_dataset, cfg, out_dir=tmp_path / "full")
+        seen = []
+        step = Adam.step
+
+        def spy(self, lr):
+            seen.append(self.weight_decay)
+            return step(self, lr)
+
+        monkeypatch.setattr(Adam, "step", spy)
+        changed = replace(cfg, weight_decay=0.0)
+        resumed = train(tiny_model(seed=2), tiny_dataset, changed,
+                        out_dir=tmp_path / "resumed",
+                        resume_from=tmp_path / "full" / "ckpt_epoch0001.bin")
+        assert seen and set(seen) == {0.0}
+        full_last = [r for r in full.history if "total" in r][-1]["total"]
+        resumed_last = [r for r in resumed.history if "total" in r][-1]["total"]
+        assert resumed_last != full_last
+
     def test_history_records_have_expected_fields(self, tiny_dataset, tmp_path):
         cfg = TrainConfig(batch_size=4, epochs=1, seed=0)
         result = train(tiny_model(), tiny_dataset, cfg, out_dir=tmp_path / "h")
@@ -133,23 +158,21 @@ class TestTrainLoop:
     def test_rejects_batch_of_one_with_global(self, tiny_dataset):
         cfg = TrainConfig(batch_size=1, epochs=1)
         with pytest.raises(ValueError):
-            train(tiny_model(use_global=True), tiny_dataset, cfg)
+            train(tiny_model(), tiny_dataset, cfg)
 
     def test_partial_batches_kept_without_global(self, tiny_dataset):
         n = len(tiny_dataset)
         bs = 4
         assert n % bs != 0 or n > bs  # make the arithmetic meaningful
         cfg = TrainConfig(batch_size=bs, epochs=1, seed=0)
-        res_local = train(tiny_model(use_global=False), tiny_dataset, cfg)
+        res_local = train(tiny_model(n_global_layers=0), tiny_dataset, cfg)
         steps_local = len([r for r in res_local.history if "step" in r])
         assert steps_local == math.ceil(n / bs)
-        res_global = train(tiny_model(use_global=True), tiny_dataset, cfg)
+        res_global = train(tiny_model(), tiny_dataset, cfg)
         steps_global = len([r for r in res_global.history if "step" in r])
         assert steps_global == n // bs
 
     def test_train_requires_ground_truth(self, tiny_dataset):
-        from dataclasses import replace
-
         broken = [replace(tiny_dataset[0], gt_box=None)] + list(tiny_dataset[1:])
         with pytest.raises(ValueError) as ei:
             train(tiny_model(), broken, TrainConfig(batch_size=4, epochs=1))
