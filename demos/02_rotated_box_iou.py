@@ -21,19 +21,13 @@ from frustumbox.geometry import (
     direction_label,
     iou_3d,
 )
-from frustumbox.loss import diou_loss, extent_to_raw
+from frustumbox.loss import diou_loss
 from frustumbox.tensor import Tensor
-
-
-def raw(box):
-    """The raw head outputs that decode to `box`."""
-    return [box.cx, box.cy, box.cz, extent_to_raw(box.width), extent_to_raw(box.length),
-            extent_to_raw(box.height), box.yaw]
 
 
 def penalty(pred, gt):
     """The distance penalty the training loss adds, read as loss - (1 - IoU)."""
-    loss, (iou,) = diou_loss(Tensor([raw(pred)]), [gt])
+    loss, (iou,) = diou_loss(Tensor([pred.as_tuple()]), [gt])
     return loss.item() - (1.0 - iou)
 
 
@@ -45,8 +39,8 @@ print(np.round(box_corners(a), 3))
 
 print(f"\nanalytic IoU(a, b)          = {iou_3d(a, b):.12f}")
 
-# the training loss computes the IoU from b's raw head outputs, in a's frame
-_, (loss_iou,) = diou_loss(Tensor([raw(b)]), [a])
+# the training loss computes the IoU from b's box row, as the network emits it, in a's frame
+_, (loss_iou,) = diou_loss(Tensor([b.as_tuple()]), [a])
 print(f"training-loss IoU(b, a)     = {loss_iou:.12f}")
 
 # Monte-Carlo cross-check: sample the joint bounding volume uniformly

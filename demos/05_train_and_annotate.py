@@ -31,7 +31,7 @@ config = ModelConfig(d=32, n_points=64, n_local_layers=1, n_global_layers=1,
 model = BoxAnnotator(config, rng=np.random.default_rng(0))
 print(f"model holds {model.num_parameters()} parameters")
 
-result = train(model, samples, TrainConfig(batch_size=8, epochs=150, lr_max=1e-3, seed=0))
+result = train(model, samples, TrainConfig(batch_size=8, epochs=150, lr_max=1e-3), 0)
 steps = [r for r in result.history if "total" in r]
 for r in steps[:: max(1, len(steps) // 6)]:
     print(f"  step {r['step']:4d}  loss {r['total']:7.3f}  batch mIoU {r['batch_miou']:.3f}")

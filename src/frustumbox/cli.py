@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -120,11 +121,10 @@ def cmd_synth(args):
 
 def cmd_train(args):
     cfg = _resolve_config(args)
-    model_cfg = cfg.model
     if args.ablation:
-        model_cfg = ablation_config(model_cfg, args.ablation)
+        cfg = replace(cfg, model=ablation_config(cfg.model, args.ablation))
     out = Path(args.out)
-    samples = build_dataset_samples(args.dataset, model_cfg.n_points, cfg.seed,
+    samples = build_dataset_samples(args.dataset, cfg.model.n_points, cfg.seed,
                                     split=args.split)
     kept, rejections = filter_samples(samples)
     for frame, obj, reason in rejections:
@@ -135,8 +135,8 @@ def cmd_train(args):
             f"batch of {cfg.train.batch_size}"
         )
     _log_config(cfg, out)
-    model = BoxAnnotator(model_cfg, rng=np.random.default_rng([cfg.seed, 271]))
-    result = train(model, kept, cfg.train, out_dir=out, resume_from=args.resume)
+    model = BoxAnnotator(cfg.model, rng=np.random.default_rng([cfg.seed, 271]))
+    result = train(model, kept, cfg.train, cfg.seed, out_dir=out, resume_from=args.resume)
     print(f"final train mIoU {result.final_train_miou:.6f}")
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"metrics:    {result.metrics_path}")

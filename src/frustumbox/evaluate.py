@@ -237,7 +237,7 @@ def run_ablation(train_samples, eval_samples, base_config, train_config, seeds,
     and the same training recipe; the spread is the population standard
     deviation across seeds.
     """
-    from .train import train  # train imports this module
+    from .train import train  # noqa: PLC0415 - train imports this module
 
     configs = {name: ablation_config(base_config, name) for name in variants}
     rows = []
@@ -245,8 +245,7 @@ def run_ablation(train_samples, eval_samples, base_config, train_config, seeds,
         reports = []
         for seed in seeds:
             model = BoxAnnotator(cfg, rng=np.random.default_rng([seed, 271]))
-            run_cfg = replace(train_config, seed=seed)
-            train(model, train_samples, run_cfg, out_dir=None)
+            train(model, train_samples, train_config, seed)
             report = evaluate_model(model, eval_samples, train_config.batch_size)
             reports.append(report)
             if log:

@@ -11,10 +11,11 @@ Conventions used throughout the package:
 Rotated-box overlap has one implementation, :func:`box_iou`: a batched
 kernel of fixed shapes written in the autodiff engine's ops. The training
 loss (:mod:`frustumbox.loss`) runs it with the graph on and takes its
-distance penalty's enclosing box from the footprint corners the kernel
-returns; :func:`iou_3d`, which eval and the synthetic generator's overlap
-rejection call, runs it on arrays under ``tensor.no_grad()``. Everything
-else here works on plain floats and numpy arrays.
+distance penalty's enclosing box and centre offset from the footprint
+corners and offset the kernel returns; :func:`iou_3d`, which eval and the
+synthetic generator's overlap rejection call, runs it on arrays under
+``tensor.no_grad()``. Everything else here works on plain floats and numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -315,11 +316,12 @@ def box_iou(pred, gt):
     the first.
 
     Rows are (cx, cy, cz, width, length, height, yaw); `pred` is a Tensor or
-    an array, `gt` an array. Returns (iou, corners): the (B,) IoU and the
-    (B, 4, 2) footprint corners of each prediction relative to its ground
-    truth's centre, in sensor-frame axes; both are Tensors, in the graph
-    when `pred` is. Each prediction's footprint is moved into its ground
-    truth's own frame, where the ground truth's edges are axis-aligned:
+    an array, `gt` an array. Returns (iou, corners, offset): the (B,) IoU,
+    the (B, 4, 2) footprint corners of each prediction relative to its
+    ground truth's centre, in sensor-frame axes, and the (B, 3) offset of
+    each prediction's centre from its ground truth's; all are Tensors, in
+    the graph when `pred` is. Each prediction's footprint is moved into its
+    ground truth's own frame, where the ground truth's edges are axis-aligned:
     every side test and crossing against them takes one product, and a
     prediction whose edges coincide with the target's up to rounding is
     clipped consistently from both sides. Touching boxes and BEV overlaps
@@ -339,7 +341,8 @@ def box_iou(pred, gt):
     inter = area * T.relu(T.minimum(cz + half_h, gt_half_h) - T.maximum(cz - half_h, -gt_half_h))
     volume = pred[:, 3] * pred[:, 4] * pred[:, 5]
     # + 0.0 turns the -0.0 of a negative sliver cut to zero into 0.0
-    return inter / (volume + gt[:, 3] * gt[:, 4] * gt[:, 5] - inter) + 0.0, corners
+    iou = inter / (volume + gt[:, 3] * gt[:, 4] * gt[:, 5] - inter) + 0.0
+    return iou, corners, offset
 
 
 def box_rows(boxes):

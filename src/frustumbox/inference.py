@@ -4,7 +4,10 @@ The annotator's output boxes live in label files at two-decimal precision.
 :func:`prediction_record` is the row a prediction exports as, and
 :func:`quantize_prediction` is that row serialized, parsed and read back
 the way ``eval`` reads it, so ``evaluate.evaluate_model`` scores exactly
-what ``frustumbox eval`` scores on the files ``annotate`` writes.
+what ``frustumbox eval`` scores on the files ``annotate`` writes. The
+head bounds every extent to at least e^-2 m (``model.LOG_EXTENT_CAP``),
+far above the 0.01 m the format resolves, so every prediction exports as
+is.
 
 Batch composition matters when the cross-object encoder is on, so inference
 batching is pinned: samples are processed in their given order in chunks of
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .geometry import Box3D
 from .kitti import (
     label_from_lidar_box,
     parse_kitti_label,
@@ -32,7 +34,7 @@ from .model import decode_prediction, direction_score
 @dataclass
 class Prediction:
     sample: object
-    raw: np.ndarray  # (7,)
+    row: np.ndarray  # (7,) box row in the centred frustum frame
     logits: np.ndarray  # (2,)
     box: object  # Box3D in the original sensor frame
     score: float
@@ -47,38 +49,21 @@ def predict_samples(model, samples, batch_size):
         points = np.stack([s.points for s in chunk])
         with T.no_grad():
             fwd = model.forward(points)
-        raws = fwd.boxes.data
+        rows = fwd.boxes.data
         logits = fwd.direction_logits.data
-        for s, raw, logit in zip(chunk, raws, logits):
-            box = decode_prediction(raw, logit, centroid=s.centroid)
+        for s, row, logit in zip(chunk, rows, logits):
+            box = decode_prediction(row, logit, centroid=s.centroid)
             out.append(
-                Prediction(sample=s, raw=raw.copy(), logits=logit.copy(), box=box,
+                Prediction(sample=s, row=row.copy(), logits=logit.copy(), box=box,
                            score=direction_score(logit))
             )
     return out
 
 
-# Smallest extent the two-decimal label format can represent.
-_MIN_EXPORT_EXTENT = 0.01
-
-
 def prediction_record(pred):
-    """The label record a prediction exports as (pre-quantization).
-
-    Extents are floored at the smallest value the label format can carry so
-    a degenerate prediction still round-trips as a valid (if tiny) box.
-    """
+    """The label record a prediction exports as (pre-quantization)."""
     s = pred.sample
-    box = pred.box
-    if min(box.width, box.length, box.height) < _MIN_EXPORT_EXTENT:
-        box = Box3D(
-            box.cx, box.cy, box.cz,
-            max(box.width, _MIN_EXPORT_EXTENT),
-            max(box.length, _MIN_EXPORT_EXTENT),
-            max(box.height, _MIN_EXPORT_EXTENT),
-            box.yaw,
-        )
-    return label_from_lidar_box(s.cls, box, s.box2d, s.calib, score=pred.score)
+    return label_from_lidar_box(s.cls, pred.box, s.box2d, s.calib, score=pred.score)
 
 
 def quantize_prediction(pred):

@@ -149,13 +149,17 @@ def parse_kitti_label(text):
         if len(tokens) not in (15, 16):
             raise FieldCount(f"label line has {len(tokens)} fields: {line.strip()!r}")
         vals = _parse_floats(tokens[1:], line)
+        try:
+            box2d = Box2D(vals[3], vals[4], vals[5], vals[6])
+        except ValueError as err:
+            raise KittiFormatError(f"{err} in line: {line.strip()!r}") from err
         records.append(
             LabelRecord(
                 cls=tokens[0],
                 truncation=vals[0],
                 occlusion=int(vals[1]),
                 alpha=vals[2],
-                box2d=Box2D(vals[3], vals[4], vals[5], vals[6]),
+                box2d=box2d,
                 height=vals[7],
                 width=vals[8],
                 length=vals[9],

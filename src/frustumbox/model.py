@@ -4,9 +4,10 @@ Pipeline per forward pass: pointwise embedding MLP, optional positional
 encoding, seven learned box tokens prepended to the point sequence, a
 per-object (local) pre-norm transformer stack, a cross-object (global) stack
 that attends along the batch axis, a decoder whose queries are the box-token
-features, and small MLP heads that emit the raw box vector (center offset,
-log extents, yaw) plus front/back logits. The global stack and the decoder
-are optional: a layer count of 0 leaves the stage out.
+features, and small MLP heads that emit one box row per object (center
+offset, extents, yaw; the extents bounded by one smooth decode) plus
+front/back logits. The global stack and the decoder are optional: a layer
+count of 0 leaves the stage out.
 
 All learned state lives in a flat name-to-Parameter mapping so the
 optimizer and checkpoints stay structure-agnostic.
@@ -36,6 +37,12 @@ class IndexOutOfRange(Exception):
 POS_MODES = ("none", "sine", "mlp")
 N_BOX_TOKENS = 7
 SINE_FREQS = 8  # fixed frequencies 2^0 .. 2^7 per coordinate
+
+# The extent head's output carries a smoothly bounded log extent:
+# extent = exp(CAP * tanh(raw / CAP)). Near zero this is exp(raw); the bound
+# (extents in [e^-2, e^2] meters, a car-scale bound) removes the degenerate optimum where an
+# unbounded box inflates the penalty's enclosing-diagonal denominator.
+LOG_EXTENT_CAP = 2.0
 
 
 @dataclass
@@ -113,7 +120,7 @@ class AttentionTrace:
 
 @dataclass
 class ForwardOutput:
-    boxes: Tensor  # (B, 7) raw: center offset, log extents, yaw
+    boxes: Tensor  # (B, 7) rows (cx, cy, cz, w, l, h, yaw), centred frustum frame
     direction_logits: Tensor  # (B, 2) front/back
     attention: AttentionTrace | None = None
 
@@ -129,7 +136,7 @@ class AttentionExport:
 
 
 class BoxAnnotator:
-    """Frustum sub-clouds in, raw 3D boxes and direction logits out."""
+    """Frustum sub-clouds in, 3D box rows and direction logits out."""
 
     def __init__(self, config: ModelConfig, rng=None):
         config.validate()
@@ -337,12 +344,15 @@ class BoxAnnotator:
 
     def regress_box(self, x):
         """Three tokenwise heads on the (B, 7, d) box tokens after
-        ``head.norm``: location from tokens 0-2, extents (as logs) from
-        tokens 3-5, yaw from token 6. Returns the raw (B, 7) vector."""
+        ``head.norm``: location from tokens 0-2, extents from tokens 3-5,
+        yaw from token 6. Returns (B, 7) box rows; each extent is
+        exp(LOG_EXTENT_CAP * tanh(raw / LOG_EXTENT_CAP)) of its head's raw
+        output, so it lies in [e^-CAP, e^CAP]."""
         loc = T.reshape(self._head(x[:, 0:3], "head.loc"), (x.shape[0], 3))
         dim = T.reshape(self._head(x[:, 3:6], "head.dim"), (x.shape[0], 3))
         yaw = T.reshape(self._head(x[:, 6:7], "head.yaw"), (x.shape[0], 1))
-        return T.concat([loc, dim, yaw], axis=1)
+        extent = T.exp(T.tanh(dim * (1.0 / LOG_EXTENT_CAP)) * LOG_EXTENT_CAP)
+        return T.concat([loc, extent, yaw], axis=1)
 
     def classify_direction(self, x):
         """Front/back logits from the yaw token of the (B, 7, d) box tokens
@@ -421,10 +431,20 @@ class BoxAnnotator:
     def from_checkpoint(cls, ckpt: Checkpoint | str):
         if not isinstance(ckpt, Checkpoint):
             ckpt = load_checkpoint(ckpt)
-        config = ModelConfig.from_dict(ckpt.config["model"])
-        model = cls(config, rng=np.random.default_rng(0))
+        model = cls(checkpoint_model_config(ckpt), rng=np.random.default_rng(0))
         model.load_state(ckpt.params)
         return model
+
+
+def checkpoint_model_config(ckpt):
+    """The ModelConfig a checkpoint's header stores. A key that
+    ``ModelConfig.from_dict`` does not read, or a value it rejects, is a
+    CheckpointMismatch: the file, not the run's configuration, is at fault."""
+    stored = ckpt.config["model"]
+    try:
+        return ModelConfig.from_dict(stored)
+    except (TypeError, ValueError, InvalidMode, T.HeadDivisibility) as err:
+        raise CheckpointMismatch(f"checkpoint model config {stored}: {err}") from err
 
 
 def _sine_features(points):
@@ -435,24 +455,21 @@ def _sine_features(points):
     return feats.reshape(points.shape[:-1] + (6 * SINE_FREQS,))
 
 
-def decode_prediction(raw, logits, centroid=None):
-    """Raw head outputs to a Box3D in the frustum (or original) frame.
+def decode_prediction(row, logits, centroid=None):
+    """One box row and its direction logits to a Box3D in the frustum (or,
+    given the centroid, the original) frame.
 
-    Extents decode through the same bounded log parameterization the
-    objective uses. The regressed yaw is wrapped to [-pi/2, pi/2); the
-    direction classifier then flips it by pi when the back label wins,
-    restoring the full circle that the direction-invariant box objective
-    cannot see.
+    The regressed yaw is wrapped to [-pi/2, pi/2); the direction classifier
+    then flips it by pi when the back label wins, restoring the full circle
+    that the direction-invariant box objective cannot see.
     """
-    from .loss import squash_log_extent
-
-    raw = np.asarray(raw, dtype=np.float64).reshape(7)
+    row = np.asarray(row, dtype=np.float64).reshape(7)
     logits = np.asarray(logits, dtype=np.float64).reshape(2)
-    yaw = (raw[6] + math.pi / 2) % math.pi - math.pi / 2
+    yaw = (row[6] + math.pi / 2) % math.pi - math.pi / 2
     if int(np.argmax(logits)) == DIRECTION_BACK:
         yaw = wrap_angle(yaw + math.pi)
-    center = raw[:3] if centroid is None else raw[:3] + np.asarray(centroid, dtype=np.float64)
-    w, l, h = np.exp(squash_log_extent(raw[3:6]))
+    center = row[:3] if centroid is None else row[:3] + np.asarray(centroid, dtype=np.float64)
+    w, l, h = row[3:6]
     return Box3D(center[0], center[1], center[2], w, l, h, yaw)
 
 

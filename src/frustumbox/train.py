@@ -26,7 +26,7 @@ from .evaluate import (
 )
 from .inference import predict_samples  # noqa: F401 - looked up on this module by perfbench/tracing.py
 from .loss import total_loss
-from .model import ModelConfig
+from .model import checkpoint_model_config
 from .optim import Adam, cosine_lr
 
 
@@ -42,7 +42,6 @@ class TrainConfig:
     lr_min: float = 0.0
     weight_decay: float = 0.05
     lambda_box: float = 5.0
-    seed: int = 0
     augment: bool = True
     shift_range: float = 0.25
     scale_low: float = 0.95
@@ -127,7 +126,7 @@ def _restore(model, optimizer, rng, resume_from):
     resumed run keeps its own config's (a stored model config must equal the
     run's)."""
     ckpt = load_checkpoint(resume_from)
-    stored_model = ModelConfig.from_dict(ckpt.config["model"])
+    stored_model = checkpoint_model_config(ckpt)
     if stored_model != model.config:
         raise CheckpointMismatch(
             f"resume model config {stored_model} differs from {model.config}"
@@ -143,8 +142,11 @@ def _restore(model, optimizer, rng, resume_from):
     return int(ckpt.extras["epoch"]), int(ckpt.extras["step"])
 
 
-def train(model, samples, config, out_dir=None, resume_from=None, log=None):
+def train(model, samples, config, seed, out_dir=None, resume_from=None, log=None):
     """Run the optimization; returns checkpoint path, metrics, and history.
+
+    ``seed`` (the run's one seed, ``frustumbox train --seed``) starts the
+    generator that shuffles and augments.
 
     Requires every sample to carry ground truth and the dataset to hold at
     least one full batch. When the cross-object encoder is on
@@ -172,7 +174,7 @@ def train(model, samples, config, out_dir=None, resume_from=None, log=None):
     lr_span = max(total_steps - 1, 1)
 
     optimizer = Adam(model.params, weight_decay=config.weight_decay)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     start_epoch, step = 0, 0
     if resume_from is not None:
         start_epoch, step = _restore(model, optimizer, rng, resume_from)

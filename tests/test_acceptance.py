@@ -14,7 +14,7 @@ import pytest
 from frustumbox import tensor as T
 from frustumbox.evaluate import evaluate_model, run_ablation
 from frustumbox.frustums import build_dataset_samples, filter_samples
-from frustumbox.geometry import Box3D, iou_3d
+from frustumbox.geometry import Box3D, box_rows, iou_3d
 from frustumbox.gradcheck import model_gradient_check
 from frustumbox.kitti import (
     load_point_cloud,
@@ -22,7 +22,7 @@ from frustumbox.kitti import (
     save_point_cloud,
     serialize_kitti_label,
 )
-from frustumbox.loss import diou_loss, direction_loss, extent_to_raw, total_loss
+from frustumbox.loss import diou_loss, direction_loss, total_loss
 from frustumbox.model import BoxAnnotator, ModelConfig, export_attention
 from frustumbox.synthetic import SceneSpec, write_synthetic_dataset
 from frustumbox.tensor import Tensor
@@ -51,11 +51,6 @@ def desk_batch(b=4, n=128, seed=1):
         for _ in range(b)
     ]
     return points, gts
-
-
-def raw_from_box(box):
-    return np.array([box.cx, box.cy, box.cz, extent_to_raw(box.width),
-                     extent_to_raw(box.length), extent_to_raw(box.height), box.yaw])
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +177,8 @@ def test_criterion_4_overfit_sanity(overfit_samples):
     # Only the 0.8 bound is the check; the figure is not a quality signal.
     start = time.perf_counter()
     model = BoxAnnotator(ModelConfig.desk(), rng=np.random.default_rng(0))
-    cfg = TrainConfig(batch_size=8, epochs=500, lr_max=1e-3, seed=0)
-    train(model, overfit_samples, cfg)
+    cfg = TrainConfig(batch_size=8, epochs=500, lr_max=1e-3)
+    train(model, overfit_samples, cfg, 0)
     reportev = evaluate_model(model, overfit_samples, batch_size=8)
     direction_acc = float(np.mean([r.direction_correct for r in reportev.per_object]))
     elapsed = time.perf_counter() - start
@@ -212,7 +207,7 @@ def test_criterion_5_ablation_trend(tmp_path_factory):
     hard = hard[:256]
     mcfg = ModelConfig(d=32, n_points=64, n_local_layers=1, n_global_layers=1,
                        n_decoder_layers=1, heads=4, head_hidden=64)
-    tcfg = TrainConfig(batch_size=16, epochs=24, lr_max=1e-3, seed=0)
+    tcfg = TrainConfig(batch_size=16, epochs=24, lr_max=1e-3)
     rows = run_ablation(hard, hard, mcfg, tcfg, seeds=[0, 1, 2], variants=("A", "B"))
     local_only, local_global = rows
     a_mean = local_only.mean["miou"]
@@ -234,20 +229,19 @@ def test_criterion_6_loss_contract():
     rng = np.random.default_rng(66)
     gts = [random_overlapping_pair(rng)[0] for _ in range(4)]
     preds = [random_overlapping_pair(rng)[1] for _ in range(4)]
-    raw = Tensor(np.stack([raw_from_box(p) for p in preds]))
     logits = Tensor(rng.normal(size=(4, 2)))
-    out = total_loss(raw, logits, gts, lambda_box=5.0)
+    out = total_loss(Tensor(box_rows(preds)), logits, gts, lambda_box=5.0)
     arithmetic = out.total.item() == out.box_loss.item() * 5.0 + out.dir_loss.item()
 
     worst_flip = 0.0
     for _ in range(50):
         gt = random_overlapping_pair(rng)[0]
         pred = random_overlapping_pair(rng)[1]
-        r = raw_from_box(pred)
+        r = box_rows([pred])
         r_flip = r.copy()
-        r_flip[6] += math.pi
-        a, _ = diou_loss(Tensor(r.reshape(1, 7)), [gt])
-        b, _ = diou_loss(Tensor(r_flip.reshape(1, 7)), [gt])
+        r_flip[0, 6] += math.pi
+        a, _ = diou_loss(Tensor(r), [gt])
+        b, _ = diou_loss(Tensor(r_flip), [gt])
         worst_flip = max(worst_flip, abs(a.item() - b.item()))
 
     uniform = direction_loss(Tensor(np.zeros((8, 2))),
@@ -355,13 +349,12 @@ def test_criterion_7_format_fidelity(tmp_path_factory):
 def test_criterion_8_determinism(tmp_path_factory, overfit_samples):
     cfg = ModelConfig(d=16, n_points=128, n_local_layers=1, n_global_layers=1,
                       n_decoder_layers=1, heads=2, head_hidden=16)
-    tcfg = TrainConfig(batch_size=4, epochs=4, lr_max=1e-3, seed=5,
-                       checkpoint_every=2)
+    tcfg = TrainConfig(batch_size=4, epochs=4, lr_max=1e-3, checkpoint_every=2)
 
     def run(name):
         out = tmp_path_factory.mktemp(name)
         model = BoxAnnotator(cfg, rng=np.random.default_rng(9))
-        result = train(model, overfit_samples, tcfg, out_dir=out)
+        result = train(model, overfit_samples, tcfg, 5, out_dir=out)
         return out, result
 
     out_a, res_a = run("det_a")
@@ -372,7 +365,7 @@ def test_criterion_8_determinism(tmp_path_factory, overfit_samples):
     )
 
     resumed_model = BoxAnnotator(cfg, rng=np.random.default_rng(77))
-    res_resumed = train(resumed_model, overfit_samples, tcfg,
+    res_resumed = train(resumed_model, overfit_samples, tcfg, 5,
                         out_dir=tmp_path_factory.mktemp("det_resume"),
                         resume_from=out_a / "ckpt_epoch0002.bin")
     final_a = [r for r in res_a.history if "total" in r][-1]["total"]

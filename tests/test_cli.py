@@ -119,6 +119,26 @@ class TestTrain:
         assert "use_global" not in cfg and "use_decoder" not in cfg
         resolved = (out / "resolved_config.txt").read_text()
         assert "model.use_global" not in resolved and "model.use_decoder" not in resolved
+        # the run's record names the model that trained, not the base config
+        assert {"model.n_global_layers=0", "model.n_decoder_layers=0",
+                "model.pos_mode=none"} <= set(resolved.splitlines())
+
+    def test_train_seed_is_unknown_key(self, dataset, tmp_path, capsys):
+        # --seed (top-level `seed`) is the run's one seed
+        out = tmp_path / "seed"
+        code = run(["train", "--dataset", dataset, "--out", out, "train.seed=1"] + FAST)
+        assert code == 2
+        assert "unknown configuration key 'train.seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_from_checkpoint_with_unknown_model_key(self, dataset, training,
+                                                           tmp_path, capsys):
+        bogus = with_unknown_model_key(Path(training) / "ckpt_final.bin", tmp_path)
+        code = run(["train", "--dataset", dataset, "--out", tmp_path / "resumed",
+                    "--seed", "0", "--resume", bogus] + FAST)
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "error category=checkpoint" in err and "bogus" in err
 
     def test_stage_flag_is_unknown_key(self, dataset, tmp_path, capsys):
         out = tmp_path / "flag"
@@ -162,6 +182,16 @@ class TestTrain:
         assert "smaller than one batch" in capsys.readouterr().err
 
 
+def with_unknown_model_key(path, tmp_path):
+    """A copy of checkpoint `path` whose model header carries `bogus=1`."""
+    from frustumbox.checkpoint import load_checkpoint, save_checkpoint
+
+    ckpt = load_checkpoint(path)
+    ckpt.config["model"]["bogus"] = 1
+    return save_checkpoint(tmp_path / "bogus.bin", ckpt.config, ckpt.params,
+                           ckpt.extras, ckpt.extra_arrays)
+
+
 @pytest.fixture(scope="module")
 def annotated(tmp_path_factory, dataset, training):
     # annotate the training split: the reproduction check compares this
@@ -202,6 +232,33 @@ class TestAnnotateAndEval:
             path = out / "label_2" / f"{frame}.txt"
             assert path.exists()
             assert path.read_text() == ""
+
+    def test_checkpoint_with_unknown_model_key(self, dataset, training, tmp_path,
+                                               capsys):
+        bogus = with_unknown_model_key(Path(training) / "ckpt_final.bin", tmp_path)
+        code = run(["annotate", "--checkpoint", bogus, "--dataset", dataset,
+                    "--out", tmp_path / "ann", "--seed", "0"] + FAST)
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "error category=checkpoint" in err and "bogus" in err
+
+    def test_degenerate_2d_box_is_format_error(self, dataset, training, tmp_path, capsys):
+        import shutil
+
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        frame = manifest_frames(copy)[0]
+        path = copy / "label_2" / f"{frame}.txt"
+        rows = path.read_text().splitlines()
+        fields = rows[0].split()
+        fields[6] = fields[4]  # u_max = u_min
+        bad = " ".join(fields)
+        path.write_text("\n".join([bad] + rows[1:]) + "\n")
+        code = run(["annotate", "--checkpoint", Path(training) / "ckpt_final.bin",
+                    "--dataset", copy, "--out", tmp_path / "ann", "--seed", "0"] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error category=format: degenerate 2D box" in err and repr(bad) in err
 
     def test_eval_identical_dirs_all_ones(self, dataset, tmp_path, capsys):
         report_path = tmp_path / "self_report.json"

@@ -22,7 +22,7 @@ from frustumbox.geometry import (
     project_point,
     wrap_angle,
 )
-from frustumbox.loss import diou_loss, extent_to_raw
+from frustumbox.loss import diou_loss
 
 from oracles import diou_penalty, mc_iou3d, project_by_hand, random_box, random_overlapping_pair
 
@@ -313,9 +313,7 @@ class TestIou3dSequences:
 def loss_penalty(pred, gt):
     """The distance penalty `diou_loss` adds for one pair, read back as
     loss - (1 - IoU)."""
-    raw = [pred.cx, pred.cy, pred.cz, *map(extent_to_raw, (pred.width, pred.length, pred.height)),
-           pred.yaw]
-    loss, ious = diou_loss(T.Tensor(np.array([raw])), [gt])
+    loss, ious = diou_loss(T.Tensor(box_rows([pred])), [gt])
     return loss.item() - (1.0 - ious[0])
 
 

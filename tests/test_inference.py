@@ -27,7 +27,7 @@ def test_matches_graph_building_forward_bytewise():
         fwd = model.forward(np.stack([s.points for s in chunk]))
         assert fwd.boxes.requires_grad  # the reference does build the graph
         for i, p in enumerate(preds[lo : lo + 3]):
-            assert p.raw.tobytes() == fwd.boxes.data[i].tobytes()
+            assert p.row.tobytes() == fwd.boxes.data[i].tobytes()
             assert p.logits.tobytes() == fwd.direction_logits.data[i].tobytes()
 
 

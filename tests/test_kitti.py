@@ -6,6 +6,7 @@ import pytest
 from frustumbox.geometry import Box2D, Box3D, iou_3d, project_point
 from frustumbox.kitti import (
     FieldCount,
+    KittiFormatError,
     LabelRecord,
     MalformedNumber,
     MissingKey,
@@ -100,6 +101,12 @@ class TestLabelParsing:
     def test_field_count_error(self):
         with pytest.raises(FieldCount):
             parse_kitti_label("Car 1 2 3")
+
+    def test_degenerate_2d_box_is_format_error_naming_the_line(self):
+        line = self.LINE.replace("300.25", "100.00")  # u_max == u_min
+        with pytest.raises(KittiFormatError, match="degenerate 2D box") as ei:
+            parse_kitti_label(self.LINE + "\n" + line)
+        assert repr(line) in str(ei.value)
 
     def test_unknown_class_passes_through(self):
         (rec,) = parse_kitti_label(self.LINE.replace("Car", "Unicycle"))

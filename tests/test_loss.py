@@ -4,35 +4,12 @@ import numpy as np
 import pytest
 
 from frustumbox import tensor as T
-from frustumbox.geometry import Box3D
-from frustumbox.loss import (
-    LOG_EXTENT_CAP,
-    InvalidBox,
-    diou_loss,
-    direction_loss,
-    extent_to_raw,
-    squash_log_extent,
-    total_loss,
-)
+from frustumbox.geometry import Box3D, box_rows
+from frustumbox.loss import InvalidBox, diou_loss, direction_loss, total_loss
 from frustumbox.tensor import Tensor, backward
 from frustumbox.train import TrainConfig
 
 from oracles import clip_iou3d, diou_penalty, random_box, random_overlapping_pair
-
-
-def raw_from_box(box):
-    """Raw head vector that decodes to the given box."""
-    return np.array(
-        [
-            box.cx,
-            box.cy,
-            box.cz,
-            extent_to_raw(box.width),
-            extent_to_raw(box.length),
-            extent_to_raw(box.height),
-            box.yaw,
-        ]
-    )
 
 
 def along(box, forward, left, **changes):
@@ -56,8 +33,8 @@ def graph_size(root):
     return len(seen)
 
 
-# Unit extents decode exactly (raw 0), so the "exact" cases put edges of
-# both boxes on one line bit for bit; the others do up to rounding.
+# The axis-aligned "exact" cases put edges of both boxes on one line bit for
+# bit; the turned ones do up to the rounding of the rotation.
 UNIT = Box3D(0.5, -0.25, 0.0, 1.0, 1.0, 1.0, 0.0)
 TURNED = Box3D(0.2, -0.4, 0.1, 1.6, 3.4, 1.5, 0.7)
 HARD_CASES = {
@@ -83,7 +60,7 @@ class TestDiouLoss:
     @pytest.mark.parametrize("case", list(HARD_CASES))
     def test_hard_cases_match_analytic_geometry(self, case):
         gt, pred, expected = HARD_CASES[case]
-        loss, ious = diou_loss(Tensor(raw_from_box(pred).reshape(1, 7)), [gt])
+        loss, ious = diou_loss(Tensor(box_rows([pred])), [gt])
         assert ious[0] == pytest.approx(clip_iou3d(pred, gt), abs=1e-9)
         assert ious[0] == pytest.approx(expected, abs=1e-9)
         assert loss.item() == pytest.approx(
@@ -93,10 +70,10 @@ class TestDiouLoss:
         rng = np.random.default_rng(7)
         pairs = [random_overlapping_pair(rng) for _ in range(8)]
         gts = [gt for gt, _ in pairs]
-        raw = np.stack([raw_from_box(pred) for _, pred in pairs])
-        flipped = raw.copy()
+        rows = box_rows([pred for _, pred in pairs])
+        flipped = rows.copy()
         flipped[:, 6] += math.pi
-        loss, ious = diou_loss(Tensor(raw), gts)
+        loss, ious = diou_loss(Tensor(rows), gts)
         loss_f, ious_f = diou_loss(Tensor(flipped), gts)
         np.testing.assert_allclose(ious_f, [clip_iou3d(p, g) for g, p in pairs],
                                    rtol=0, atol=1e-9)
@@ -109,30 +86,34 @@ class TestDiouLoss:
         for b in (1, 4, 16):
             pairs = [random_overlapping_pair(rng) for _ in range(b)]
             for far in (0.0, 50.0):  # overlapping, then every pair disjoint
-                raw = np.stack([raw_from_box(pred) for _, pred in pairs])
-                raw[:, 0] += far
-                p = Tensor(raw, requires_grad=True)
+                rows = box_rows([pred for _, pred in pairs])
+                rows[:, 0] += far
+                p = Tensor(rows, requires_grad=True)
                 loss, ious = diou_loss(p, [gt for gt, _ in pairs])
                 assert (max(ious) == 0.0) == (far > 0)
                 sizes.add(graph_size(loss))
         assert len(sizes) == 1, sizes
-        # the penalty's enclosing box reuses the kernel's prediction footprint
-        assert sizes.pop() <= 111
+        # the penalty's enclosing box and centre offset reuse the kernel's
+        # prediction footprint and offset
+        assert sizes.pop() <= 101
 
     def test_invalid_box_names_first_bad_object(self):
         rng = np.random.default_rng(9)
         gts = [random_box(rng, 1.0) for _ in range(4)]
-        raw = np.stack([raw_from_box(random_box(rng, 1.0)) for _ in range(4)])
-        raw[2, 5] = np.nan
-        raw[3, 3] = np.nan
-        with pytest.raises(InvalidBox, match=r"^object 2: decoded extent nan$"):
-            diou_loss(Tensor(raw), gts)
+        rows = box_rows([random_box(rng, 1.0) for _ in range(4)])
+        rows[2, 5] = np.nan
+        rows[3, 3] = -1.0
+        with pytest.raises(InvalidBox, match=r"^object 2: extent nan$"):
+            diou_loss(Tensor(rows), gts)
+        rows[2, 5] = 0.0
+        with pytest.raises(InvalidBox, match=r"^object 2: extent 0.0$"):
+            diou_loss(Tensor(rows), gts)
 
     def test_batch_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         pairs = [random_overlapping_pair(rng) for _ in range(4)]
         gts = [gt for gt, _ in pairs]
-        x0 = np.stack([raw_from_box(pred) for _, pred in pairs])
+        x0 = box_rows([pred for _, pred in pairs])
 
         def f(arr):
             return diou_loss(arr if isinstance(arr, Tensor) else Tensor(arr), gts)[0]
@@ -153,14 +134,14 @@ class TestDiouLoss:
 
     def test_perfect_prediction_is_zero(self):
         gt = Box3D(0.2, -0.4, 0.1, 1.6, 3.4, 1.5, 0.7)
-        loss, ious = diou_loss(Tensor(raw_from_box(gt).reshape(1, 7)), [gt])
+        loss, ious = diou_loss(Tensor(box_rows([gt])), [gt])
         assert loss.item() == pytest.approx(0.0, abs=1e-9)
         assert ious[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint_boxes_exceed_one(self):
         gt = Box3D(0, 0, 0, 1, 2, 1, 0.0)
         pred = Box3D(30, 0, 0, 1, 2, 1, 0.0)
-        loss, ious = diou_loss(Tensor(raw_from_box(pred).reshape(1, 7)), [gt])
+        loss, ious = diou_loss(Tensor(box_rows([pred])), [gt])
         assert ious[0] == 0.0
         assert loss.item() > 1.0
 
@@ -168,10 +149,9 @@ class TestDiouLoss:
         rng = np.random.default_rng(0)
         gts = [random_box(rng, 1.0) for _ in range(2)]
         preds = [random_box(rng, 1.0) for _ in range(2)]
-        raw = np.stack([raw_from_box(p) for p in preds])
-        both, _ = diou_loss(Tensor(raw), gts)
+        both, _ = diou_loss(Tensor(box_rows(preds)), gts)
         singles = [
-            diou_loss(Tensor(raw_from_box(p).reshape(1, 7)), [g])[0].item()
+            diou_loss(Tensor(box_rows([p])), [g])[0].item()
             for p, g in zip(preds, gts)
         ]
         assert both.item() == pytest.approx(sum(singles) / 2, rel=1e-12)
@@ -181,7 +161,7 @@ class TestDiouLoss:
         for _ in range(25):
             gt = random_box(rng, 1.5)
             pred = random_box(rng, 1.5)
-            loss, ious = diou_loss(Tensor(raw_from_box(pred).reshape(1, 7)), [gt])
+            loss, ious = diou_loss(Tensor(box_rows([pred])), [gt])
             expected = 1.0 - clip_iou3d(pred, gt) + diou_penalty(pred, gt)
             assert loss.item() == pytest.approx(expected, abs=1e-9)
             assert ious[0] == pytest.approx(clip_iou3d(pred, gt), abs=1e-9)
@@ -191,11 +171,11 @@ class TestDiouLoss:
         for _ in range(25):
             gt = random_box(rng, 1.0)
             pred = random_box(rng, 1.0)
-            raw = raw_from_box(pred)
-            flipped = raw.copy()
-            flipped[6] += math.pi
-            a, _ = diou_loss(Tensor(raw.reshape(1, 7)), [gt])
-            b, _ = diou_loss(Tensor(flipped.reshape(1, 7)), [gt])
+            rows = box_rows([pred])
+            flipped = rows.copy()
+            flipped[0, 6] += math.pi
+            a, _ = diou_loss(Tensor(rows), [gt])
+            b, _ = diou_loss(Tensor(flipped), [gt])
             assert abs(a.item() - b.item()) < 1e-9
 
     def test_range_bound(self):
@@ -203,14 +183,14 @@ class TestDiouLoss:
         for _ in range(50):
             gt = random_box(rng, 1.0)
             pred = random_box(rng, 1.0)
-            loss, _ = diou_loss(Tensor(raw_from_box(pred).reshape(1, 7)), [gt])
+            loss, _ = diou_loss(Tensor(box_rows([pred])), [gt])
             assert 0.0 <= loss.item() < 2.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         gt = Box3D(0.3, -0.2, 0.05, 1.7, 3.8, 1.5, 0.4)
         pred = Box3D(0.1, 0.2, -0.1, 1.5, 3.2, 1.4, 0.9)
-        x0 = raw_from_box(pred).reshape(1, 7)
+        x0 = box_rows([pred])
 
         def f(arr):
             t = arr if isinstance(arr, Tensor) else Tensor(arr)
@@ -230,27 +210,14 @@ class TestDiouLoss:
 
     def test_gradient_pulls_disjoint_centers_together(self):
         gt = Box3D(0, 0, 0, 1.5, 3.0, 1.4, 0.0)
-        raw = raw_from_box(Box3D(10.0, 0, 0, 1.5, 3.0, 1.4, 0.0)).reshape(1, 7)
-        p = Tensor(raw, requires_grad=True)
+        p = Tensor(box_rows([Box3D(10.0, 0, 0, 1.5, 3.0, 1.4, 0.0)]), requires_grad=True)
         loss, _ = diou_loss(p, [gt])
         backward(loss)
         assert p.grad[0, 0] > 0  # decreasing cx decreases the loss
 
     def test_invalid_box_on_nonfinite(self):
-        raw = np.full((1, 7), np.nan)
         with pytest.raises(InvalidBox):
-            diou_loss(Tensor(raw), [Box3D(0, 0, 0, 1, 1, 1, 0)])
-
-    def test_extent_decode_is_bounded(self):
-        # huge raw values decode to large but finite extents
-        assert math.exp(squash_log_extent(1e6)) == pytest.approx(math.exp(LOG_EXTENT_CAP))
-        assert math.exp(squash_log_extent(0.0)) == 1.0
-
-    def test_extent_roundtrip(self):
-        for extent in (0.2, 1.0, 1.7, 4.8, 6.5):
-            assert math.exp(squash_log_extent(extent_to_raw(extent))) == pytest.approx(extent)
-        with pytest.raises(ValueError):
-            extent_to_raw(12.0)
+            diou_loss(Tensor(np.full((1, 7), np.nan)), [Box3D(0, 0, 0, 1, 1, 1, 0)])
 
 
 class TestDirectionLoss:
@@ -289,16 +256,16 @@ class TestDirectionLoss:
 class TestTotalLoss:
     def test_combination_arithmetic(self):
         gt = Box3D(0, 0, 0, 1.5, 3.0, 1.4, 0.2)
-        raw = Tensor(raw_from_box(Box3D(0.5, 0.3, 0.1, 1.4, 2.8, 1.3, 0.5)).reshape(1, 7))
+        pred = Tensor(box_rows([Box3D(0.5, 0.3, 0.1, 1.4, 2.8, 1.3, 0.5)]))
         logits = Tensor(np.array([[0.4, -0.2]]))
-        out = total_loss(raw, logits, [gt], lambda_box=5.0)
+        out = total_loss(pred, logits, [gt], lambda_box=5.0)
         assert out.total.item() == out.box_loss.item() * 5.0 + out.dir_loss.item()
 
     def test_lambda_zero_leaves_direction_only(self):
         gt = Box3D(0, 0, 0, 1.5, 3.0, 1.4, 0.2)
-        raw = Tensor(raw_from_box(gt).reshape(1, 7))
+        pred = Tensor(box_rows([gt]))
         logits = Tensor(np.zeros((1, 2)))
-        out = total_loss(raw, logits, [gt], lambda_box=0.0)
+        out = total_loss(pred, logits, [gt], lambda_box=0.0)
         assert out.total.item() == pytest.approx(out.dir_loss.item(), abs=1e-15)
 
     def test_default_lambda_is_five(self):
@@ -306,18 +273,18 @@ class TestTotalLoss:
 
     def test_perfect_prediction_near_zero(self):
         gt = Box3D(0.1, 0.2, 0.0, 1.6, 3.6, 1.5, 0.3)
-        raw = Tensor(raw_from_box(gt).reshape(1, 7))
+        pred = Tensor(box_rows([gt]))
         logits = np.zeros((1, 2))
         logits[0, 0] = 40.0  # yaw 0.3 is front
-        out = total_loss(raw, Tensor(logits), [gt], TrainConfig().lambda_box)
+        out = total_loss(pred, Tensor(logits), [gt], TrainConfig().lambda_box)
         assert out.total.item() == pytest.approx(0.0, abs=1e-9)
 
     def test_breakdown_invariant(self):
         rng = np.random.default_rng(6)
         gts = [random_box(rng, 1.0) for _ in range(3)]
-        raw = Tensor(np.stack([raw_from_box(random_box(rng, 1.0)) for _ in range(3)]))
+        pred = Tensor(box_rows([random_box(rng, 1.0) for _ in range(3)]))
         logits = Tensor(rng.normal(size=(3, 2)))
-        out = total_loss(raw, logits, gts, lambda_box=5.0)
+        out = total_loss(pred, logits, gts, lambda_box=5.0)
         assert out.total.item() == out.box_loss.item() * 5.0 + out.dir_loss.item()
         assert len(out.per_object_iou) == 3
         assert all(np.isfinite(v) for v in out.per_object_iou)

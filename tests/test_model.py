@@ -6,6 +6,7 @@ import pytest
 from frustumbox import tensor as T
 from frustumbox.checkpoint import CheckpointMismatch, load_checkpoint, save_checkpoint
 from frustumbox.model import (
+    LOG_EXTENT_CAP,
     AttentionTrace,
     BoxAnnotator,
     IndexOutOfRange,
@@ -31,6 +32,10 @@ def make_model(seed=0, **kw):
 
 def rand_points(rng, b, n):
     return rng.normal(size=(b, n, 3))
+
+
+# a unit box at the frustum centre, heading 0
+UNIT_ROW = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
 
 
 class TestConfig:
@@ -274,20 +279,38 @@ class TestHeads:
         gain = m.params["head.norm.gain"]
         assert sum(any(p is gain for p in n._parents) for n in nodes) == 1
 
+    def _dim_head_outputs(self, value):
+        """Box rows of a model whose extent head outputs `value` everywhere."""
+        m = make_model()
+        m.params["head.dim.l2.w"].data[:] = 0.0
+        m.params["head.dim.l2.b"].data[:] = value
+        tokens = T.Tensor(np.random.default_rng(13).normal(size=(3, 7, m.config.d)))
+        return m.regress_box(tokens).data
+
     def test_log_dimension_decoding(self):
-        box = decode_prediction(np.zeros(7), np.array([1.0, 0.0]))
-        assert box.width == box.length == box.height == pytest.approx(1.0)
+        # a zero log extent is a unit extent, exactly
+        assert (self._dim_head_outputs(0.0)[:, 3:6] == 1.0).all()
+
+    def test_extent_decode_is_bounded(self):
+        # huge head outputs decode to the bound, finite and positive
+        assert (self._dim_head_outputs(1e6)[:, 3:6] == math.exp(LOG_EXTENT_CAP)).all()
+        assert (self._dim_head_outputs(-1e6)[:, 3:6] == math.exp(-LOG_EXTENT_CAP)).all()
+
+    def test_decode_reads_the_row_extents(self):
+        box = decode_prediction([0.1, 0.2, 0.3, 1.6, 3.9, 1.5, 0.4], np.array([1.0, 0.0]))
+        assert (box.width, box.length, box.height) == (1.6, 3.9, 1.5)
+        assert (box.cx, box.cy, box.cz) == (0.1, 0.2, 0.3)
 
     def test_direction_flip_adds_pi(self):
-        front = decode_prediction(np.zeros(7), np.array([5.0, 0.0]))
-        back = decode_prediction(np.zeros(7), np.array([0.0, 5.0]))
+        front = decode_prediction(UNIT_ROW, np.array([5.0, 0.0]))
+        back = decode_prediction(UNIT_ROW, np.array([0.0, 5.0]))
         assert front.yaw == pytest.approx(0.0)
         assert abs(back.yaw) == pytest.approx(math.pi)
 
     def test_yaw_wrapped_to_half_circle_before_flip(self):
-        raw = np.zeros(7)
-        raw[6] = 2.0  # outside [-pi/2, pi/2)
-        box = decode_prediction(raw, np.array([5.0, 0.0]))
+        row = UNIT_ROW.copy()
+        row[6] = 2.0  # outside [-pi/2, pi/2)
+        box = decode_prediction(row, np.array([5.0, 0.0]))
         assert -math.pi / 2 <= box.yaw < math.pi / 2
 
     def test_direction_score_is_max_softmax(self):
@@ -465,6 +488,15 @@ class TestPersistence:
         a, b = loaded.forward(pts), direct.forward(pts)
         assert a.boxes.data.tobytes() == b.boxes.data.tobytes()
         assert a.direction_logits.data.tobytes() == b.direction_logits.data.tobytes()
+
+    @pytest.mark.parametrize("bad", [{"bogus": 1}, {"heads": 3}, {"pos_mode": "bogus"},
+                                     {"n_local_layers": 0}])
+    def test_invalid_model_header_is_checkpoint_mismatch(self, tmp_path, bad):
+        m = make_model(seed=5)
+        header = dict(m.config.to_dict(), **bad)
+        path = save_checkpoint(tmp_path / "bad.ckpt", {"model": header}, m.state_arrays())
+        with pytest.raises(CheckpointMismatch, match="checkpoint model config"):
+            BoxAnnotator.from_checkpoint(str(path))
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         a = make_model(seed=6).save(tmp_path / "a.ckpt")

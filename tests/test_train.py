@@ -79,34 +79,47 @@ class TestTrainStep:
 
 class TestTrainLoop:
     def test_two_runs_identical_metrics(self, tiny_dataset, tmp_path):
-        cfg = TrainConfig(batch_size=4, epochs=2, seed=3, checkpoint_every=0)
+        cfg = TrainConfig(batch_size=4, epochs=2, checkpoint_every=0)
 
         def run(name):
             model = tiny_model(seed=1)
-            return train(model, tiny_dataset, cfg, out_dir=tmp_path / name)
+            return train(model, tiny_dataset, cfg, 3, out_dir=tmp_path / name)
 
         a = run("a")
         b = run("b")
         assert open(a.metrics_path).read() == open(b.metrics_path).read()
         assert open(a.checkpoint_path, "rb").read() == open(b.checkpoint_path, "rb").read()
 
+    def test_seed_argument_drives_shuffle_and_augmentation(self, tiny_dataset):
+        # the run's seed is the one seed: the config carries none
+        assert "seed" not in TrainConfig().to_dict()
+        cfg = TrainConfig(batch_size=4, epochs=1)
+
+        def losses(seed):
+            result = train(tiny_model(seed=1), tiny_dataset, cfg, seed)
+            return [r["total"] for r in result.history if "total" in r]
+
+        assert losses(3) == losses(3)
+        assert losses(3) != losses(4)
+
     def test_lr_schedule_endpoints(self, tiny_dataset, tmp_path):
-        cfg = TrainConfig(batch_size=4, epochs=2, seed=0, lr_max=1e-4, lr_min=0.0)
+        cfg = TrainConfig(batch_size=4, epochs=2, lr_max=1e-4, lr_min=0.0)
         model = tiny_model()
-        result = train(model, tiny_dataset, cfg, out_dir=tmp_path / "lr")
+        result = train(model, tiny_dataset, cfg, 0, out_dir=tmp_path / "lr")
         steps = [r for r in result.history if "lr" in r]
         assert steps[0]["lr"] == pytest.approx(1e-4)
         assert steps[-1]["lr"] == pytest.approx(0.0, abs=1e-18)
 
     def test_resume_matches_uninterrupted(self, tiny_dataset, tmp_path):
-        cfg = TrainConfig(batch_size=4, epochs=4, seed=7, checkpoint_every=2)
-        full = train(tiny_model(seed=2), tiny_dataset, cfg, out_dir=tmp_path / "full")
+        cfg = TrainConfig(batch_size=4, epochs=4, checkpoint_every=2)
+        full = train(tiny_model(seed=2), tiny_dataset, cfg, 7, out_dir=tmp_path / "full")
         # resume from the midpoint checkpoint of an identical run
         resumed_model = tiny_model(seed=99)  # overwritten by the checkpoint
         resumed = train(
             resumed_model,
             tiny_dataset,
             cfg,
+            7,
             out_dir=tmp_path / "resumed",
             resume_from=tmp_path / "full" / "ckpt_epoch0002.bin",
         )
@@ -118,9 +131,8 @@ class TestTrainLoop:
 
     def test_resume_applies_its_own_weight_decay(self, tiny_dataset, tmp_path,
                                                  monkeypatch):
-        cfg = TrainConfig(batch_size=4, epochs=2, seed=7, checkpoint_every=1,
-                          weight_decay=0.05)
-        full = train(tiny_model(seed=2), tiny_dataset, cfg, out_dir=tmp_path / "full")
+        cfg = TrainConfig(batch_size=4, epochs=2, checkpoint_every=1, weight_decay=0.05)
+        full = train(tiny_model(seed=2), tiny_dataset, cfg, 7, out_dir=tmp_path / "full")
         seen = []
         step = Adam.step
 
@@ -130,7 +142,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(Adam, "step", spy)
         changed = replace(cfg, weight_decay=0.0)
-        resumed = train(tiny_model(seed=2), tiny_dataset, changed,
+        resumed = train(tiny_model(seed=2), tiny_dataset, changed, 7,
                         out_dir=tmp_path / "resumed",
                         resume_from=tmp_path / "full" / "ckpt_epoch0001.bin")
         assert seen and set(seen) == {0.0}
@@ -139,8 +151,8 @@ class TestTrainLoop:
         assert resumed_last != full_last
 
     def test_history_records_have_expected_fields(self, tiny_dataset, tmp_path):
-        cfg = TrainConfig(batch_size=4, epochs=1, seed=0)
-        result = train(tiny_model(), tiny_dataset, cfg, out_dir=tmp_path / "h")
+        cfg = TrainConfig(batch_size=4, epochs=1)
+        result = train(tiny_model(), tiny_dataset, cfg, 0, out_dir=tmp_path / "h")
         step_records = [r for r in result.history if "step" in r]
         assert step_records
         for r in step_records:
@@ -152,30 +164,30 @@ class TestTrainLoop:
     def test_rejects_undersized_dataset(self, tiny_dataset):
         cfg = TrainConfig(batch_size=len(tiny_dataset) + 1, epochs=1)
         with pytest.raises(ValueError) as ei:
-            train(tiny_model(), tiny_dataset, cfg)
+            train(tiny_model(), tiny_dataset, cfg, 0)
         assert "smaller than one batch" in str(ei.value)
 
     def test_rejects_batch_of_one_with_global(self, tiny_dataset):
         cfg = TrainConfig(batch_size=1, epochs=1)
         with pytest.raises(ValueError):
-            train(tiny_model(), tiny_dataset, cfg)
+            train(tiny_model(), tiny_dataset, cfg, 0)
 
     def test_partial_batches_kept_without_global(self, tiny_dataset):
         n = len(tiny_dataset)
         bs = 4
         assert n % bs != 0 or n > bs  # make the arithmetic meaningful
-        cfg = TrainConfig(batch_size=bs, epochs=1, seed=0)
-        res_local = train(tiny_model(n_global_layers=0), tiny_dataset, cfg)
+        cfg = TrainConfig(batch_size=bs, epochs=1)
+        res_local = train(tiny_model(n_global_layers=0), tiny_dataset, cfg, 0)
         steps_local = len([r for r in res_local.history if "step" in r])
         assert steps_local == math.ceil(n / bs)
-        res_global = train(tiny_model(), tiny_dataset, cfg)
+        res_global = train(tiny_model(), tiny_dataset, cfg, 0)
         steps_global = len([r for r in res_global.history if "step" in r])
         assert steps_global == n // bs
 
     def test_train_requires_ground_truth(self, tiny_dataset):
         broken = [replace(tiny_dataset[0], gt_box=None)] + list(tiny_dataset[1:])
         with pytest.raises(ValueError) as ei:
-            train(tiny_model(), broken, TrainConfig(batch_size=4, epochs=1))
+            train(tiny_model(), broken, TrainConfig(batch_size=4, epochs=1), 0)
         assert "ground truth" in str(ei.value)
 
 
@@ -184,7 +196,7 @@ class TestTrainSetMiou:
         # the logged final mIoU is the quantized re-evaluation of the
         # trained model: evaluate_model, which scores the exported labels
         model = tiny_model()
-        result = train(model, tiny_dataset, TrainConfig(batch_size=4, epochs=1, seed=0))
+        result = train(model, tiny_dataset, TrainConfig(batch_size=4, epochs=1), 0)
         logged = [r["final_train_miou"] for r in result.history if "final_train_miou" in r]
         expected = evaluate_model(model, tiny_dataset, 4).miou
         assert logged == [expected] and result.final_train_miou == expected
