@@ -9,7 +9,7 @@ it prints every intermediate quantity.
 
 import numpy as np
 
-from frustumbox.geometry import Box2D, extract_frustum, project_point
+from frustumbox.geometry import extract_frustum
 from frustumbox.synthetic import SceneSpec, generate_synthetic_scene, virtual_calibration
 
 calib = virtual_calibration()
@@ -18,14 +18,16 @@ print("sensor-to-camera transform Tr:\n", calib.Tr)
 
 # one point, 10 m ahead and a little to the left
 p = np.array([10.0, 1.5, -0.5])
-u, v = project_point(p, calib)
-print(f"\npoint {p} projects to pixel ({u:.1f}, {v:.1f})")
+uv, depth = calib.project(p.reshape(1, 3))
+print(f"\npoint {p} projects to pixel ({uv[0, 0]:.1f}, {uv[0, 1]:.1f}) "
+      f"at camera depth {depth[0]:.2f}")
+assert depth[0] > 0
 
-# a point behind the sensor has no pixel
-try:
-    project_point([-5.0, 0.0, 0.0], calib)
-except Exception as err:
-    print("behind the camera:", err)
+# a point behind the sensor has no pixel: its rectified depth is not positive,
+# so every frustum cut drops it
+_, depth = calib.project(np.array([[-5.0, 0.0, 0.0]]))
+print(f"behind the camera: depth {depth[0]:.2f}, not projected")
+assert depth[0] <= 0
 
 # now a whole scene: objects on a ground plane, seen by the same rig
 rng = np.random.default_rng(7)

@@ -47,7 +47,7 @@ from .frustums import (
     frame_samples,
 )
 from .gradcheck import model_gradient_check
-from .geometry import Box3D, GeometryError
+from .geometry import Box3D
 from .inference import object_key, predict_samples, prediction_record
 from .kitti import (
     KittiFormatError,
@@ -69,7 +69,7 @@ _ERROR_CATEGORIES = [
     ((KittiFormatError,), "format", 3),
     ((EvalError, EmptyCloud, UnmatchedObject, FrameMismatch, IndexOutOfRange), "data", 4),
     ((CheckpointError, CheckpointMismatch), "checkpoint", 5),
-    ((NonFiniteLoss, InvalidBox, TensorError, GeometryError), "numeric", 6),
+    ((NonFiniteLoss, InvalidBox, TensorError), "numeric", 6),
     ((OSError,), "io", 7),
 ]
 

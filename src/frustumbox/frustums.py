@@ -145,10 +145,12 @@ def frame_samples(root, frame_id, n_points, rng, require_gt):
     care row gets a sample; with `require_gt`, rows without 3D extents are
     skipped, and without it a 2D box suffices. The frame's cloud is
     projected once and every row's frustum is cut from the shared pixel
-    coordinates. A row's 3D box, when present, feeds only the sample's
-    ground truth and foreground count. Random numbers are drawn once per non-empty frustum, in row
-    order; without `require_gt` the stream thus does not depend on which
-    rows carry 3D boxes.
+    coordinates. With `require_gt`, a row's 3D box feeds only the sample's
+    ground truth and foreground count; without it no 3D box is read, so
+    every sample has ``gt_box`` and ``sensor_gt_box`` None and no
+    foreground points. Random numbers are drawn once per non-empty
+    frustum, in row order; without `require_gt` the stream thus does not
+    depend on which rows carry 3D boxes.
 
     Returns (samples, empty): the samples, and the object ids of rows whose
     frustum held no points. Raises FileNotFoundError for a missing frame.
@@ -164,8 +166,9 @@ def frame_samples(root, frame_id, n_points, rng, require_gt):
     samples, empty = [], []
     for (i, rec), frustum in zip(rows, frustums):
         object_id = f"{frame_id}:{i}"
+        gt_box = lidar_box_from_label(rec, calib) if require_gt else None
         sample = build_frustum_sample(
-            frustum, rec.box2d, calib, lidar_box_from_label(rec, calib),
+            frustum, rec.box2d, calib, gt_box,
             frame_id=frame_id, object_id=object_id, n_points=n_points, rng=rng,
             cls=rec.cls,
         )

@@ -12,9 +12,9 @@ Rotated-box overlap has one implementation, :func:`box_iou`: a batched
 kernel of fixed shapes written in the autodiff engine's ops. The training
 loss (:mod:`frustumbox.loss`) runs it with the graph on and takes its
 distance penalty's enclosing box and centre offset from the footprint
-corners and offset the kernel returns; :func:`iou_3d`, which eval and the
-synthetic generator's overlap rejection call, runs it on arrays under
-``tensor.no_grad()``. Everything else here works on plain floats and numpy
+corners, offset and vertical extent the kernel returns; :func:`iou_3d`,
+which eval and the synthetic generator's overlap rejection call, runs it on
+arrays under ``tensor.no_grad()``. Everything else here works on plain floats and numpy
 arrays.
 """
 
@@ -34,14 +34,6 @@ DEGENERATE_AREA = 1e-12
 
 DIRECTION_FRONT = 0
 DIRECTION_BACK = 1
-
-
-class GeometryError(Exception):
-    """Base class for geometry failures."""
-
-
-class NonPositiveDepth(GeometryError):
-    """Point sits at or behind the camera plane after calibration."""
 
 
 def wrap_angle(angle):
@@ -159,27 +151,6 @@ class ProjectionModel:
         rect = self.lidar_to_rect(points)
         uv, _ = self.rect_to_image(rect)
         return uv, rect[:, 2]
-
-
-def identity_calibration():
-    """Unit-focal pinhole at the sensor origin; handy for tests and docs."""
-    return ProjectionModel(
-        P=np.hstack([np.eye(3), np.zeros((3, 1))]),
-        R0=np.eye(3),
-        Tr=np.hstack([np.eye(3), np.zeros((3, 1))]),
-    )
-
-
-def project_point(p, calib):
-    """Project one LiDAR point to pixel coordinates.
-
-    Raises NonPositiveDepth when the rectified-camera depth is <= 0
-    (the point sits at or behind the camera).
-    """
-    uv, depth = calib.project(np.asarray(p, dtype=np.float64).reshape(1, 3))
-    if depth[0] <= 0:
-        raise NonPositiveDepth(f"point {tuple(np.asarray(p))} has camera depth {depth[0]:.6g}")
-    return float(uv[0, 0]), float(uv[0, 1])
 
 
 def extract_frustum(cloud, box, calib):
@@ -316,15 +287,16 @@ def box_iou(pred, gt):
     the first.
 
     Rows are (cx, cy, cz, width, length, height, yaw); `pred` is a Tensor or
-    an array, `gt` an array. Returns (iou, corners, offset): the (B,) IoU,
-    the (B, 4, 2) footprint corners of each prediction relative to its
-    ground truth's centre, in sensor-frame axes, and the (B, 3) offset of
-    each prediction's centre from its ground truth's; all are Tensors, in
-    the graph when `pred` is. Each prediction's footprint is moved into its
-    ground truth's own frame, where the ground truth's edges are axis-aligned:
-    every side test and crossing against them takes one product, and a
-    prediction whose edges coincide with the target's up to rounding is
-    clipped consistently from both sides. Touching boxes and BEV overlaps
+    an array, `gt` an array. Returns (iou, corners, offset, z_ends): the
+    (B,) IoU, the (B, 4, 2) footprint corners of each prediction relative to
+    its ground truth's centre, in sensor-frame axes, the (B, 3) offset of
+    each prediction's centre from its ground truth's, and the (bottom, top)
+    (B,) ends of each prediction's vertical extent relative to the same
+    centre; all are Tensors, in the graph when `pred` is. Each prediction's
+    footprint is moved into its ground truth's own frame, where the ground
+    truth's edges are axis-aligned: every side test and crossing against
+    them takes one product, and a prediction whose edges coincide with the
+    target's up to rounding is clipped consistently from both sides. Touching boxes and BEV overlaps
     under DEGENERATE_AREA score 0, never -0. The footprint at yaw + pi is
     the same point set, so the IoU is blind to the heading.
     """
@@ -338,11 +310,12 @@ def box_iou(pred, gt):
     area = _overlap_area(T.matmul(corners, to_gt), gt[:, None, 3:5] * 0.5 * _FOOTPRINT)
     area = area * (area.data >= DEGENERATE_AREA)
     cz, half_h, gt_half_h = offset[:, 2], pred[:, 5] * 0.5, gt[:, 5] * 0.5
-    inter = area * T.relu(T.minimum(cz + half_h, gt_half_h) - T.maximum(cz - half_h, -gt_half_h))
+    bottom, top = cz - half_h, cz + half_h
+    inter = area * T.relu(T.minimum(top, gt_half_h) - T.maximum(bottom, -gt_half_h))
     volume = pred[:, 3] * pred[:, 4] * pred[:, 5]
     # + 0.0 turns the -0.0 of a negative sliver cut to zero into 0.0
     iou = inter / (volume + gt[:, 3] * gt[:, 4] * gt[:, 5] - inter) + 0.0
-    return iou, corners, offset
+    return iou, corners, offset, (bottom, top)
 
 
 def box_rows(boxes):

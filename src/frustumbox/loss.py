@@ -6,7 +6,8 @@ shapes over the whole batch: the IoU is ``geometry.box_iou``, the
 package's one rotated-box overlap (the parametric-clip, Green's-theorem
 kernel of Zhou et al., arXiv:1908.03851), run here with the graph on, plus
 the distance penalty of Zheng et al. (arXiv:1911.08287), whose enclosing
-box reuses the prediction footprint and centre offset the kernel returns.
+box reuses the prediction footprint, centre offset and vertical extent
+the kernel returns.
 The kernel decides which half-plane bounds which edge on plain float
 values, so within one backward pass the clip structure is a fixed
 piecewise region and the gradient is the exact derivative of the surviving
@@ -61,15 +62,15 @@ def diou_loss(pred, gt_boxes):
     if len(bad):
         i, j = bad[0]
         raise InvalidBox(f"object {i}: extent {float(extent[i, j])!r}")
-    iou, corners, offset = box_iou(pred, gt)
+    iou, corners, offset, (bottom, top) = box_iou(pred, gt)
 
     # penalty: squared center distance over the diagonal of the axis-aligned
     # box enclosing both, in the frame centred on each ground truth
     gt_corners = footprint(gt).data
     hi = T.maximum(gt_corners.max(axis=1), T.amax(corners, axis=1))
     lo = T.minimum(gt_corners.min(axis=1), T.amin(corners, axis=1))
-    cz, half_h, gt_half_h = offset[:, 2], pred[:, 5] * 0.5, gt[:, 5] * 0.5
-    span_z = T.maximum(gt_half_h, cz + half_h) - T.minimum(-gt_half_h, cz - half_h)
+    gt_half_h = gt[:, 5] * 0.5
+    span_z = T.maximum(gt_half_h, top) - T.minimum(-gt_half_h, bottom)
     c2 = T.tsum((hi - lo) ** 2, axis=1) + span_z ** 2
     pen = T.tsum(offset ** 2, axis=1) / c2
     return T.tmean(1.0 - iou + pen), iou.data.tolist()

@@ -6,8 +6,12 @@ once per call and accumulates into ``.grad`` until the caller clears it.
 
 Attention's scores, softmax and context are one op, :func:`attention_core`,
 with a hand-written backward; :func:`multi_head_attention` adds the head
-projections around it. :func:`linear` and :func:`layer_norm` are one node
-each too, so an encoder layer builds 20 nodes. Inside a :func:`no_grad`
+projections around it. The core shifts a slab's scores by their row max only
+where a bound on the slab's scores, read from its (L, dh) operands, exceeds
+:data:`EXP_SAFE_SCORE`; below it ``exp`` of the raw scores stays inside
+float64's normal range, and the shift would only cost two passes over the
+(L, L) scores. :func:`linear` and :func:`layer_norm` are one node each too,
+so an encoder layer builds 20 nodes. Inside a :func:`no_grad`
 block the ops record no parents, so a forward-only pass (inference,
 attention export) builds no graph and frees each intermediate array once
 the next op has read it.
@@ -558,6 +562,20 @@ def log_softmax(a, axis=-1):
     return _node(out_data, (a,), grad_fn)
 
 
+# Largest score bound under which a slab's scores are exponentiated unshifted.
+# Every term then lies in [e⁻⁵¹², e⁵¹²] ≈ [4e-223, 2e222], inside float64's
+# normal range (2.2e-308 to 1.8e308): no term underflows to 0 or a subnormal,
+# the reciprocal of any row sum is finite, and a row sum or a row of e·V
+# overflows only where keys × max|V| passes ~1e86. Slabs above it keep the
+# row-max shift.
+EXP_SAFE_SCORE = 512.0
+
+
+def _abs_max(x):
+    """max |x| over each (L, dh) slab of a (..., L, dh) array."""
+    return np.abs(x).max(axis=(-2, -1), initial=0.0)
+
+
 def attention_core(Q, K, V, scale, capture=False):
     """Scaled dot-product attention as one node: ``softmax(Q Kᵀ·scale) V``.
 
@@ -568,19 +586,28 @@ def attention_core(Q, K, V, scale, capture=False):
     The scale is folded into Q, and the softmax's normalization is applied
     to the context (the deferred normalization of online softmax, Milakov &
     Gimelshein): with ``e = exp(S - shift)`` and ``r = 1/Σe`` per row, the
-    context is ``(e V)·r``, so no (Lq, Lk) array is divided or scaled; the
-    shift is the row max. The backward follows the same split (Dao et al.,
-    FlashAttention): with ``gr = g·r`` and ``d = rowsum(gr ∘ context)``, an
-    (Lq, dh) sum, the score gradient is ``e ∘ (gr Vᵀ − d)``. Results agree
-    with the four-node composition (``tests/oracles.py``) to rounding, not
-    bit for bit.
+    context is ``(e V)·r``, so no (Lq, Lk) array is divided or scaled. The
+    shift only keeps ``exp`` finite, so it is decided per slab (each leading
+    index): every score of a slab is at most ``dh·max|Q·scale|·max|K|`` in
+    magnitude, and where that bound is within :data:`EXP_SAFE_SCORE` the
+    shift is 0 and the scores are exponentiated as they are; above it the
+    shift is the row max. The decision reads only the slab's own operands,
+    so a slab's bits do not depend on the rest of the batch. The backward
+    follows the same split (Dao et al., FlashAttention) and never reads the
+    shift: with ``gr = g·r`` and ``d = rowsum(gr ∘ context)``, an (Lq, dh)
+    sum, the score gradient is ``e ∘ (gr Vᵀ − d)``. Results agree with the
+    four-node composition (``tests/oracles.py``) to rounding, not bit for
+    bit.
     """
     Q, K, V = as_tensor(Q), as_tensor(K), as_tensor(V)
     qs = Q.data * scale
     # a contiguous Kᵀ runs the product ~25% faster than the transposed view
     kt = K.data.swapaxes(-1, -2).copy()
     e = qs @ kt
-    e -= e.max(axis=-1, keepdims=True)
+    bound = qs.shape[-1] * _abs_max(qs) * _abs_max(K.data)
+    shifted = bound > EXP_SAFE_SCORE
+    if shifted.any():
+        e[shifted] -= e[shifted].max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     total = e.sum(axis=-1, keepdims=True)
     r = 1.0 / total

@@ -2,12 +2,16 @@
 
 Everything here is deliberately written from first principles (sampling,
 explicit matrix products, per-point loops, or a composition of simpler
-engine ops) and must not call into the code paths it validates.
+engine ops) and must not call into the code paths it validates. It also
+holds the small helpers that only tests use, such as a unit calibration and
+a one-point projection, so the package keeps no code without a caller.
 """
 
 import math
 
 import numpy as np
+
+from frustumbox.geometry import ProjectionModel
 
 
 def mc_point_in_box(points, box):
@@ -127,6 +131,31 @@ def project_by_hand(p, P, R0, Tr):
     hom2[:3] = rect
     img = P @ hom2
     return img[0] / img[2], img[1] / img[2], rect[2]
+
+
+class NonPositiveDepth(ValueError):
+    """Point sits at or behind the camera plane after calibration."""
+
+
+def identity_calibration():
+    """Unit-focal pinhole at the sensor origin: u = x / z and v = y / z."""
+    return ProjectionModel(
+        P=np.hstack([np.eye(3), np.zeros((3, 1))]),
+        R0=np.eye(3),
+        Tr=np.hstack([np.eye(3), np.zeros((3, 1))]),
+    )
+
+
+def project_point(p, calib):
+    """Project one LiDAR point to pixel coordinates with ``calib.project``.
+
+    Raises NonPositiveDepth when the rectified-camera depth is <= 0
+    (the point sits at or behind the camera).
+    """
+    uv, depth = calib.project(np.asarray(p, dtype=np.float64).reshape(1, 3))
+    if depth[0] <= 0:
+        raise NonPositiveDepth(f"point {tuple(np.asarray(p))} has camera depth {depth[0]:.6g}")
+    return float(uv[0, 0]), float(uv[0, 1])
 
 
 def random_box(rng, center_scale=10.0, Box3D=None):

@@ -21,7 +21,6 @@ from frustumbox.geometry import (
     Box3D,
     ProjectionModel,
     extract_frustum,
-    identity_calibration,
     iou_3d,
     points_in_box3d,
 )
@@ -35,7 +34,7 @@ from frustumbox.kitti import (
 from frustumbox.model import BoxAnnotator, ModelConfig
 from frustumbox.synthetic import SceneSpec, virtual_calibration, write_synthetic_dataset
 
-from oracles import denormalize_frustum
+from oracles import denormalize_frustum, identity_calibration
 
 
 def make_sample(points, gt=None, n_raw=None, n_fg=0):
@@ -303,7 +302,8 @@ class TestFrameFrustums:
                         continue
                     sample = build_frustum_sample(
                         per_object_frustum(points, rec.box2d, calib), rec.box2d, calib,
-                        lidar_box_from_label(rec, calib), frame, f"{frame}:{i}", 32,
+                        lidar_box_from_label(rec, calib) if require_gt else None,
+                        frame, f"{frame}:{i}", 32,
                         rng_old, cls=rec.cls)
                     if sample is None:
                         want_empty.append(f"{frame}:{i}")
@@ -318,6 +318,25 @@ class TestFrameFrustums:
                         w.n_raw_points, w.n_foreground_points)
             assert sky in skipped
             assert (off_image in built) == (not require_gt)
+
+    def test_samples_without_require_gt_read_no_3d_box(self, tmp_path, monkeypatch):
+        write_synthetic_dataset(tmp_path, SceneSpec(noise_sigma=0.02), 2,
+                                np.random.default_rng(7), val_every=0)
+        frames = manifest_frames(tmp_path)
+        with_gt = [s for f in frames
+                   for s in frame_samples(tmp_path, f, 32, dataset_sampling_rng(3), True)[0]]
+        assert with_gt and all(s.n_foreground_points > 0 for s in with_gt)
+
+        def unread(rec, calib):
+            raise AssertionError("a 3D box was read")
+
+        monkeypatch.setattr("frustumbox.frustums.lidar_box_from_label", unread)
+        samples = [s for f in frames
+                   for s in frame_samples(tmp_path, f, 32, dataset_sampling_rng(3), False)[0]]
+        assert [s.object_id for s in samples] == [s.object_id for s in with_gt]
+        for s in samples:
+            assert s.gt_box is None and s.sensor_gt_box is None
+            assert s.n_foreground_points == 0
 
     def test_annotate_projects_each_frame_once(self, tmp_path, monkeypatch):
         data = tmp_path / "data"

@@ -10,21 +10,27 @@ from frustumbox import tensor as T
 from frustumbox.geometry import (
     Box2D,
     Box3D,
-    NonPositiveDepth,
     ProjectionModel,
     box_corners,
     box_iou,
     box_rows,
     direction_label,
     extract_frustum,
-    identity_calibration,
     iou_3d,
-    project_point,
     wrap_angle,
 )
 from frustumbox.loss import diou_loss
 
-from oracles import diou_penalty, mc_iou3d, project_by_hand, random_box, random_overlapping_pair
+from oracles import (
+    NonPositiveDepth,
+    diou_penalty,
+    identity_calibration,
+    mc_iou3d,
+    project_by_hand,
+    project_point,
+    random_box,
+    random_overlapping_pair,
+)
 
 # A real KITTI calibration triple (training frame style).
 KITTI_P2 = np.array(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frustumbox.geometry import Box2D, Box3D, iou_3d, project_point
+from frustumbox.geometry import Box2D, Box3D, iou_3d
 from frustumbox.kitti import (
     FieldCount,
     KittiFormatError,
@@ -26,6 +26,8 @@ from frustumbox.kitti import (
     write_manifest,
 )
 from frustumbox.synthetic import virtual_calibration
+
+from oracles import project_point
 
 MINIMAL_CALIB = """P2: 1 0 0 0 0 1 0 0 0 0 1 0
 R0_rect: 1 0 0 0 1 0 0 0 1

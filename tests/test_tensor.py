@@ -521,9 +521,46 @@ class TestAttentionCore:
         assert ctx.requires_grad and not w.requires_grad and w._parents == ()
         np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
 
+    @staticmethod
+    def _reference_context(q0, k0, v0, shift):
+        # the core's forward written out, with its scores and its shift
+        e = np.exp(q0 * (1.0 / math.sqrt(q0.shape[-1])) @ k0.swapaxes(-1, -2).copy() - shift)
+        return (e @ v0) * (1.0 / e.sum(axis=-1, keepdims=True))
+
+    def test_slab_under_the_bound_is_not_shifted(self):
+        rng = np.random.default_rng(47)
+        q0 = rng.normal(size=(2, 3, 9, 4))
+        k0, v0 = rng.normal(size=(2, 3, 11, 4)), rng.normal(size=(2, 3, 11, 4))
+        assert 4 * np.abs(0.5 * q0).max() * np.abs(k0).max() <= T.EXP_SAFE_SCORE
+        ctx, _ = T.attention_core(q0, k0, v0, 0.5)
+        assert np.array_equal(ctx.data, self._reference_context(q0, k0, v0, 0.0))
+
+    @pytest.mark.parametrize("side", ["under", "over"])
+    def test_scores_at_the_bound_stay_finite(self, side):
+        # two aligned rows of Q and K score ±dh·scale·c², the slab's bound:
+        # just under it the scores reach ±EXP_SAFE_SCORE unshifted, just over
+        # it they are shifted; the other rows keep the gradients O(1)
+        rng = np.random.default_rng(48)
+        q0, k0 = rng.uniform(-1, 1, size=(1, 1, 6, 4)), rng.uniform(-1, 1, size=(1, 1, 7, 4))
+        v0 = rng.normal(size=(1, 1, 7, 4))
+        edge = T.EXP_SAFE_SCORE * (1.0 - 1e-9 if side == "under" else 1.0 + 1e-9)
+        c = math.sqrt(edge / (4 * 0.5))
+        q0[0, 0, :2] = k0[0, 0, :2] = [[c] * 4, [-c] * 4]
+        scores = 0.5 * q0 @ k0.swapaxes(-1, -2)
+        assert np.abs(scores).max() == pytest.approx(T.EXP_SAFE_SCORE, rel=1e-8)
+        g0 = rng.normal(size=(1, 6, 1, 4))
+        fused = self._run(T.attention_core, q0, k0, v0, g0, capture=True)
+        composed = self._run(attention_core_composed, q0, k0, v0, g0)
+        for name, a, b in zip(("context", "weights", "gQ", "gK", "gV"), fused, composed):
+            assert np.isfinite(a).all(), name
+            assert rel_diff(a, b) < 1e-12, name
+        shift = 0.0 if side == "under" else scores.max(axis=-1, keepdims=True)
+        assert np.array_equal(fused[0], self._reference_context(q0, k0, v0, shift))
+
     def test_scores_past_exp_overflow_stay_finite(self):
-        # each row is shifted by its max; unshifted, exp of the largest
-        # scores would overflow
+        # slab (0, 1) scores past exp's overflow, so its bound is far over
+        # EXP_SAFE_SCORE and its rows keep the row-max shift; the other
+        # slabs, under the bound, go unshifted in the same call
         rng = np.random.default_rng(45)
         q0 = rng.normal(size=(2, 2, 6, 4))
         k0, v0 = rng.normal(size=(2, 2, 7, 4)), rng.normal(size=(2, 2, 7, 4))
@@ -537,15 +574,26 @@ class TestAttentionCore:
             assert rel_diff(a, b) < 1e-12, name
 
     def test_object_output_independent_of_its_batch(self):
-        # an object with huge scores in the batch changes no other object's bits
+        # an object with huge scores in the batch changes no other object's
+        # bits; with one head blown up, slabs under and over EXP_SAFE_SCORE
+        # share the object and the batch, and each slab equals its own run
         rng = np.random.default_rng(46)
         q0, k0, v0 = (rng.normal(size=(2, 2, 5, 4)) for _ in range(3))
         g0 = rng.normal(size=(2, 5, 2, 4))
         alone = self._run(T.attention_core, q0[:1], k0[:1], v0[:1], g0[:1], capture=True)
-        q0[1] *= 3000.0
-        batched = self._run(T.attention_core, q0, k0, v0, g0, capture=True)
-        for a, b in zip(alone, batched):
-            assert np.array_equal(a[0], b[0])
+        for huge in ((1,), (1, 0)):
+            q = q0.copy()
+            q[huge] *= 3000.0
+            bound = 4 * np.abs(0.5 * q).max(axis=(-2, -1)) * np.abs(k0).max(axis=(-2, -1))
+            assert (bound[0] <= T.EXP_SAFE_SCORE).all() and (bound[huge] > T.EXP_SAFE_SCORE).all()
+            batched = self._run(T.attention_core, q, k0, v0, g0, capture=True)
+            for a, b in zip(alone, batched):
+                assert np.array_equal(a[0], b[0])
+            for h in range(2):
+                one = self._run(T.attention_core, q[1:, h:h + 1], k0[1:, h:h + 1],
+                                v0[1:, h:h + 1], g0[1:, :, h:h + 1], capture=True)
+                for a, b in zip(one, batched):
+                    assert np.array_equal(a[0, 0], b[1, h])
 
     def test_capture_changes_nothing_but_the_weights(self):
         rng = np.random.default_rng(44)
