@@ -1,15 +1,16 @@
-"""Frustum sample assembly: extract, count, sample, normalize, filter.
+"""Frustum sample assembly: cut, count, resample, centre, filter.
 
 A FrustumSample is one object's training unit: its fixed-size sub-cloud in a
 centroid-relative frame, the 2D box and calibration it came from, and the
-(shifted) ground-truth box when available. Sample construction is a pure
-function of the dataset and a seed, so training and annotation see
-bit-identical inputs.
+(shifted) ground-truth box when available. A frustum is the row indices of
+the cloud inside a 2D box; a sample draws n of them and gathers and centres
+those n points in one pass. Sample construction is a pure function of the
+dataset and a seed, so training and annotation see bit-identical inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,7 @@ class EmptyCloud(Exception):
 
 @dataclass(frozen=True)
 class FrustumSample:
-    points: np.ndarray  # (N, 3), centroid-relative after normalization
+    points: np.ndarray  # (N, 3), centroid-relative
     centroid: np.ndarray  # (3,) offset removed from the raw coordinates
     box2d: Box2D
     calib: ProjectionModel
@@ -41,7 +42,7 @@ class FrustumSample:
     n_foreground_points: int
     cls: str = "Car"
     # the ground truth in the sensor frame exactly as its label row reads,
-    # what eval scores against; normalization and augmentation leave it
+    # what eval scores against; centring and augmentation leave it
     sensor_gt_box: Box3D | None = None
 
     def __post_init__(self):
@@ -51,52 +52,40 @@ class FrustumSample:
             raise ValueError("negative point counts")
 
 
-def sample_to_fixed_size(points, n, rng):
-    """Fixed-size resample: without replacement when enough points exist,
-    otherwise every point once plus a with-replacement remainder."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    m = len(pts)
+def sample_to_fixed_size(m, n, rng):
+    """The n indices into m points a fixed-size resample keeps: drawn
+    without replacement when enough points exist, otherwise every point once
+    plus a with-replacement remainder."""
     if m == 0:
         raise EmptyCloud("cannot sample an empty cloud")
     if m >= n:
-        idx = rng.choice(m, size=n, replace=False)
-    else:
-        idx = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
-    return pts[idx]
+        return rng.choice(m, size=n, replace=False)
+    return np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
 
 
-def normalize_frustum(sample):
-    """Shift the sample to its point centroid; the ground truth moves along."""
-    centroid = sample.points.mean(axis=0)
-    gt = sample.gt_box.translated(-centroid) if sample.gt_box is not None else None
-    return replace(
-        sample,
-        points=sample.points - centroid,
-        centroid=sample.centroid + centroid,
-        gt_box=gt,
-    )
-
-
-def build_frustum_sample(frustum, box2d, calib, gt_box, frame_id, object_id,
+def build_frustum_sample(cloud, rows, box2d, calib, gt_box, frame_id, object_id,
                          n_points, rng, cls="Car"):
-    """One object's sample from its frustum sub-cloud (see
-    :func:`~frustumbox.geometry.extract_frustum`); None when the frustum
-    holds no points at all, in which case no random numbers are drawn."""
-    n_raw = len(frustum)
+    """One object's sample from its frustum, the `rows` of `cloud` that
+    :func:`~frustumbox.geometry.extract_frustum` returns; None when the
+    frustum holds no points at all, in which case no random numbers are drawn.
+
+    The foreground count reads the whole frustum; the n resampled rows are
+    gathered once and shifted to their centroid, and the ground truth moves
+    along (the label's own box stays as ``sensor_gt_box``).
+    """
+    n_raw = len(rows)
     if n_raw == 0:
         return None
-    n_fg = (
-        int(np.count_nonzero(points_in_box3d(frustum, gt_box, strict=True)))
-        if gt_box is not None
-        else 0
-    )
-    sampled = sample_to_fixed_size(frustum, n_points, rng)
-    sample = FrustumSample(
-        points=sampled,
-        centroid=np.zeros(3),
+    n_fg = 0 if gt_box is None else int(
+        np.count_nonzero(points_in_box3d(cloud[rows], gt_box, strict=True)))
+    points = cloud[rows[sample_to_fixed_size(n_raw, n_points, rng)]]
+    mean = points.mean(axis=0)
+    return FrustumSample(
+        points=points - mean,
+        centroid=mean + 0.0,  # + 0.0 stores a -0.0 mean as 0.0
         box2d=box2d,
         calib=calib,
-        gt_box=gt_box,
+        gt_box=gt_box.translated(-mean) if gt_box is not None else None,
         frame_id=frame_id,
         object_id=object_id,
         n_raw_points=n_raw,
@@ -104,11 +93,11 @@ def build_frustum_sample(frustum, box2d, calib, gt_box, frame_id, object_id,
         cls=cls,
         sensor_gt_box=gt_box,
     )
-    return normalize_frustum(sample)
 
 
-def filter_samples(samples, min_total=MIN_TOTAL_POINTS, min_foreground=MIN_FOREGROUND_POINTS):
-    """Keep samples with enough raw and foreground points (inclusive bounds).
+def filter_samples(samples):
+    """Keep samples with at least MIN_TOTAL_POINTS raw and
+    MIN_FOREGROUND_POINTS foreground points.
 
     Returns (kept, rejections); each rejection is (frame_id, object_id,
     reason). Idempotent: filtering the kept list again rejects nothing.
@@ -116,20 +105,14 @@ def filter_samples(samples, min_total=MIN_TOTAL_POINTS, min_foreground=MIN_FOREG
     kept = []
     rejections = []
     for s in samples:
-        if s.n_raw_points < min_total:
-            rejections.append(
-                (s.frame_id, s.object_id, f"total points {s.n_raw_points} < {min_total}")
-            )
-        elif s.n_foreground_points < min_foreground:
-            rejections.append(
-                (
-                    s.frame_id,
-                    s.object_id,
-                    f"foreground points {s.n_foreground_points} < {min_foreground}",
-                )
-            )
+        if s.n_raw_points < MIN_TOTAL_POINTS:
+            reason = f"total points {s.n_raw_points} < {MIN_TOTAL_POINTS}"
+        elif s.n_foreground_points < MIN_FOREGROUND_POINTS:
+            reason = f"foreground points {s.n_foreground_points} < {MIN_FOREGROUND_POINTS}"
         else:
             kept.append(s)
+            continue
+        rejections.append((s.frame_id, s.object_id, reason))
     return kept, rejections
 
 
@@ -168,7 +151,7 @@ def frame_samples(root, frame_id, n_points, rng, require_gt):
         object_id = f"{frame_id}:{i}"
         gt_box = lidar_box_from_label(rec, calib) if require_gt else None
         sample = build_frustum_sample(
-            frustum, rec.box2d, calib, gt_box,
+            points, frustum, rec.box2d, calib, gt_box,
             frame_id=frame_id, object_id=object_id, n_points=n_points, rng=rng,
             cls=rec.cls,
         )

@@ -153,24 +153,22 @@ class ProjectionModel:
         return uv, rect[:, 2]
 
 
-def extract_frustum(cloud, box, calib):
-    """The sub-cloud whose projection falls inside a 2D box (inclusive edges).
+def extract_frustum(cloud, boxes, calib):
+    """The frustum of each 2D box: the rows of `cloud` whose projection falls
+    inside the box (inclusive edges), as an ascending index array.
 
-    `box` is one Box2D, giving one (M, 3) array, or a sequence of boxes,
-    giving a list with one array per box. Either way the cloud is projected
-    once: the points with positive rectified depth keep their pixels, and
-    every box selects from those. Input order is preserved; an empty result
-    is valid, an empty input cloud is not.
+    The cloud is projected once: the points with positive rectified depth
+    keep their pixels, and every box selects from those. No point is copied;
+    ``cloud[rows]`` is the frustum in input order. An empty result is valid,
+    an empty input cloud is not.
     """
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
         raise ValueError("empty input cloud")
-    boxes = [box] if isinstance(box, Box2D) else box
     uv, depth = calib.project(pts)
     front = np.flatnonzero(depth > 0)
     u, v = uv[front, 0], uv[front, 1]
-    frustums = [pts[front[b.contains(u, v)]] for b in boxes]
-    return frustums[0] if isinstance(box, Box2D) else frustums
+    return [front[b.contains(u, v)] for b in boxes]
 
 
 # Local-frame corner template: bottom face counter-clockwise starting at

@@ -17,7 +17,8 @@ from . import tensor as T
 from .loss import total_loss
 
 DEFAULT_STEP = 1e-4
-DEFAULT_TOLERANCE = 1e-3
+# A check passes when every parameter's worst relative error is below this.
+TOLERANCE = 1e-3
 
 # Absolute floor on the error denominator: directional derivatives this
 # small are below central-difference rounding noise, so the comparison is
@@ -38,7 +39,6 @@ class GradCheckRow:
 @dataclass
 class GradCheckReport:
     rows: list = field(default_factory=list)
-    tolerance: float = DEFAULT_TOLERANCE
 
     @property
     def worst(self):
@@ -46,7 +46,7 @@ class GradCheckReport:
 
     @property
     def passed(self):
-        return self.worst < self.tolerance
+        return self.worst < TOLERANCE
 
     def format_lines(self):
         lines = [
@@ -56,7 +56,7 @@ class GradCheckReport:
         ]
         lines.append(
             f"worst relative error {self.worst:.3e} "
-            f"({'PASS' if self.passed else 'FAIL'} at {self.tolerance:g})"
+            f"({'PASS' if self.passed else 'FAIL'} at {TOLERANCE:g})"
         )
         return lines
 
@@ -67,8 +67,7 @@ def _loss_value(model, points, gt_boxes, lambda_box):
 
 
 def model_gradient_check(model, points, gt_boxes, lambda_box, probes=2,
-                         step=DEFAULT_STEP, seed=0, tolerance=DEFAULT_TOLERANCE,
-                         log=None):
+                         step=DEFAULT_STEP, seed=0):
     """Directional finite-difference check over every parameter of the
     training objective weighted by ``lambda_box`` (the run's
     ``TrainConfig.lambda_box``).
@@ -84,7 +83,7 @@ def model_gradient_check(model, points, gt_boxes, lambda_box, probes=2,
     breakdown = total_loss(out.boxes, out.direction_logits, gt_boxes, lambda_box)
     T.backward(breakdown.total)
 
-    report = GradCheckReport(tolerance=tolerance)
+    report = GradCheckReport()
     for name, p in model.params.items():
         if p.grad is None:
             raise T.TensorError(f"parameter {name!r} received no gradient")
@@ -96,19 +95,15 @@ def model_gradient_check(model, points, gt_boxes, lambda_box, probes=2,
             directions.append(d / np.linalg.norm(d))
         worst = None
         for direction in directions:
-            row = _probe(model, points, gt_boxes, lambda_box, p, direction,
-                         step, tolerance, name)
+            row = _probe(model, points, gt_boxes, lambda_box, p, direction, step, name)
             if worst is None or row.rel_error > worst.rel_error:
                 worst = row
         report.rows.append(worst)
-        if log:
-            log(f"{name}: rel_err {worst.rel_error:.3e}")
     T.zero_grads(model.params)
     return report
 
 
-def _probe(model, points, gt_boxes, lambda_box, param, direction, step,
-           tolerance, name):
+def _probe(model, points, gt_boxes, lambda_box, param, direction, step, name):
     """One directional probe, shrinking the step when the window straddles a
     non-smooth boundary of the piecewise objective.
 
@@ -131,6 +126,6 @@ def _probe(model, points, gt_boxes, lambda_box, param, direction, step,
         row = GradCheckRow(name=name, rel_error=rel, analytic=analytic, numeric=numeric)
         if best is None or row.rel_error < best.rel_error:
             best = row
-        if best.rel_error < tolerance / 10.0:
+        if best.rel_error < TOLERANCE / 10.0:
             break
     return best

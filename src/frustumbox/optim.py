@@ -9,6 +9,11 @@ import numpy as np
 from .tensor import TensorError
 
 
+# Moment decay rates and the denominator guard (Kingma & Ba, arXiv:1412.6980).
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+
+
 class MissingGradient(TensorError):
     """A parameter reached the optimizer without a populated gradient."""
 
@@ -32,10 +37,8 @@ class Adam:
     Gradients are left untouched; the caller clears them between steps.
     """
 
-    def __init__(self, params, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, weight_decay):
         self.params = dict(params)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
@@ -48,19 +51,19 @@ class Adam:
                 raise MissingGradient(f"parameter {name!r} has no gradient")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for name, p in self.params.items():
             g = p.grad
             if self.weight_decay:
                 p.data *= 1.0 - lr * self.weight_decay
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     def zero_grad(self):
         for p in self.params.values():

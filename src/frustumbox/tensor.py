@@ -352,9 +352,12 @@ def relu(a):
     return _node(a.data * mask, (a,), grad_fn)
 
 
-def leaky_relu(a, slope=0.01):
+LEAKY_SLOPE = 0.01  # slope of the head MLPs' activation below zero
+
+
+def leaky_relu(a):
     a = as_tensor(a)
-    factor = np.where(a.data > 0, 1.0, slope)
+    factor = np.where(a.data > 0, 1.0, LEAKY_SLOPE)
 
     def grad_fn(g):
         return [(a, g * factor)]
@@ -663,7 +666,10 @@ def linear(x, weight, bias):
     return _node(out_data, (x, weight, bias), grad_fn)
 
 
-def layer_norm(x, gain, bias, eps=1e-12):
+LAYER_NORM_EPS = 1e-12  # see layer_norm's docstring
+
+
+def layer_norm(x, gain, bias):
     """Zero-mean unit-variance normalization over the last axis, then
     affine, as one node with an analytic backward.
 
@@ -679,7 +685,7 @@ def layer_norm(x, gain, bias, eps=1e-12):
     n = x.shape[-1]
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
-    inv = (var + eps) ** -0.5
+    inv = (var + LAYER_NORM_EPS) ** -0.5
     xhat = centered * inv
     out_data = xhat * gain.data
     out_data += bias.data

@@ -142,7 +142,7 @@ def _restore(model, optimizer, rng, resume_from):
     return int(ckpt.extras["epoch"]), int(ckpt.extras["step"])
 
 
-def train(model, samples, config, seed, out_dir=None, resume_from=None, log=None):
+def train(model, samples, config, seed, out_dir=None, resume_from=None):
     """Run the optimization; returns checkpoint path, metrics, and history.
 
     ``seed`` (the run's one seed, ``frustumbox train --seed``) starts the
@@ -193,8 +193,6 @@ def train(model, samples, config, seed, out_dir=None, resume_from=None, log=None
         history.append(record)
         if metrics_fh:
             metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
-        if log:
-            log(json.dumps(record, sort_keys=True))
 
     try:
         for epoch in range(start_epoch, config.epochs):

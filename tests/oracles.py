@@ -241,9 +241,9 @@ def layer_norm_composed(x, gain, bias, eps=1e-12):
 
 
 def denormalize_frustum(sample):
-    """Undo ``frustums.normalize_frustum`` up to rounding: points and the
-    ground truth move back by the centroid (the label's own box stays as
-    ``sensor_gt_box``)."""
+    """Undo the centring of ``frustums.build_frustum_sample`` up to rounding:
+    points and the ground truth move back by the centroid (the label's own
+    box stays as ``sensor_gt_box``)."""
     from dataclasses import replace
 
     gt = sample.gt_box.translated(sample.centroid) if sample.gt_box is not None else None
@@ -252,4 +252,48 @@ def denormalize_frustum(sample):
         points=sample.points + sample.centroid,
         centroid=np.zeros(3),
         gt_box=gt,
+    )
+
+
+def per_object_frustum(cloud, box, calib):
+    """The per-object cut: project the whole cloud for this one box, keep
+    positive depth and the box's inclusive pixel rectangle, as a mask."""
+    uv, depth = calib.project(cloud)
+    keep = depth > 0
+    keep[keep] = box.contains(uv[keep, 0], uv[keep, 1])
+    return cloud[keep]
+
+
+def per_object_sample(cloud, box2d, calib, gt_box, frame_id, object_id, n_points, rng,
+                      cls="Car"):
+    """The per-object reference of ``frustums.build_frustum_sample``: copy
+    the box's frustum out of the cloud by mask, count its foreground, gather
+    a fixed-size resample of the copy, then shift that to its centroid in a
+    second constructor pass. None for an empty frustum, with no draws."""
+    from dataclasses import replace
+
+    from frustumbox.frustums import FrustumSample
+    from frustumbox.geometry import points_in_box3d
+
+    frustum = per_object_frustum(cloud, box2d, calib)
+    m = len(frustum)
+    if m == 0:
+        return None
+    n_fg = (int(np.count_nonzero(points_in_box3d(frustum, gt_box, strict=True)))
+            if gt_box is not None else 0)
+    if m >= n_points:
+        idx = rng.choice(m, size=n_points, replace=False)
+    else:
+        idx = np.concatenate([np.arange(m), rng.integers(0, m, size=n_points - m)])
+    sample = FrustumSample(
+        points=frustum[idx], centroid=np.zeros(3), box2d=box2d, calib=calib,
+        gt_box=gt_box, frame_id=frame_id, object_id=object_id, n_raw_points=m,
+        n_foreground_points=n_fg, cls=cls, sensor_gt_box=gt_box,
+    )
+    centroid = sample.points.mean(axis=0)
+    return replace(
+        sample,
+        points=sample.points - centroid,
+        centroid=sample.centroid + centroid,
+        gt_box=gt_box.translated(-centroid) if gt_box is not None else None,
     )

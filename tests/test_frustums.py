@@ -13,7 +13,6 @@ from frustumbox.frustums import (
     dataset_sampling_rng,
     filter_samples,
     frame_samples,
-    normalize_frustum,
     sample_to_fixed_size,
 )
 from frustumbox.geometry import (
@@ -34,7 +33,12 @@ from frustumbox.kitti import (
 from frustumbox.model import BoxAnnotator, ModelConfig
 from frustumbox.synthetic import SceneSpec, virtual_calibration, write_synthetic_dataset
 
-from oracles import denormalize_frustum, identity_calibration
+from oracles import (
+    denormalize_frustum,
+    identity_calibration,
+    per_object_frustum,
+    per_object_sample,
+)
 
 
 def make_sample(points, gt=None, n_raw=None, n_fg=0):
@@ -52,60 +56,75 @@ def make_sample(points, gt=None, n_raw=None, n_fg=0):
     )
 
 
+def build_whole(cloud, gt=None, seed=0):
+    """The sample of a frustum that is the whole cloud, resampled to its size."""
+    return build_frustum_sample(
+        cloud, np.arange(len(cloud)), Box2D(0, 0, 10, 10), virtual_calibration(), gt,
+        "000000", "000000:0", len(cloud), np.random.default_rng(seed))
+
+
 class TestSampleToFixedSize:
     def test_enough_points_distinct(self):
-        rng = np.random.default_rng(0)
-        pts = rng.normal(size=(2000, 3))
-        out = sample_to_fixed_size(pts, 1024, rng)
-        assert out.shape == (1024, 3)
-        assert len(np.unique(out, axis=0)) == 1024
+        idx = sample_to_fixed_size(2000, 1024, np.random.default_rng(0))
+        assert idx.shape == (1024,) and np.issubdtype(idx.dtype, np.integer)
+        assert len(np.unique(idx)) == 1024
+        assert idx.min() >= 0 and idx.max() < 2000
 
     def test_deficit_keeps_all_and_duplicates(self):
-        rng = np.random.default_rng(1)
-        pts = np.arange(30.0).reshape(10, 3)
-        out = sample_to_fixed_size(pts, 1024, rng)
-        assert out.shape == (1024, 3)
-        uniq = np.unique(out, axis=0)
-        assert len(uniq) == 10  # every original point present
-        np.testing.assert_array_equal(np.unique(pts, axis=0), uniq)
+        idx = sample_to_fixed_size(10, 1024, np.random.default_rng(1))
+        assert idx.shape == (1024,) and np.issubdtype(idx.dtype, np.integer)
+        np.testing.assert_array_equal(idx[:10], np.arange(10))  # every point present
+        np.testing.assert_array_equal(np.unique(idx), np.arange(10))
 
     def test_seeded_determinism(self):
-        pts = np.random.default_rng(2).normal(size=(500, 3))
-        a = sample_to_fixed_size(pts, 128, np.random.default_rng(42))
-        b = sample_to_fixed_size(pts, 128, np.random.default_rng(42))
+        a = sample_to_fixed_size(500, 128, np.random.default_rng(42))
+        b = sample_to_fixed_size(500, 128, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloud):
-            sample_to_fixed_size(np.zeros((0, 3)), 16, np.random.default_rng(0))
+            sample_to_fixed_size(0, 16, np.random.default_rng(0))
 
 
 class TestNormalization:
     def test_normalized_centroid_at_origin(self):
         rng = np.random.default_rng(3)
-        s = make_sample(rng.normal(loc=5.0, size=(50, 3)))
-        ns = normalize_frustum(s)
-        np.testing.assert_allclose(ns.points.mean(axis=0), 0.0, atol=1e-12)
+        s = build_whole(rng.normal(loc=5.0, size=(50, 3)))
+        np.testing.assert_allclose(s.points.mean(axis=0), 0.0, atol=1e-12)
 
     def test_roundtrip_exact(self):
         rng = np.random.default_rng(4)
         gt = Box3D(5.2, -0.3, 0.1, 1.5, 3.5, 1.4, 0.8)
-        s = make_sample(rng.normal(loc=5.0, size=(50, 3)), gt=gt)
-        back = denormalize_frustum(normalize_frustum(s))
-        np.testing.assert_allclose(back.points, s.points, atol=1e-12)
+        cloud = rng.normal(loc=5.0, size=(50, 3))
+        back = denormalize_frustum(build_whole(cloud, gt=gt, seed=1))
+        drawn = sample_to_fixed_size(50, 50, np.random.default_rng(1))
+        np.testing.assert_allclose(back.points, cloud[drawn], atol=1e-12)
         np.testing.assert_allclose(back.gt_box.center, gt.center, atol=1e-12)
 
     def test_iou_invariant_under_joint_shift(self):
         rng = np.random.default_rng(5)
         gt = Box3D(5.2, -0.3, 0.1, 1.5, 3.5, 1.4, 0.8)
         other = Box3D(5.6, 0.1, 0.2, 1.6, 3.4, 1.5, 0.6)
-        s = make_sample(rng.normal(loc=5.0, size=(50, 3)), gt=gt)
-        ns = normalize_frustum(s)
+        ns = build_whole(rng.normal(loc=5.0, size=(50, 3)), gt=gt)
         shift = ns.centroid
         other_shifted = other.translated(-shift)
         assert iou_3d(gt, other) == pytest.approx(
             iou_3d(ns.gt_box, other_shifted), abs=1e-9
         )
+
+    def test_negative_zero_mean_is_stored_as_zero(self):
+        cloud = np.random.default_rng(6).normal(loc=5.0, size=(40, 3))
+        # a sum of -0.0 is +0.0, but a negative sum that underflows when
+        # divided by the count makes the mean -0.0
+        cloud[:, 1] = 0.0
+        cloud[3, 1] = -5e-324
+        assert np.signbit(cloud.mean(axis=0)[1]), "premise: the mean's y is -0.0"
+        s = build_whole(cloud, seed=2)
+        want = per_object_sample(cloud, Box2D(-1e9, -1e9, 1e9, 1e9), identity_calibration(),
+                                 None, "000000", "000000:0", 40, np.random.default_rng(2))
+        assert not np.signbit(s.centroid).any()
+        assert s.centroid.tobytes() == want.centroid.tobytes()
+        assert s.points.tobytes() == want.points.tobytes()
 
 
 class TestFilter:
@@ -164,7 +183,6 @@ class TestPipeline:
 
     def test_counts_match_brute_force(self, tmp_path):
         from frustumbox.kitti import lidar_box_from_label, load_frame, manifest_frames
-        from frustumbox.geometry import extract_frustum
 
         spec = SceneSpec(noise_sigma=0.02)
         write_synthetic_dataset(tmp_path, spec, 3, np.random.default_rng(1), val_every=0)
@@ -177,7 +195,7 @@ class TestPipeline:
                 if sid not in by_id:
                     continue
                 s = by_id[sid]
-                frustum = extract_frustum(points, rec.box2d, calib)
+                frustum = per_object_frustum(points, rec.box2d, calib)
                 assert s.n_raw_points == len(frustum)
                 gt = lidar_box_from_label(rec, calib)
                 fg = int(points_in_box3d(frustum, gt, strict=True).sum())
@@ -210,15 +228,6 @@ class TestPipeline:
                 s.gt_box.center + s.centroid, original.center, atol=1e-9
             )
             assert s.gt_box.yaw == original.yaw
-
-
-def per_object_frustum(cloud, box, calib):
-    """The per-object cut: project the whole cloud for this one box, keep
-    positive depth and the box's inclusive pixel rectangle, as a mask."""
-    uv, depth = calib.project(cloud)
-    keep = depth > 0
-    keep[keep] = box.contains(uv[keep, 0], uv[keep, 1])
-    return cloud[keep]
 
 
 # a tiny architecture: annotate runs in well under a second
@@ -262,14 +271,16 @@ class TestFrameFrustums:
             Box2D(20.0, 20.0, 30.0, 30.0),  # nothing projects here
         ]
         got = extract_frustum(cloud, boxes, calib)
-        for box, frustum in zip(boxes, got):
+        assert len(got) == len(boxes)
+        for box, rows in zip(boxes, got):
+            assert rows.ndim == 1 and np.issubdtype(rows.dtype, np.integer)
+            assert (np.diff(rows) > 0).all()
             want = per_object_frustum(cloud, box, calib)
-            assert frustum.shape == want.shape
-            assert frustum.tobytes() == want.tobytes()
-            assert extract_frustum(cloud, box, calib).tobytes() == want.tobytes()
-        edge_points = cloud[-4:]
-        assert all((got[0] == p).all(axis=1).any() for p in edge_points)
-        assert not (got[0] == [0.5, 0.5, -1.0]).all(axis=1).any()
+            assert cloud[rows].shape == want.shape
+            assert cloud[rows].tobytes() == want.tobytes()
+        n = len(cloud)
+        assert {n - 4, n - 3, n - 2, n - 1} <= set(got[0].tolist())  # edges are inside
+        assert n - 6 not in got[0] and n - 5 not in got[0]  # depth <= 0 is outside
         assert len(got[2]) == 0
 
     def test_frame_samples_match_per_object_path(self, tmp_path):
@@ -300,8 +311,8 @@ class TestFrameFrustums:
                 for i, rec in enumerate(records):
                     if not rec.is_care or (require_gt and not rec.has_box3d):
                         continue
-                    sample = build_frustum_sample(
-                        per_object_frustum(points, rec.box2d, calib), rec.box2d, calib,
+                    sample = per_object_sample(
+                        points, rec.box2d, calib,
                         lidar_box_from_label(rec, calib) if require_gt else None,
                         frame, f"{frame}:{i}", 32,
                         rng_old, cls=rec.cls)
@@ -316,6 +327,8 @@ class TestFrameFrustums:
                     assert s.centroid.tobytes() == w.centroid.tobytes()
                     assert (s.n_raw_points, s.n_foreground_points) == (
                         w.n_raw_points, w.n_foreground_points)
+                    assert (s.gt_box, s.sensor_gt_box, s.cls) == (
+                        w.gt_box, w.sensor_gt_box, w.cls)
             assert sky in skipped
             assert (off_image in built) == (not require_gt)
 

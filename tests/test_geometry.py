@@ -82,19 +82,26 @@ class TestProjectPoint:
             assert abs(v - vo) < 1e-6
 
 
+def frustum_rows(cloud, box, calib):
+    """One box's frustum rows, checked to be ascending integer indices."""
+    (rows,) = extract_frustum(cloud, [box], calib)
+    assert rows.ndim == 1 and np.issubdtype(rows.dtype, np.integer)
+    assert (np.diff(rows) > 0).all()
+    return rows
+
+
 class TestExtractFrustum:
     def test_all_inside(self):
         calib = identity_calibration()
         cloud = np.array([[0.1, 0.1, 1.0], [-0.2, 0.0, 2.0], [0.0, 0.3, 1.5]])
         box = Box2D(-1.0, -1.0, 1.0, 1.0)
-        out = extract_frustum(cloud, box, calib)
-        np.testing.assert_array_equal(out, cloud)
+        np.testing.assert_array_equal(frustum_rows(cloud, box, calib), [0, 1, 2])
 
     def test_none_inside(self):
         calib = identity_calibration()
         cloud = np.array([[5.0, 5.0, 1.0], [0.0, 0.0, -1.0]])
         box = Box2D(-1.0, -1.0, 1.0, 1.0)
-        assert len(extract_frustum(cloud, box, calib)) == 0
+        assert len(frustum_rows(cloud, box, calib)) == 0
 
     def test_membership_matches_per_point_oracle(self):
         calib = ProjectionModel(P=KITTI_P2, R0=KITTI_R0, Tr=KITTI_TR)
@@ -103,25 +110,38 @@ class TestExtractFrustum:
             [rng.uniform(3, 50, 100), rng.uniform(-20, 20, 100), rng.uniform(-3, 3, 100)]
         )
         box = Box2D(300.0, 100.0, 900.0, 350.0)
-        out = extract_frustum(cloud, box, calib)
+        rows = frustum_rows(cloud, box, calib)
         expected = []
-        for p in cloud:
+        for i, p in enumerate(cloud):
             u, v, depth = project_by_hand(p, KITTI_P2, KITTI_R0, KITTI_TR)
             if depth > 0 and 300.0 <= u <= 900.0 and 100.0 <= v <= 350.0:
-                expected.append(p)
-        expected = np.array(expected).reshape(-1, 3)
-        assert len(out) > 0
-        np.testing.assert_allclose(out, expected)
+                expected.append(i)
+        assert len(rows) > 0
+        np.testing.assert_array_equal(rows, expected)
 
     def test_order_preserved_and_subset(self):
         calib = identity_calibration()
         rng = np.random.default_rng(3)
         cloud = rng.normal(size=(50, 3)) + np.array([0, 0, 3.0])
-        box = Box2D(-0.2, -0.2, 0.2, 0.2)
-        out = extract_frustum(cloud, box, calib)
-        # order preserved: output rows appear in the same order as in the input
-        idx = [int(np.flatnonzero((cloud == row).all(axis=1))[0]) for row in out]
-        assert idx == sorted(idx)
+        rows = frustum_rows(cloud, Box2D(-0.2, -0.2, 0.2, 0.2), calib)  # ascending
+        assert 0 < len(rows) < len(cloud) and rows[0] >= 0 and rows[-1] < len(cloud)
+
+    def test_one_entry_per_box_in_box_order(self):
+        calib = identity_calibration()
+        rng = np.random.default_rng(3)
+        cloud = rng.normal(size=(50, 3)) + np.array([0, 0, 3.0])
+        boxes = [Box2D(-0.2, -0.2, 0.2, 0.2), Box2D(-5.0, -5.0, 5.0, 5.0), Box2D(-0.2, -0.2, 0.2, 0.2)]
+        got = extract_frustum(cloud, boxes, calib)
+        assert len(got) == 3
+        for box, rows in zip(boxes, got):
+            np.testing.assert_array_equal(rows, frustum_rows(cloud, box, calib))
+        np.testing.assert_array_equal(got[0], got[2])
+        assert set(got[0].tolist()) < set(got[1].tolist())
+
+    def test_empty_cloud_is_an_error(self):
+        with pytest.raises(ValueError):
+            extract_frustum(np.zeros((0, 3)), [Box2D(-1.0, -1.0, 1.0, 1.0)],
+                            identity_calibration())
 
 
 class TestBoxCorners:

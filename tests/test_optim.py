@@ -41,7 +41,7 @@ class TestAdam:
         # hand recurrence: m_hat = g, v_hat = g*g, update = lr * g/(|g|+eps)
         p = make_param(1.0)
         p.grad = np.array(1.0)
-        opt = Adam({"p": p}, weight_decay=0.0, betas=(0.9, 0.999))
+        opt = Adam({"p": p}, weight_decay=0.0)
         opt.step(0.1)
         assert p.data == pytest.approx(0.9, abs=1e-6)
 
