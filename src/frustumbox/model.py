@@ -9,6 +9,11 @@ offset, extents, yaw; the extents bounded by one smooth decode) plus
 front/back logits. The global stack and the decoder are optional: a layer
 count of 0 leaves the stage out.
 
+Each stage computes only the rows a later stage reads. Without a decoder the
+heads read only the seven box-token rows, so the last local layer computes
+just those rows (its keys and values still span every row) and the global
+stack runs on the seven token positions.
+
 All learned state lives in a flat name-to-Parameter mapping so the
 optimizer and checkpoints stay structure-agnostic.
 """
@@ -110,7 +115,13 @@ class ModelConfig:
 
 @dataclass
 class AttentionTrace:
-    """Per-layer attention weights captured during one forward pass."""
+    """Per-layer attention weights captured during one forward pass.
+
+    Local maps are (B, H, N+7, N+7) in every layer, the last included.
+    Global maps are (S, H, B, B) over the S positions the global stack runs
+    on: all N+7 when a decoder follows, the 7 box-token positions when none
+    does.
+    """
 
     local_layers: list = field(default_factory=list)
     global_layers: list = field(default_factory=list)
@@ -236,11 +247,24 @@ class BoxAnnotator:
     def _layer_norm(self, x, prefix):
         return T.layer_norm(x, self._p(f"{prefix}.gain"), self._p(f"{prefix}.bias"))
 
-    def _encoder_layer(self, x, prefix, capture=False):
+    def _encoder_layer(self, x, prefix, capture=False, rows=None):
+        """One pre-norm encoder layer over x (B, L, d).
+
+        With ``rows`` set, only the first ``rows`` rows are computed: they
+        query the keys and values of all L rows, and the layer returns
+        (B, rows, d). The captured map still covers every query row; it is
+        built by a separate graph-free call that feeds nothing downstream.
+        """
         h = self._layer_norm(x, f"{prefix}.ln1")
-        attn_out, weights = T.multi_head_attention(
-            h, h, h, self.config.heads, self._attn_params(f"{prefix}.attn"), capture
-        )
+        heads, params = self.config.heads, self._attn_params(f"{prefix}.attn")
+        if rows is None:
+            attn_out, weights = T.multi_head_attention(h, h, h, heads, params, capture)
+        else:
+            attn_out, _ = T.multi_head_attention(h[:, :rows], h, h, heads, params)
+            x, weights = x[:, :rows], None
+            if capture:
+                with T.no_grad():
+                    _, weights = T.multi_head_attention(h, h, h, heads, params, True)
         x = x + attn_out
         h = self._layer_norm(x, f"{prefix}.ln2")
         x = x + self._linear(T.relu(self._linear(h, f"{prefix}.mlp.l1")), f"{prefix}.mlp.l2")
@@ -279,14 +303,18 @@ class BoxAnnotator:
     def forward_local(self, embeddings, capture=False):
         """Box tokens prepended, then the per-object encoder stack.
 
-        embeddings: (B, N, d). Returns ((B, N+7, d), [attention weights]);
-        the weights are built, and the list filled, only under ``capture``.
+        embeddings: (B, N, d). Returns ((B, N+7, d), [attention weights]),
+        or ((B, 7, d), ...) when no decoder follows: the heads then read only
+        the box tokens, so the last layer computes only their rows. The
+        weights are built, and the list filled, only under ``capture``.
         """
         B = embeddings.shape[0]
         x = T.concat([self.box_token_sequence(B), embeddings], axis=1)
+        last = self.config.n_local_layers - 1
+        rows = None if self.config.n_decoder_layers else N_BOX_TOKENS
         traces = []
         for i in range(self.config.n_local_layers):
-            x, w = self._encoder_layer(x, f"local.{i}", capture)
+            x, w = self._encoder_layer(x, f"local.{i}", capture, rows if i == last else None)
             if capture:
                 traces.append(w)
         return x, traces
@@ -298,10 +326,14 @@ class BoxAnnotator:
         each object's feature rows, so the stack sees the same batch however
         the caller ordered it: permuting the batch permutes the output
         bit-exactly. Objects that tie are byte-identical and get identical
-        rows, so which of them takes which sorted slot does not matter. The
-        sorted sequence is transposed to (N+7, B, d) so each of the N+7
-        positions sees its batch of peer objects as the attention axis. The
-        output and the captured weights (N+7, H, B, B) come back in the
+        rows, so which of them takes which sorted slot does not matter.
+        features: (B, S, d), the local stack's output: S = N+7 when a decoder
+        follows, S = 7 box tokens when none does. The sorted sequence is
+        transposed to (S, B, d) so each position sees its batch of peer
+        objects as the attention axis. A position's output reads only that
+        position, and the 7-row sort key is a prefix of the N+7-row one, so
+        the token rows come out the same whichever S runs. The output
+        (B, S, d) and the captured weights (S, H, B, B) come back in the
         caller's order.
         """
         features = T.as_tensor(features)
@@ -371,9 +403,9 @@ class BoxAnnotator:
 
         points: (B, N, 3) array or Tensor of centroid-normalized
         coordinates. The global stack and the decoder run only when their
-        layer count is positive; without a decoder the heads read the
-        encoder's box tokens. Returns a ForwardOutput; the attention trace
-        is captured only when requested.
+        layer count is positive; without a decoder the encoders emit only
+        the (B, 7, d) box-token rows, and the heads read those. Returns a
+        ForwardOutput; the attention trace is captured only when requested.
         """
         pts = T.as_tensor(points)
         emb = self.embed_points(pts)
@@ -393,7 +425,7 @@ class BoxAnnotator:
                 trace.decoder_self = w_self
                 trace.decoder_cross = w_cross
         else:
-            decoded = x[:, :N_BOX_TOKENS]
+            decoded = x
         tokens = self._layer_norm(decoded, "head.norm")
         return ForwardOutput(
             boxes=self.regress_box(tokens),

@@ -595,8 +595,11 @@ def attention_core(Q, K, V, scale, capture=False):
     magnitude, and where that bound is within :data:`EXP_SAFE_SCORE` the
     shift is 0 and the scores are exponentiated as they are; above it the
     shift is the row max. The decision reads only the slab's own operands,
-    so a slab's bits do not depend on the rest of the batch. The backward
-    follows the same split (Dao et al., FlashAttention) and never reads the
+    so a slab's bits do not depend on the rest of the batch. Where a caller
+    passes only some query rows (a layer that computes only the box-token
+    rows), the bound reads those rows alone: it still bounds every score
+    the slab computes, though it may skip a shift that the same slab with
+    every query row would take. The backward follows the same split (Dao et al., FlashAttention) and never reads the
     shift: with ``gr = g·r`` and ``d = rowsum(gr ∘ context)``, an (Lq, dh)
     sum, the score gradient is ``e ∘ (gr Vᵀ − d)``. Results agree with the
     four-node composition (``tests/oracles.py``) to rounding, not bit for

@@ -240,6 +240,53 @@ def layer_norm_composed(x, gain, bias, eps=1e-12):
     return T.add(T.mul(T.mul(centered, inv), gain), bias)
 
 
+def _full_encoder_layer(model, x, prefix, capture):
+    """A pre-norm encoder layer of ``model`` in which every row queries."""
+    from frustumbox import tensor as T
+
+    p = model.params
+    attn = {f"{w}{part}": p[f"{prefix}.attn.{part}.{w}"] for part in "qkvo" for w in "wb"}
+    h = T.layer_norm(x, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
+    a, weights = T.multi_head_attention(h, h, h, model.config.heads, attn, capture)
+    x = x + a
+    h = T.layer_norm(x, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
+    h = T.relu(T.linear(h, p[f"{prefix}.mlp.l1.w"], p[f"{prefix}.mlp.l1.b"]))
+    return x + T.linear(h, p[f"{prefix}.mlp.l2.w"], p[f"{prefix}.mlp.l2.b"]), weights
+
+
+def full_rows_forward(model, points, capture=False):
+    """A decoder-less model's forward in which every encoder layer computes
+    every one of the N+7 rows, the global stack runs on all N+7 positions
+    (its batch sorted by the bytes of each object's full feature rows), and
+    the heads then slice the seven box-token rows.
+
+    Returns (boxes, direction_logits, local maps); the maps, (B, H, N+7,
+    N+7) per local layer, are built only under ``capture``.
+    """
+    from frustumbox import tensor as T
+    from frustumbox.model import N_BOX_TOKENS
+
+    cfg = model.config
+    assert cfg.n_decoder_layers == 0, "the oracle is the decoder-less path"
+    pts = T.as_tensor(points)
+    emb = model.embed_points(pts)
+    if cfg.pos_mode != "none":
+        emb = emb + model.positional_encode(pts)
+    x = T.concat([model.box_token_sequence(pts.shape[0]), emb], axis=1)
+    maps = []
+    for i in range(cfg.n_local_layers):
+        x, w = _full_encoder_layer(model, x, f"local.{i}", capture)
+        maps.append(w)
+    if cfg.n_global_layers:
+        order = sorted(range(x.shape[0]), key=lambda b: x.data[b].tobytes())
+        x = T.swapaxes(T.permute(x, order), 0, 1)
+        for i in range(cfg.n_global_layers):
+            x, _ = _full_encoder_layer(model, x, f"global.{i}", False)
+        x = T.permute(T.swapaxes(x, 0, 1), np.argsort(order))
+    tokens = model._layer_norm(x[:, :N_BOX_TOKENS], "head.norm")
+    return model.regress_box(tokens), model.classify_direction(tokens), maps
+
+
 def denormalize_frustum(sample):
     """Undo the centring of ``frustums.build_frustum_sample`` up to rounding:
     points and the ground truth move back by the centroid (the label's own

@@ -10,10 +10,11 @@ from frustumbox.train import TrainConfig
 LAMBDA_BOX = TrainConfig().lambda_box
 
 
-def tiny_model():
-    cfg = ModelConfig(d=16, n_points=12, n_local_layers=1, n_global_layers=1,
-                      n_decoder_layers=1, heads=2, head_hidden=16)
-    return BoxAnnotator(cfg, rng=np.random.default_rng(0))
+def tiny_model(**stages):
+    cfg = dict(d=16, n_points=12, n_local_layers=1, n_global_layers=1,
+               n_decoder_layers=1, heads=2, head_hidden=16)
+    cfg.update(stages)
+    return BoxAnnotator(ModelConfig(**cfg), rng=np.random.default_rng(0))
 
 
 def tiny_batch(seed=1, b=3, n=12):
@@ -29,6 +30,17 @@ def tiny_batch(seed=1, b=3, n=12):
 class TestModelGradientCheck:
     def test_tiny_model_passes(self):
         model = tiny_model()
+        pts, gts = tiny_batch()
+        report = model_gradient_check(model, pts, gts, LAMBDA_BOX, probes=2, seed=0)
+        assert report.passed, report.format_lines()[-1]
+        assert report.worst < 1e-3
+
+    @pytest.mark.parametrize("n_global_layers", [0, 1], ids=["A", "B"])
+    def test_decoderless_model_passes(self, n_global_layers):
+        # the last local layer computes only the box-token rows from the
+        # keys and values of every row, a full-row layer feeding it
+        model = tiny_model(n_local_layers=2, n_global_layers=n_global_layers,
+                           n_decoder_layers=0)
         pts, gts = tiny_batch()
         report = model_gradient_check(model, pts, gts, LAMBDA_BOX, probes=2, seed=0)
         assert report.passed, report.format_lines()[-1]

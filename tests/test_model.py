@@ -17,6 +17,7 @@ from frustumbox.model import (
     export_attention,
 )
 from frustumbox.geometry import DIRECTION_BACK, DIRECTION_FRONT
+from oracles import full_rows_forward
 
 
 def tiny_config(**kw):
@@ -28,6 +29,15 @@ def tiny_config(**kw):
 
 def make_model(seed=0, **kw):
     return BoxAnnotator(tiny_config(**kw), rng=np.random.default_rng(seed))
+
+
+# stage toggles of the ablation variants (``evaluate.ablation_config``)
+VARIANTS = {
+    "A": dict(n_global_layers=0, n_decoder_layers=0, pos_mode="none"),
+    "B": dict(n_global_layers=1, n_decoder_layers=0, pos_mode="none"),
+    "C": dict(n_global_layers=1, n_decoder_layers=1, pos_mode="none"),
+    "full": dict(n_global_layers=1, n_decoder_layers=1, pos_mode="mlp"),
+}
 
 
 def rand_points(rng, b, n):
@@ -364,16 +374,28 @@ class TestForward:
             a.direction_logits.data, b.direction_logits.data, atol=1e-9
         )
 
-    def test_capture_leaves_outputs_byte_identical(self):
-        m = make_model(n_local_layers=2)
+    @pytest.mark.parametrize("variant", ["A", "B", "C", "full"])
+    def test_capture_leaves_outputs_byte_identical(self, variant):
+        m = make_model(n_local_layers=2, **VARIANTS[variant])
         pts = rand_points(np.random.default_rng(19), 3, 8)
-        plain = m.forward(pts)
-        captured = m.forward(pts, capture_attention=True)
+        grads = []
+        for capture in (False, True):
+            T.zero_grads(m.params)
+            out = m.forward(pts, capture_attention=capture)
+            T.backward(out.boxes.sum() + out.direction_logits.sum())
+            grads.append({name: p.grad.tobytes() for name, p in m.params.items()})
+        plain, captured = m.forward(pts), out
         assert plain.boxes.data.tobytes() == captured.boxes.data.tobytes()
         assert plain.direction_logits.data.tobytes() == captured.direction_logits.data.tobytes()
-        trace = captured.attention
-        assert len(trace.local_layers) == 2 and len(trace.global_layers) == 1
-        assert len(trace.decoder_self) == 1 and len(trace.decoder_cross) == 1
+        assert grads[0] == grads[1]
+        cfg, trace = m.config, captured.attention
+        assert len(trace.local_layers) == 2
+        assert len(trace.global_layers) == cfg.n_global_layers
+        assert len(trace.decoder_self) == len(trace.decoder_cross) == cfg.n_decoder_layers
+        # every local map keeps all N+7 query rows, the row-pruned last layer's too
+        assert all(w.shape == (3, 2, 15, 15) for w in trace.local_layers)
+        positions = 15 if cfg.n_decoder_layers else 7
+        assert all(w.shape == (positions, 2, 3, 3) for w in trace.global_layers)
 
     def test_no_weights_built_without_capture(self, monkeypatch):
         m = make_model()
@@ -389,6 +411,29 @@ class TestForward:
         m.forward(rand_points(np.random.default_rng(20), 2, 8))
         # local, global, decoder self- and cross-attention
         assert len(seen) == 4 and all(w is None for w in seen)
+
+    @pytest.mark.parametrize("variant", ["A", "B", "C", "full"])
+    def test_attention_rows_per_layer(self, variant, monkeypatch):
+        # a decoder-less model computes the box-token rows only from the last
+        # local layer on; with a decoder every encoder layer computes them all
+        stages = dict(VARIANTS[variant])
+        stages["n_global_layers"] *= 2
+        m = make_model(n_local_layers=2, **stages)
+        seen = []
+        core = T.attention_core
+
+        def spy(Q, K, V, *args, **kwargs):
+            seen.append((Q.shape, K.shape))
+            return core(Q, K, V, *args, **kwargs)
+
+        monkeypatch.setattr(T, "attention_core", spy)
+        m.forward(rand_points(np.random.default_rng(22), 3, 8))
+        rows = 15 if m.config.n_decoder_layers else 7
+        expected = [((3, 2, 15, 8), (3, 2, 15, 8)), ((3, 2, rows, 8), (3, 2, 15, 8))]
+        expected += [((rows, 2, 3, 8), (rows, 2, 3, 8))] * m.config.n_global_layers
+        expected += [((3, 2, 7, 8), (3, 2, 7, 8)),
+                     ((3, 2, 7, 8), (3, 2, 8, 8))] * m.config.n_decoder_layers
+        assert seen == expected
 
     def test_encoder_layer_is_twenty_nodes(self):
         m = make_model()
@@ -421,6 +466,40 @@ class TestForward:
         for head in ("loc", "dim", "yaw", "dir"):
             g = m.params[f"head.{head}.l2.w"].grad
             assert g is not None and np.abs(g).max() > 0, head
+
+
+class TestDecoderlessRows:
+    """Without a decoder the encoders compute only the box-token rows; the
+    oracle computes every row in every layer and slices before the heads."""
+
+    @pytest.mark.parametrize("b", [1, 4])
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_equals_full_rows_oracle(self, variant, b):
+        m = BoxAnnotator(ModelConfig.desk(**VARIANTS[variant]), rng=np.random.default_rng(0))
+        rng = np.random.default_rng(23 + b)
+        pts = rng.normal(size=(b, m.config.n_points, 3))
+        weights = rng.normal(size=(b, 7)), rng.normal(size=(b, 2))
+
+        def grads(boxes, logits):
+            T.zero_grads(m.params)
+            T.backward((boxes * weights[0]).sum() + (logits * weights[1]).sum())
+            return {name: p.grad for name, p in m.params.items()}
+
+        want_boxes, want_logits, want_maps = full_rows_forward(m, pts, capture=True)
+        want = grads(want_boxes, want_logits)
+        out = m.forward(pts, capture_attention=True)
+        got = grads(out.boxes, out.direction_logits)
+        assert out.boxes.data.tobytes() == want_boxes.data.tobytes()
+        assert out.direction_logits.data.tobytes() == want_logits.data.tobytes()
+        for w, w_want in zip(out.attention.local_layers, want_maps, strict=True):
+            assert w.data.tobytes() == w_want.data.tobytes()
+        # the gradient into ln1's output adds its query, key and value parts
+        # in another order; the key biases' exact gradient is 0, so their
+        # rounding noise is measured against the model's largest gradient
+        scale = max(np.abs(g).max() for g in want.values())
+        for name, g in want.items():
+            np.testing.assert_allclose(got[name], g, rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=name)
 
 
 class TestAttentionExport:
