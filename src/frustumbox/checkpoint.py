@@ -11,7 +11,8 @@ Layout (all integers little-endian):
 
 ``arrays`` is a list of {"name", "shape", "kind"} where kind is "param" for
 model parameters and "extra" for optimizer or bookkeeping buffers. Loading
-validates magic, version, and payload length; name/shape validation against
+validates magic, version, header length and encoding, and payload length,
+and raises ``CheckpointError`` on any of them; name/shape validation against
 a model happens in the model loader.
 
 A checkpoint is written to ``<path>.tmp`` and then renamed over ``path``, so
@@ -93,33 +94,42 @@ def load_checkpoint(path):
     """Read a checkpoint back into a :class:`Checkpoint`."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    header_start = len(MAGIC) + 12
     if blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    (version,) = struct.unpack_from("<I", blob, len(MAGIC))
+    if len(blob) < header_start:
+        raise CheckpointError(f"{path}: truncated before the header length")
+    version, header_len = struct.unpack_from("<IQ", blob, len(MAGIC))
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC) + 4)
-    header_start = len(MAGIC) + 12
-    header = json.loads(blob[header_start : header_start + header_len].decode("utf-8"))
     offset = header_start + header_len
+    if offset > len(blob):
+        raise CheckpointError(f"{path}: truncated inside the header")
     params = {}
     extra_arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(blob):
-            raise CheckpointError(f"{path}: truncated payload at {entry['name']!r}")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += nbytes
-        target = params if entry["kind"] == "param" else extra_arrays
-        target[entry["name"]] = arr
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors; KeyError and
+    # TypeError mean JSON that is not a checkpoint header
+    try:
+        header = json.loads(blob[header_start:offset].decode("utf-8"))
+        config, extras = header["config"], header.get("extras", {})
+        for entry in header["arrays"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            nbytes = count * 8
+            if offset + nbytes > len(blob):
+                raise CheckpointError(f"{path}: truncated payload at {entry['name']!r}")
+            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+            offset += nbytes
+            target = params if entry["kind"] == "param" else extra_arrays
+            target[entry["name"]] = arr
+    except (ValueError, KeyError, TypeError) as err:
+        raise CheckpointError(f"{path}: malformed header: {err!r}") from None
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
     return Checkpoint(
-        config=header["config"],
+        config=config,
         params=params,
-        extras=header.get("extras", {}),
+        extras=extras,
         extra_arrays=extra_arrays,
         format_version=version,
     )

@@ -62,8 +62,9 @@ class GradCheckReport:
 
 
 def _loss_value(model, points, gt_boxes, lambda_box):
-    out = model.forward(points)
-    return total_loss(out.boxes, out.direction_logits, gt_boxes, lambda_box).total.item()
+    with T.no_grad():
+        out = model.forward(points)
+        return total_loss(out.boxes, out.direction_logits, gt_boxes, lambda_box).total.item()
 
 
 def model_gradient_check(model, points, gt_boxes, lambda_box, probes=2,
@@ -82,6 +83,7 @@ def model_gradient_check(model, points, gt_boxes, lambda_box, probes=2,
     out = model.forward(points)
     breakdown = total_loss(out.boxes, out.direction_logits, gt_boxes, lambda_box)
     T.backward(breakdown.total)
+    del out, breakdown  # the parameters hold the gradients; free the graph before probing
 
     report = GradCheckReport()
     for name, p in model.params.items():

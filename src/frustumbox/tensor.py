@@ -2,7 +2,11 @@
 
 A Tensor wraps an ndarray plus an optional backpropagation record. Graphs
 are built eagerly by the op functions below; ``backward`` walks the graph
-once per call and accumulates into ``.grad`` until the caller clears it.
+once per call and accumulates into the ``.grad`` of its leaves (the tensors
+no op produced, such as parameters) until the caller clears it. An
+intermediate never holds a gradient, so after ``backward`` a graph holds
+its activations and nothing more, and it is freed as soon as the caller
+drops its last tensor.
 
 Attention's scores, softmax and context are one op, :func:`attention_core`,
 with a hand-written backward; :func:`multi_head_attention` adds the head
@@ -789,10 +793,12 @@ def _toposort(root):
 
 
 def backward(loss):
-    """Populate ``.grad`` on everything reachable from a scalar loss.
+    """Populate ``.grad`` on the leaves reachable from a scalar loss.
 
-    Gradients accumulate across calls; clear with ``zero_grads`` between
-    optimization steps.
+    Only leaves (tensors no op produced, such as parameters) get ``.grad``;
+    an intermediate's gradient lives only until its own backward rule has
+    read it, so it stays None. Leaf gradients accumulate across calls;
+    clear with ``zero_grads`` between optimization steps.
     """
     loss = as_tensor(loss)
     if loss.data.size != 1:
@@ -802,9 +808,9 @@ def backward(loss):
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        # grads are never mutated in place, so sharing buffers is safe
-        node.grad = g if node.grad is None else node.grad + g
         if node._grad_fn is None:
+            # grads are never mutated in place, so sharing buffers is safe
+            node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in node._grad_fn(g):
             pg = np.asarray(pg, dtype=np.float64)

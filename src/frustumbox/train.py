@@ -25,7 +25,7 @@ from .evaluate import (
     evaluate_model,
 )
 from .inference import predict_samples  # noqa: F401 - looked up on this module by perfbench/tracing.py
-from .loss import total_loss
+from .loss import LossBreakdown, total_loss
 from .model import checkpoint_model_config
 from .optim import Adam, cosine_lr
 
@@ -75,7 +75,12 @@ class TrainResult:
 
 def train_step(model, points, gt_boxes, optimizer, lr, lambda_box,
                sample_ids=None):
-    """One optimization step; gradients are cleared here before use."""
+    """One optimization step; gradients are cleared here before use.
+
+    Returns the step's ``LossBreakdown`` as values: its tensors carry no
+    graph, so the step's graph is freed when the step returns, whatever the
+    caller keeps.
+    """
     optimizer.zero_grad()
     out = model.forward(points)
     breakdown = total_loss(out.boxes, out.direction_logits, gt_boxes, lambda_box)
@@ -84,7 +89,10 @@ def train_step(model, points, gt_boxes, optimizer, lr, lambda_box,
         raise NonFiniteLoss(f"non-finite loss {breakdown.total.item()} on batch {ids}")
     T.backward(breakdown.total)
     optimizer.step(lr)
-    return breakdown
+    return LossBreakdown(box_loss=breakdown.box_loss.detach(),
+                         dir_loss=breakdown.dir_loss.detach(),
+                         total=breakdown.total.detach(),
+                         per_object_iou=breakdown.per_object_iou)
 
 
 def _epoch_batches(n, batch_size, order, drop_last):

@@ -287,6 +287,37 @@ def full_rows_forward(model, points, capture=False):
     return model.regress_box(tokens), model.classify_direction(tokens), maps
 
 
+def every_node_backward(loss):
+    """Reverse-mode sweep that stores a gradient on every node it visits,
+    intermediates included: the engine's backward before it kept ``.grad``
+    on leaves only. The nodes are visited in the engine's order (a
+    depth-first post-order from the loss, parents pushed in order), so each
+    gradient adds its summands in the same order and the leaves' gradients
+    must match the engine's bit for bit.
+    """
+    order, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in visited)
+    pending = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(order):
+        g = pending.pop(id(node), None)
+        if g is None:
+            continue
+        node.grad = g if node.grad is None else node.grad + g
+        if node._grad_fn is None:
+            continue
+        for parent, pg in node._grad_fn(g):
+            pg = np.asarray(pg, dtype=np.float64)
+            key = id(parent)
+            pending[key] = pending[key] + pg if key in pending else pg
+
+
 def denormalize_frustum(sample):
     """Undo the centring of ``frustums.build_frustum_sample`` up to rounding:
     points and the ground truth move back by the centroid (the label's own

@@ -242,6 +242,25 @@ class TestAnnotateAndEval:
         err = capsys.readouterr().err
         assert "error category=checkpoint" in err and "bogus" in err
 
+    @pytest.mark.parametrize("damage", ["ten_bytes", "cut_in_header", "non_utf8_header",
+                                        "json_not_a_header"])
+    def test_malformed_checkpoint_is_checkpoint_error(self, dataset, training, tmp_path,
+                                                      capsys, damage):
+        blob = (Path(training) / "ckpt_final.bin").read_bytes()
+        header_end = 20 + int.from_bytes(blob[12:20], "little")
+        bad = {
+            "ten_bytes": blob[:10],
+            "cut_in_header": blob[: header_end - 5],
+            "non_utf8_header": blob[:20] + b"\xff" + blob[21:],
+            "json_not_a_header": blob[:12] + (2).to_bytes(8, "little") + b"[]",
+        }[damage]
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bad)
+        code = run(["annotate", "--checkpoint", path, "--dataset", dataset,
+                    "--out", tmp_path / "ann", "--seed", "0"] + FAST)
+        assert code == 5
+        assert "error category=checkpoint" in capsys.readouterr().err
+
     def test_degenerate_2d_box_is_format_error(self, dataset, training, tmp_path, capsys):
         import shutil
 

@@ -16,8 +16,10 @@ from frustumbox.model import (
     direction_score,
     export_attention,
 )
-from frustumbox.geometry import DIRECTION_BACK, DIRECTION_FRONT
-from oracles import full_rows_forward
+from frustumbox.geometry import DIRECTION_BACK, DIRECTION_FRONT, Box3D
+from frustumbox.loss import total_loss
+from frustumbox.train import TrainConfig
+from oracles import every_node_backward, full_rows_forward
 
 
 def tiny_config(**kw):
@@ -450,10 +452,6 @@ class TestForward:
         assert ops <= 20, ops
 
     def test_gradient_reaches_all_heads(self):
-        from frustumbox.loss import total_loss
-        from frustumbox.geometry import Box3D
-        from frustumbox.train import TrainConfig
-
         m = make_model()
         rng = np.random.default_rng(17)
         pts = rand_points(rng, 2, 8)
@@ -638,3 +636,38 @@ class TestPersistence:
         # regression pin for the full-scale configuration
         m = BoxAnnotator(ModelConfig(), rng=np.random.default_rng(0))
         assert m.num_parameters() == 35_496_965
+
+
+class TestLeafOnlyBackward:
+    """``tensor.backward`` stores gradients on leaves only; the oracle stores
+    one on every node, as the engine did before, in the same order."""
+
+    @pytest.mark.parametrize("b", [1, 4, 16])
+    @pytest.mark.parametrize("variant", ["A", "B", "C", "full"])
+    def test_parameter_gradients_equal_every_node_oracle(self, variant, b):
+        m = BoxAnnotator(ModelConfig.desk(**VARIANTS[variant]), rng=np.random.default_rng(0))
+        rng = np.random.default_rng(31 + b)
+        pts = rng.normal(size=(b, m.config.n_points, 3))
+        gts = [Box3D(*rng.uniform(-0.5, 0.5, 3), 1.7, 4.0, 1.5, rng.uniform(-3, 3))
+               for _ in range(b)]
+
+        def step(backward):
+            T.zero_grads(m.params)
+            out = m.forward(pts)
+            total = total_loss(out.boxes, out.direction_logits, gts,
+                               TrainConfig().lambda_box).total
+            backward(total)
+            return total, {name: p.grad.tobytes() for name, p in m.params.items()}
+
+        total, want = step(every_node_backward)
+        assert total.grad is not None  # the oracle keeps intermediate gradients
+        total, got = step(T.backward)
+        assert got == want
+        nodes, stack = {}, [total]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        intermediates = [n for n in nodes.values() if n._grad_fn is not None]
+        assert intermediates and all(n.grad is None for n in intermediates)

@@ -707,6 +707,18 @@ class TestBackward:
         zero_grads([p])
         assert p.grad is None
 
+    def test_only_leaves_keep_gradients(self):
+        x = np.array([1.0, -2.0, 3.0])
+        p = Tensor(x, requires_grad=True)
+        h = p * p
+        loss = (h + p).sum()
+        backward(loss)
+        assert h.grad is None and loss.grad is None
+        np.testing.assert_array_equal(p.grad, 2.0 * x + 1.0)
+        backward(loss)  # a second walk of the same graph adds to the leaf only
+        assert h.grad is None and loss.grad is None
+        np.testing.assert_array_equal(p.grad, 2.0 * (2.0 * x + 1.0))
+
     def test_deep_chain_no_recursion_limit(self):
         p = Tensor(np.array(1.0), requires_grad=True)
         x = p

@@ -1,10 +1,14 @@
+import gc
 import json
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from frustumbox import tensor as T
 from frustumbox.evaluate import evaluate_model
 from frustumbox.frustums import build_dataset_samples, filter_samples
 from frustumbox.geometry import Box3D
@@ -75,6 +79,59 @@ class TestTrainStep:
         assert ei.type.__name__ in ("NonFiniteLoss", "InvalidBox")
         if ei.type.__name__ == "NonFiniteLoss":
             assert batch[0].object_id in str(ei.value)
+
+
+class TestStepMemory:
+    """A step's graph dies with the step, whatever its caller keeps."""
+
+    @staticmethod
+    def desk_batch(b):
+        rng = np.random.default_rng(5)
+        points = rng.normal(size=(b, ModelConfig.desk().n_points, 3))
+        gts = [Box3D(*rng.uniform(-0.5, 0.5, 3), 1.7, 4.0, 1.5, rng.uniform(-3, 3))
+               for _ in range(b)]
+        return points, gts
+
+    def test_result_carries_no_graph(self, monkeypatch):
+        model = BoxAnnotator(ModelConfig.desk(), rng=np.random.default_rng(0))
+        opt = Adam(model.params, weight_decay=TrainConfig().weight_decay)
+        points, gts = self.desk_batch(4)
+        contexts = []
+        core = T.attention_core
+
+        def spy(*args, **kwargs):
+            ctx, weights = core(*args, **kwargs)
+            contexts.append(weakref.ref(ctx.data))
+            return ctx, weights
+
+        monkeypatch.setattr(T, "attention_core", spy)
+        gc.disable()  # the graph must go by reference counting alone
+        try:
+            result = train_step(model, points, gts, opt, 1e-4, TrainConfig().lambda_box)
+            assert contexts and all(ref() is None for ref in contexts)
+        finally:
+            gc.enable()
+        assert all(t._grad_fn is None and t._parents == ()
+                   for t in (result.box_loss, result.dir_loss, result.total))
+        assert math.isfinite(result.total.item())
+
+    def test_held_results_do_not_grow_the_peak(self):
+        # four steps of a desk full model at B=8, every result held: each
+        # step's traced peak is one graph, the first step's
+        model = BoxAnnotator(ModelConfig.desk(), rng=np.random.default_rng(0))
+        cfg = TrainConfig()
+        opt = Adam(model.params, weight_decay=cfg.weight_decay)
+        points, gts = self.desk_batch(8)
+        held, peaks = [], []
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                tracemalloc.reset_peak()
+                held.append(train_step(model, points, gts, opt, 1e-4, cfg.lambda_box))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(p <= 1.02 * peaks[0] for p in peaks), [p / peaks[0] for p in peaks]
 
 
 class TestTrainLoop:
