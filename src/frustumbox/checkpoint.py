@@ -11,9 +11,10 @@ Layout (all integers little-endian):
 
 ``arrays`` is a list of {"name", "shape", "kind"} where kind is "param" for
 model parameters and "extra" for optimizer or bookkeeping buffers. Loading
-validates magic, version, header length and encoding, and payload length,
-and raises ``CheckpointError`` on any of them; name/shape validation against
-a model happens in the model loader.
+validates magic, version, header length and encoding, array shapes (lists
+of non-negative ints), and payload length, and raises ``CheckpointError``
+on any of them; name/shape validation against a model happens in the model
+loader.
 
 A checkpoint is written to ``<path>.tmp`` and then renamed over ``path``, so
 a write that dies part-way leaves any previous checkpoint at ``path`` intact.
@@ -113,7 +114,13 @@ def load_checkpoint(path):
         header = json.loads(blob[header_start:offset].decode("utf-8"))
         config, extras = header["config"], header.get("extras", {})
         for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
+            shape = entry["shape"]
+            if not (isinstance(shape, list) and all(
+                    type(n) is int and n >= 0 for n in shape)):
+                raise CheckpointError(
+                    f"{path}: malformed header: array {entry['name']!r} has shape {shape!r}"
+                )
+            shape = tuple(shape)
             count = int(np.prod(shape)) if shape else 1
             nbytes = count * 8
             if offset + nbytes > len(blob):

@@ -19,9 +19,11 @@ machine-parseable ``error category=<cat>:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -143,7 +145,36 @@ def cmd_train(args):
     return 0
 
 
+# glibc's mallopt parameter for the most malloc arenas a process may hold.
+_M_ARENA_MAX = -8
+
+
+def _single_malloc_arena():
+    """Keep every thread's allocations in glibc's main arena.
+
+    A thread that allocates otherwise gets an arena of its own, which keeps
+    the largest frame's transients for the rest of the process and so adds
+    to the peak resident size. Skipped silently where the C library has no
+    ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
 def cmd_annotate(args):
+    """Label every manifest frame with the checkpoint's model.
+
+    One worker thread prepares the frames in manifest order (load, project,
+    cut, resample: the one `dataset_sampling_rng` stream is drawn only
+    there) while this thread forwards each full chunk of `train.batch_size`
+    samples as soon as it exists. Chunks still follow list order across
+    frames and the final partial chunk goes last, so the labels equal a
+    serial run's byte for byte.
+    """
     cfg = _resolve_config(args)
     ckpt = load_checkpoint(args.checkpoint)
     model = BoxAnnotator.from_checkpoint(ckpt)
@@ -153,30 +184,45 @@ def cmd_annotate(args):
     frames = manifest_frames(args.dataset, split=args.split)
     label_dir = out / "label_2"
     label_dir.mkdir(parents=True, exist_ok=True)
-
-    all_samples = []
+    batch_size = cfg.train.batch_size
     frame_rows = {f: [] for f in frames}
-    for frame in frames:
-        try:
-            samples, empty = frame_samples(args.dataset, frame, model.config.n_points, rng,
-                                           require_gt=False)
-        except FileNotFoundError as err:
-            print(f"skipping frame {frame}: {err}")
-            frame_rows.pop(frame)
-            continue
-        for object_id in empty:
-            print(f"skipping object {object_id}: empty frustum")
-        all_samples.extend(samples)
+    pending = []
 
+    def forward(samples):
+        for p in predict_samples(model, samples, batch_size):
+            frame_rows[p.sample.frame_id].append(prediction_record(p))
+
+    _single_malloc_arena()
     start = time.perf_counter()
-    preds = predict_samples(model, all_samples, cfg.train.batch_size)
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        futures = [pool.submit(frame_samples, args.dataset, frame, model.config.n_points,
+                               rng, require_gt=False)
+                   for frame in frames]
+        for frame, future in zip(frames, futures):
+            try:
+                samples, empty = future.result()
+            except FileNotFoundError as err:
+                print(f"skipping frame {frame}: {err}")
+                frame_rows.pop(frame)
+                continue
+            for object_id in empty:
+                print(f"skipping object {object_id}: empty frustum")
+            pending.extend(samples)
+            full = len(pending) - len(pending) % batch_size
+            if full:
+                forward(pending[:full])
+                del pending[:full]
+        if pending:
+            forward(pending)
+    finally:
+        pool.shutdown(cancel_futures=True)
     elapsed = time.perf_counter() - start
-    per_object_ms = 1000.0 * elapsed / max(len(all_samples), 1)
-    print(f"annotated {len(all_samples)} objects in {elapsed:.3f}s "
+    n_objects = sum(map(len, frame_rows.values()))
+    per_object_ms = 1000.0 * elapsed / max(n_objects, 1)
+    print(f"annotated {n_objects} objects in {elapsed:.3f}s "
           f"({per_object_ms:.1f} ms per object)")
 
-    for p in preds:
-        frame_rows[p.sample.frame_id].append(prediction_record(p))
     for frame, rows in frame_rows.items():
         (label_dir / f"{frame}.txt").write_text(serialize_kitti_label(rows))
     print(f"wrote {len(frame_rows)} label files to {label_dir}")

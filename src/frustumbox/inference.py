@@ -11,7 +11,10 @@ is.
 
 Batch composition matters when the cross-object encoder is on, so inference
 batching is pinned: samples are processed in their given order in chunks of
-``batch_size`` with the final partial chunk kept. The forward runs under
+``batch_size`` with the final partial chunk kept. ``annotate`` calls
+:func:`predict_samples` on whole-chunk prefixes of its sample list as frames
+are prepared, and on the remainder last, so its chunks are still those of
+one call over the whole list, in list order. The forward runs under
 ``tensor.no_grad``: inference builds no autodiff graph.
 """
 

@@ -375,3 +375,32 @@ def per_object_sample(cloud, box2d, calib, gt_box, frame_id, object_id, n_points
         centroid=sample.centroid + centroid,
         gt_box=gt_box.translated(-centroid) if gt_box is not None else None,
     )
+
+
+def serial_annotate(root, checkpoint, seed, batch_size):
+    """The serial ``annotate`` loop: every frame's samples first, in manifest
+    order on one resampling stream, then one ``predict_samples`` over the
+    whole list. Returns ({frame: label file text}, the ``skipping`` lines in
+    print order)."""
+    from frustumbox.checkpoint import load_checkpoint
+    from frustumbox.frustums import dataset_sampling_rng, frame_samples
+    from frustumbox.inference import predict_samples, prediction_record
+    from frustumbox.kitti import manifest_frames, serialize_kitti_label
+    from frustumbox.model import BoxAnnotator
+
+    model = BoxAnnotator.from_checkpoint(load_checkpoint(checkpoint))
+    rng = dataset_sampling_rng(seed)
+    samples, skips, rows = [], [], {}
+    for frame in manifest_frames(root):
+        try:
+            got, empty = frame_samples(root, frame, model.config.n_points, rng,
+                                       require_gt=False)
+        except FileNotFoundError as err:
+            skips.append(f"skipping frame {frame}: {err}")
+            continue
+        skips.extend(f"skipping object {object_id}: empty frustum" for object_id in empty)
+        samples.extend(got)
+        rows[frame] = []
+    for p in predict_samples(model, samples, batch_size):
+        rows[p.sample.frame_id].append(prediction_record(p))
+    return {frame: serialize_kitti_label(r) for frame, r in rows.items()}, skips

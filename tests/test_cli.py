@@ -1,4 +1,6 @@
 import json
+import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from frustumbox.cli import main
 from frustumbox.kitti import load_frame, manifest_frames, parse_kitti_label
+from oracles import serial_annotate
 
 # a small model and easy close-range scenes keep CLI runs cheap and make
 # every generated object pass the population filter
@@ -29,7 +32,12 @@ FAST = [
 
 
 def run(argv):
-    return main([str(a) for a in argv])
+    # a command that left a (non-daemon) thread behind would hang the
+    # process at exit, so every call must end with the threads it began with
+    before = set(threading.enumerate())
+    code = main([str(a) for a in argv])
+    assert set(threading.enumerate()) == before, "the command left a thread running"
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -261,9 +269,26 @@ class TestAnnotateAndEval:
         assert code == 5
         assert "error category=checkpoint" in capsys.readouterr().err
 
-    def test_degenerate_2d_box_is_format_error(self, dataset, training, tmp_path, capsys):
-        import shutil
+    @pytest.mark.parametrize("shape", [[-1], [2, -1], [1.5], "3", None])
+    def test_bad_array_shape_is_checkpoint_error(self, dataset, training, tmp_path,
+                                                 capsys, shape):
+        blob = (Path(training) / "ckpt_final.bin").read_bytes()
+        header_end = 20 + int.from_bytes(blob[12:20], "little")
+        header = json.loads(blob[20:header_end])
+        entry = header["arrays"][0]
+        entry["shape"] = shape
+        text = json.dumps(header).encode("utf-8")
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob[:12] + len(text).to_bytes(8, "little") + text
+                         + blob[header_end:])
+        code = run(["annotate", "--checkpoint", path, "--dataset", dataset,
+                    "--out", tmp_path / "ann", "--seed", "0"] + FAST)
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "error category=checkpoint" in err and "malformed header" in err
+        assert repr(entry["name"]) in err
 
+    def test_degenerate_2d_box_is_format_error(self, dataset, training, tmp_path, capsys):
         copy = tmp_path / "ds"
         shutil.copytree(dataset, copy)
         frame = manifest_frames(copy)[0]
@@ -382,6 +407,104 @@ class TestAnnotateAndEval:
         on_files = json.loads(report_path.read_text())
         assert len(on_files["per_object"]) == len(samples)
         assert in_memory == on_files
+
+
+@pytest.fixture(scope="module")
+def ragged(tmp_path_factory, dataset):
+    """`dataset` with the files of its third manifest frame removed and, in
+    its second frame, one more care row whose 2D box sees only sky."""
+    root = tmp_path_factory.mktemp("cli_ragged")
+    shutil.copytree(dataset, root, dirs_exist_ok=True)
+    frames = manifest_frames(root)
+    path = root / "label_2" / f"{frames[1]}.txt"
+    rows = path.read_text().splitlines()
+    fields = rows[0].split()
+    sky = " ".join(fields[:4] + ["0.00", "0.00", "5.00", "5.00"] + fields[8:])
+    path.write_text("\n".join(rows + [sky]) + "\n")
+    for sub, ext in (("velodyne", "bin"), ("calib", "txt"), ("label_2", "txt")):
+        (root / sub / f"{frames[2]}.{ext}").unlink()
+    return root
+
+
+class TestAnnotatePipeline:
+    """`annotate` prepares frames on a worker thread while it forwards full
+    chunks; the result must be the serial loop's, byte for byte."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    def test_labels_and_skips_equal_the_serial_loop(self, ragged, training, tmp_path,
+                                                    capsys, batch_size):
+        ckpt = Path(training) / "ckpt_final.bin"
+        capsys.readouterr()
+        code = run(["annotate", "--checkpoint", ckpt, "--dataset", ragged, "--out",
+                    tmp_path, "--seed", "0"] + FAST + [f"train.batch_size={batch_size}"])
+        assert code == 0
+        out = capsys.readouterr().out
+        labels, skips = serial_annotate(ragged, ckpt, 0, batch_size)
+        assert len(skips) == 2 and skips[0].startswith("skipping object")
+        assert [line for line in out.splitlines() if line.startswith("skipping ")] == skips
+        written = {p.stem: p.read_text() for p in (tmp_path / "label_2").glob("*.txt")}
+        assert written == labels
+        n_objects = sum(len(text.splitlines()) for text in labels.values())
+        assert n_objects > batch_size and f"annotated {n_objects} objects" in out
+
+    def test_frames_are_prepared_off_the_main_thread(self, dataset, training, tmp_path,
+                                                     monkeypatch):
+        import frustumbox.cli as cli
+
+        threads = []
+        original = cli.frame_samples
+
+        def recorded(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "frame_samples", recorded)
+        assert run(["annotate", "--checkpoint", Path(training) / "ckpt_final.bin",
+                    "--dataset", dataset, "--out", tmp_path, "--seed", "0"] + FAST) == 0
+        assert len(threads) == len(manifest_frames(dataset))
+        assert len(set(threads)) == 1 and threads[0] is not threading.main_thread()
+
+    def test_truncated_cloud_in_a_middle_frame_is_format_error(self, dataset, training,
+                                                               tmp_path, capsys):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        path = copy / "velodyne" / f"{manifest_frames(copy)[3]}.bin"
+        path.write_bytes(path.read_bytes()[:-5])
+        code = run(["annotate", "--checkpoint", Path(training) / "ckpt_final.bin",
+                    "--dataset", copy, "--out", tmp_path / "ann", "--seed", "0"] + FAST)
+        assert code == 3
+        assert "error category=format: point record truncated" in capsys.readouterr().err
+
+    def test_forward_failure_keeps_its_category_and_cancels_pending_frames(
+            self, dataset, training, tmp_path, capsys, monkeypatch):
+        import frustumbox.cli as cli
+        from frustumbox.tensor import TensorError
+
+        prepared = []
+        failed = threading.Event()
+        original = cli.frame_samples
+
+        def slow_after_first(root, frame, *args, **kwargs):
+            prepared.append(frame)
+            if len(prepared) > 1:
+                # hold the worker until the forward has failed, so frames
+                # it has not started are still pending then
+                failed.wait(timeout=10)
+            return original(root, frame, *args, **kwargs)
+
+        def failing_forward(*args, **kwargs):
+            failed.set()
+            raise TensorError("forward failed on purpose")
+
+        monkeypatch.setattr(cli, "frame_samples", slow_after_first)
+        monkeypatch.setattr(cli, "predict_samples", failing_forward)
+        code = run(["annotate", "--checkpoint", Path(training) / "ckpt_final.bin",
+                    "--dataset", dataset, "--out", tmp_path, "--seed", "0"]
+                   + FAST + ["train.batch_size=1"])
+        assert code == 6
+        assert "error category=numeric: forward failed on purpose" in capsys.readouterr().err
+        frames = manifest_frames(dataset)
+        assert prepared == frames[: len(prepared)] and len(prepared) <= 2 < len(frames)
 
 
 class TestGradcheckCommand:
