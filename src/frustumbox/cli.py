@@ -21,9 +21,11 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,6 +167,37 @@ def _single_malloc_arena():
     mallopt(_M_ARENA_MAX, 1)
 
 
+@contextmanager
+def _frame_worker():
+    """One worker thread, kept on other CPUs than this thread's while it lives.
+
+    Left to place them, the scheduler often wakes each thread on the CPU
+    of the one that woke it; the two then share one CPU for a whole
+    command while another idles, and a run takes a third longer or more, or not,
+    depending on where the first wake-up landed. With two or more allowed
+    CPUs and ``sched_setaffinity``, this thread is pinned to the first half
+    of them and the worker to the second, and this thread's CPU set is
+    restored on exit. The pool is shut down on exit with its pending calls
+    cancelled.
+    """
+    _single_malloc_arena()
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    pinned = len(cpus) >= 2
+    if pinned:
+        half = len(cpus) // 2
+        os.sched_setaffinity(0, cpus[:half])
+        pool = ThreadPoolExecutor(max_workers=1, initializer=os.sched_setaffinity,
+                                  initargs=(0, cpus[half:]))
+    else:
+        pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+        if pinned:
+            os.sched_setaffinity(0, cpus)
+
+
 def cmd_annotate(args):
     """Label every manifest frame with the checkpoint's model.
 
@@ -192,10 +225,8 @@ def cmd_annotate(args):
         for p in predict_samples(model, samples, batch_size):
             frame_rows[p.sample.frame_id].append(prediction_record(p))
 
-    _single_malloc_arena()
     start = time.perf_counter()
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
+    with _frame_worker() as pool:
         futures = [pool.submit(frame_samples, args.dataset, frame, model.config.n_points,
                                rng, require_gt=False)
                    for frame in frames]
@@ -215,8 +246,6 @@ def cmd_annotate(args):
                 del pending[:full]
         if pending:
             forward(pending)
-    finally:
-        pool.shutdown(cancel_futures=True)
     elapsed = time.perf_counter() - start
     n_objects = sum(map(len, frame_rows.values()))
     per_object_ms = 1000.0 * elapsed / max(n_objects, 1)

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import threading
 from pathlib import Path
@@ -464,6 +465,35 @@ class TestAnnotatePipeline:
         assert len(threads) == len(manifest_frames(dataset))
         assert len(set(threads)) == 1 and threads[0] is not threading.main_thread()
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs sched_setaffinity and two allowed CPUs")
+    def test_worker_runs_on_other_cpus_than_the_forward(self, dataset, training, tmp_path,
+                                                        monkeypatch):
+        # left to the scheduler the two threads often share one CPU for a
+        # whole command; each is pinned to its own half of the allowed CPUs
+        import frustumbox.cli as cli
+
+        seen = {"worker": set(), "main": set()}
+        frames, forward = cli.frame_samples, cli.predict_samples
+
+        def recorded_frames(*args, **kwargs):
+            seen["worker"].add(frozenset(os.sched_getaffinity(0)))
+            return frames(*args, **kwargs)
+
+        def recorded_forward(*args, **kwargs):
+            seen["main"].add(frozenset(os.sched_getaffinity(0)))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "frame_samples", recorded_frames)
+        monkeypatch.setattr(cli, "predict_samples", recorded_forward)
+        before = os.sched_getaffinity(0)
+        assert run(["annotate", "--checkpoint", Path(training) / "ckpt_final.bin",
+                    "--dataset", dataset, "--out", tmp_path, "--seed", "0"] + FAST) == 0
+        assert os.sched_getaffinity(0) == before
+        (worker,), (main,) = seen["worker"], seen["main"]
+        assert worker and main and not worker & main and worker | main == before
+
     def test_truncated_cloud_in_a_middle_frame_is_format_error(self, dataset, training,
                                                                tmp_path, capsys):
         copy = tmp_path / "ds"
@@ -498,6 +528,7 @@ class TestAnnotatePipeline:
 
         monkeypatch.setattr(cli, "frame_samples", slow_after_first)
         monkeypatch.setattr(cli, "predict_samples", failing_forward)
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         code = run(["annotate", "--checkpoint", Path(training) / "ckpt_final.bin",
                     "--dataset", dataset, "--out", tmp_path, "--seed", "0"]
                    + FAST + ["train.batch_size=1"])
@@ -505,6 +536,8 @@ class TestAnnotatePipeline:
         assert "error category=numeric: forward failed on purpose" in capsys.readouterr().err
         frames = manifest_frames(dataset)
         assert prepared == frames[: len(prepared)] and len(prepared) <= 2 < len(frames)
+        if hasattr(os, "sched_getaffinity"):
+            assert os.sched_getaffinity(0) == cpus
 
 
 class TestGradcheckCommand:
