@@ -16,13 +16,13 @@ from frustumbox.tensor import Parameter, Tensor, backward
 
 # -- a tiny graph ----------------------------------------------------------
 x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-loss = (x * x).sum() * 0.5
+loss = T.tsum(x * x) * 0.5
 backward(loss)
 print("d/dx of sum(x^2)/2 :", x.grad, "(equals x)")
 
 # gradients accumulate until cleared, and shared nodes sum both paths
 T.zero_grads([x])
-backward(x.sum() + (x * x).sum())
+backward(T.tsum(x) + T.tsum(x * x))
 print("two paths through x:", x.grad, "(equals 1 + 2x)")
 
 # -- attention block with a finite-difference check --------------------------
@@ -40,7 +40,7 @@ print(f"\nattention weights shape {weights.shape}, rows sum to "
       f"{weights.data.sum(-1).round(12).max()}")
 
 probe = Tensor(rng.normal(size=out.shape))
-backward((out * probe).sum())
+backward(T.tsum(out * probe))
 analytic = seq.grad[0, 2, 3]
 h = 1e-6
 bumped = seq.data.copy()
@@ -59,9 +59,9 @@ w = Parameter(np.zeros((3, 1)), name="w")
 opt = Adam({"w": w}, weight_decay=0.0)
 steps = 200
 for step in range(steps):
-    opt.zero_grad()
+    T.zero_grads([w])
     pred = T.matmul(Tensor(X), w)
-    loss = ((pred - y) ** 2).mean()
+    loss = T.tmean((pred - y) ** 2)
     backward(loss)
     opt.step(lr=cosine_lr(step, steps - 1, 0.05))
 print(f"\nfitted weights {w.data.ravel().round(4)} (true {w_true.ravel()})")

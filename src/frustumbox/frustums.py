@@ -77,7 +77,7 @@ def build_frustum_sample(cloud, rows, box2d, calib, gt_box, frame_id, object_id,
     if n_raw == 0:
         return None
     n_fg = 0 if gt_box is None else int(
-        np.count_nonzero(points_in_box3d(cloud[rows], gt_box, strict=True)))
+        np.count_nonzero(points_in_box3d(cloud[rows], gt_box)))
     points = cloud[rows[sample_to_fixed_size(n_raw, n_points, rng)]]
     mean = points.mean(axis=0)
     return FrustumSample(

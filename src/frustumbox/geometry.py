@@ -138,19 +138,16 @@ class ProjectionModel:
         return self.R0 @ self.Tr[:, :3]
 
     def rect_to_image(self, rect_points):
-        """Project rectified-frame points; returns ((N, 2) pixels, (N,) divisors)."""
+        """Project rectified-frame points to (N, 2) pixels."""
         pts = np.atleast_2d(np.asarray(rect_points, dtype=np.float64))
         hom = pts @ self.P[:, :3].T + self.P[:, 3]
-        div = hom[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            uv = hom[:, :2] / div[:, None]
-        return uv, div
+            return hom[:, :2] / hom[:, 2:3]
 
     def project(self, points):
         """LiDAR points to pixels. Returns ((N, 2) uv, (N,) rectified depth)."""
         rect = self.lidar_to_rect(points)
-        uv, _ = self.rect_to_image(rect)
-        return uv, rect[:, 2]
+        return self.rect_to_image(rect), rect[:, 2]
 
 
 def extract_frustum(cloud, boxes, calib):
@@ -197,11 +194,9 @@ def box_corners(box):
     return local @ rot.T + box.center
 
 
-def points_in_box3d(points, box, strict=True):
-    """Membership mask of (N, 3) points in an oriented box.
-
-    strict=True uses strict inequalities (surface points excluded), which is
-    the membership rule for foreground counting.
+def points_in_box3d(points, box):
+    """Membership mask of (N, 3) points strictly inside an oriented box
+    (surface points excluded), the membership rule for foreground counting.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     d = pts - box.center
@@ -210,9 +205,7 @@ def points_in_box3d(points, box, strict=True):
     ly = -s * d[:, 0] + c * d[:, 1]
     lz = d[:, 2]
     hw, hl, hh = box.width / 2, box.length / 2, box.height / 2
-    if strict:
-        return (np.abs(lx) < hw) & (np.abs(ly) < hl) & (np.abs(lz) < hh)
-    return (np.abs(lx) <= hw) & (np.abs(ly) <= hl) & (np.abs(lz) <= hh)
+    return (np.abs(lx) < hw) & (np.abs(ly) < hl) & (np.abs(lz) < hh)
 
 
 # Footprint corners in a box's own frame, counter-clockwise from

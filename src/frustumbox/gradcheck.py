@@ -79,7 +79,7 @@ def model_gradient_check(model, points, gt_boxes, lambda_box, probes=2,
     non-smooth configuration boundaries with probability one.
     """
     rng = np.random.default_rng(seed)
-    T.zero_grads(model.params)
+    T.zero_grads(model.params.values())
     out = model.forward(points)
     breakdown = total_loss(out.boxes, out.direction_logits, gt_boxes, lambda_box)
     T.backward(breakdown.total)
@@ -101,7 +101,7 @@ def model_gradient_check(model, points, gt_boxes, lambda_box, probes=2,
             if worst is None or row.rel_error > worst.rel_error:
                 worst = row
         report.rows.append(worst)
-    T.zero_grads(model.params)
+    T.zero_grads(model.params.values())
     return report
 
 

@@ -37,8 +37,6 @@ from .model import decode_prediction, direction_score
 @dataclass
 class Prediction:
     sample: object
-    row: np.ndarray  # (7,) box row in the centred frustum frame
-    logits: np.ndarray  # (2,)
     box: object  # Box3D in the original sensor frame
     score: float
 
@@ -52,14 +50,9 @@ def predict_samples(model, samples, batch_size):
         points = np.stack([s.points for s in chunk])
         with T.no_grad():
             fwd = model.forward(points)
-        rows = fwd.boxes.data
-        logits = fwd.direction_logits.data
-        for s, row, logit in zip(chunk, rows, logits):
+        for s, row, logit in zip(chunk, fwd.boxes.data, fwd.direction_logits.data):
             box = decode_prediction(row, logit, centroid=s.centroid)
-            out.append(
-                Prediction(sample=s, row=row.copy(), logits=logit.copy(), box=box,
-                           score=direction_score(logit))
-            )
+            out.append(Prediction(sample=s, box=box, score=direction_score(logit)))
     return out
 
 

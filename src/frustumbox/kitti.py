@@ -52,12 +52,16 @@ _CALIB_KEYS = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
 
 
 def _parse_floats(tokens, line):
+    """The tokens as finite floats; anything else is a MalformedNumber."""
     out = []
     for tok in tokens:
         try:
-            out.append(float(tok))
+            value = float(tok)
         except ValueError as err:
             raise MalformedNumber(f"bad number {tok!r} in line: {line.strip()!r}") from err
+        if not math.isfinite(value):
+            raise MalformedNumber(f"non-finite number {tok!r} in line: {line.strip()!r}")
+        out.append(value)
     return out
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import Checkpoint, CheckpointMismatch, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, CheckpointMismatch, save_checkpoint
 from .geometry import DIRECTION_BACK, wrap_angle, Box3D
 from .tensor import Parameter, Tensor
 
@@ -339,13 +339,13 @@ class BoxAnnotator:
         features = T.as_tensor(features)
         order = sorted(range(features.shape[0]), key=lambda b: features.data[b].tobytes())
         inverse = np.argsort(order)
-        x = T.transpose_batch_seq(T.permute(features, order))
+        x = T.swapaxes(T.permute(features, order), 0, 1)
         traces = []
         for i in range(self.config.n_global_layers):
             x, w = self._encoder_layer(x, f"global.{i}", capture)
             if capture:
                 traces.append(w[:, :, inverse[:, None], inverse])
-        return T.permute(T.transpose_batch_seq(x), inverse), traces
+        return T.permute(T.swapaxes(x, 0, 1), inverse), traces
 
     def forward_decoder(self, encoder_out, capture=False):
         """Box-token queries attend to point features: -> (B, 7, d)."""
@@ -460,9 +460,7 @@ class BoxAnnotator:
         return save_checkpoint(path, config, self.state_arrays(), extras, extra_arrays)
 
     @classmethod
-    def from_checkpoint(cls, ckpt: Checkpoint | str):
-        if not isinstance(ckpt, Checkpoint):
-            ckpt = load_checkpoint(ckpt)
+    def from_checkpoint(cls, ckpt: Checkpoint):
         model = cls(checkpoint_model_config(ckpt), rng=np.random.default_rng(0))
         model.load_state(ckpt.params)
         return model

@@ -65,10 +65,6 @@ class Adam:
             v += (1.0 - BETA2) * (g * g)
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
     def state_dict(self):
         """Step count and moment buffers for exact training resumption."""
         return {

@@ -1,9 +1,11 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 A Tensor wraps an ndarray plus an optional backpropagation record. Graphs
-are built eagerly by the op functions below; ``backward`` walks the graph
-once per call and accumulates into the ``.grad`` of its leaves (the tensors
-no op produced, such as parameters) until the caller clears it. An
+are built eagerly by the op functions below, one function per op; a Tensor
+adds only the arithmetic operators and indexing as sugar. ``backward``
+walks the graph once per call and accumulates into the ``.grad`` of its
+leaves (the tensors no op produced, such as parameters) until the caller
+clears it with :func:`zero_grads`. An
 intermediate never holds a gradient, so after ``backward`` a graph holds
 its activations and nothing more, and it is freed as soon as the caller
 drops its last tensor.
@@ -74,10 +76,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return self.data.item()
 
@@ -107,47 +105,11 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __pow__(self, exponent):
         return power(self, exponent)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    # -- method spellings of common ops -------------------------------------
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def cos(self):
-        return cos(self)
-
-    def sin(self):
-        return sin(self)
 
 
 class Parameter(Tensor):
@@ -277,15 +239,6 @@ def exp(a):
     return _node(out_data, (a,), grad_fn)
 
 
-def log(a):
-    a = as_tensor(a)
-
-    def grad_fn(g):
-        return [(a, g / a.data)]
-
-    return _node(np.log(a.data), (a,), grad_fn)
-
-
 def cos(a):
     a = as_tensor(a)
 
@@ -391,14 +344,6 @@ def swapaxes(a, ax0, ax1):
         return [(a, g.swapaxes(ax0, ax1))]
 
     return _node(a.data.swapaxes(ax0, ax1).copy(), (a,), grad_fn)
-
-
-def transpose_batch_seq(x):
-    """Swap the leading batch and sequence axes of a rank-3 tensor."""
-    x = as_tensor(x)
-    if x.ndim != 3:
-        raise RankMismatch(f"transpose_batch_seq expects rank 3, got shape {x.shape}")
-    return swapaxes(x, 0, 1)
 
 
 def broadcast_to(a, shape):
@@ -511,45 +456,26 @@ def amin(a, axis, keepdims=False):
 def matmul(a, b):
     """Batched matrix product with broadcasting over leading axes.
 
-    1-D operands follow the usual promotion rules (vector dotted on the
-    matching side). Raises ShapeMismatch with both shapes on inner or batch
-    disagreement.
+    Both operands have rank 2 or more. Raises ShapeMismatch with both
+    shapes on a lower rank or on inner or batch disagreement.
     """
     a, b = as_tensor(a), as_tensor(b)
-    a_vec, b_vec = a.data.ndim == 1, b.data.ndim == 1
-    a2 = a.data.reshape(1, -1) if a_vec else a.data
-    b2 = b.data.reshape(-1, 1) if b_vec else b.data
-    if a2.ndim < 2 or b2.ndim < 2 or a2.shape[-1] != b2.shape[-2]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch(f"matmul inner extents disagree: {a.shape} x {b.shape}")
     try:
-        np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2])
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError as err:
         raise ShapeMismatch(f"matmul batch extents disagree: {a.shape} x {b.shape}") from err
 
-    out2 = a2 @ b2
-    out_data = out2
-    if a_vec:
-        out_data = out_data[..., 0, :]
-    if b_vec:
-        out_data = out_data[..., 0] if a_vec else out_data[..., :, 0]
-
     def grad_fn(g):
-        g2 = g.reshape(out2.shape)
         out = []
         if a.requires_grad:
-            ga = _unbroadcast(g2 @ b2.swapaxes(-1, -2), a2.shape)
-            out.append((a, ga.reshape(a.data.shape)))
+            out.append((a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)))
         if b.requires_grad:
-            if b2.ndim == 2 and g2.ndim > 2:
-                # stacked x, plain weight: fold the batch into one product
-                k = a2.shape[-1]
-                gb = a2.reshape(-1, k).T @ g2.reshape(-1, g2.shape[-1])
-            else:
-                gb = _unbroadcast(a2.swapaxes(-1, -2) @ g2, b2.shape)
-            out.append((b, gb.reshape(b.data.shape)))
+            out.append((b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)))
         return out
 
-    return _node(out_data, (a, b), grad_fn)
+    return _node(a.data @ b.data, (a, b), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -557,14 +483,15 @@ def matmul(a, b):
 # ---------------------------------------------------------------------------
 
 
-def log_softmax(a, axis=-1):
+def log_softmax(a):
+    """Log-softmax over the last axis."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - lse
 
     def grad_fn(g):
-        return [(a, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))]
+        return [(a, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))]
 
     return _node(out_data, (a,), grad_fn)
 
@@ -650,8 +577,9 @@ def linear(x, weight, bias):
     """Affine map along the last axis, ``x @ weight + bias``, as one node.
 
     x: (..., k), weight: (k, n), bias: (n,). The forward and the gradients
-    are those of a ``matmul`` node followed by an ``add`` node, including
-    the weight gradient's one product over the folded leading axes.
+    are those of a ``matmul`` node followed by an ``add`` node, except that
+    the weight gradient is one product over the folded leading axes, where
+    ``matmul`` sums one product per leading index.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if weight.ndim != 2 or x.shape[-1:] != weight.shape[:1]:
@@ -764,7 +692,7 @@ def cross_entropy(logits, labels):
     n, c = logits.shape
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    ls = log_softmax(logits, axis=-1)
+    ls = log_softmax(logits)
     return mul(tsum(mul(ls, onehot)), -1.0 / n)
 
 
@@ -821,8 +749,7 @@ def backward(loss):
                 pending[key] = pg
 
 
-def zero_grads(params):
-    """Clear gradients on an iterable (or name mapping) of tensors."""
-    values = params.values() if isinstance(params, dict) else params
-    for p in values:
-        p.grad = None
+def zero_grads(tensors):
+    """Clear the gradients of an iterable of tensors."""
+    for t in tensors:
+        t.grad = None

@@ -81,7 +81,7 @@ def train_step(model, points, gt_boxes, optimizer, lr, lambda_box,
     graph, so the step's graph is freed when the step returns, whatever the
     caller keeps.
     """
-    optimizer.zero_grad()
+    T.zero_grads(model.params.values())
     out = model.forward(points)
     breakdown = total_loss(out.boxes, out.direction_logits, gt_boxes, lambda_box)
     if not math.isfinite(breakdown.total.item()):

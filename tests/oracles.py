@@ -357,7 +357,7 @@ def per_object_sample(cloud, box2d, calib, gt_box, frame_id, object_id, n_points
     m = len(frustum)
     if m == 0:
         return None
-    n_fg = (int(np.count_nonzero(points_in_box3d(frustum, gt_box, strict=True)))
+    n_fg = (int(np.count_nonzero(points_in_box3d(frustum, gt_box)))
             if gt_box is not None else 0)
     if m >= n_points:
         idx = rng.choice(m, size=n_points, replace=False)

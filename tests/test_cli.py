@@ -99,9 +99,10 @@ class TestTrain:
         assert (Path(training) / "resolved_config.txt").exists()
 
     def test_checkpoint_loadable(self, training):
+        from frustumbox.checkpoint import load_checkpoint
         from frustumbox.model import BoxAnnotator
 
-        model = BoxAnnotator.from_checkpoint(str(Path(training) / "ckpt_final.bin"))
+        model = BoxAnnotator.from_checkpoint(load_checkpoint(Path(training) / "ckpt_final.bin"))
         assert model.config.d == 16
 
     def test_rerun_reproduces_metrics_byte_identically(self, dataset, training, tmp_path):
@@ -304,6 +305,27 @@ class TestAnnotateAndEval:
         assert code == 3
         err = capsys.readouterr().err
         assert "error category=format: degenerate 2D box" in err and repr(bad) in err
+
+    @pytest.mark.parametrize("field, token", [(2, "inf"), (11, "nan")])  # occlusion, location x
+    def test_non_finite_label_field_is_format_error(self, dataset, annotated, tmp_path, capsys,
+                                                    field, token):
+        # the annotated labels serve as both sides, with the dataset's calibrations
+        copy = tmp_path / "labels"
+        shutil.copytree(annotated, copy)
+        frames = manifest_frames(dataset, split="train")
+        (copy / "calib").mkdir()
+        for frame in frames:
+            shutil.copy(Path(dataset) / "calib" / f"{frame}.txt", copy / "calib")
+        path = copy / "label_2" / f"{frames[0]}.txt"
+        rows = path.read_text().splitlines()
+        fields = rows[0].split()
+        fields[field] = token
+        bad = " ".join(fields)
+        path.write_text("\n".join([bad] + rows[1:]) + "\n")
+        code = run(["eval", "--pred", copy, "--gt", copy])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"error category=format: non-finite number {token!r}" in err and repr(bad) in err
 
     def test_eval_identical_dirs_all_ones(self, dataset, tmp_path, capsys):
         report_path = tmp_path / "self_report.json"

@@ -1,13 +1,16 @@
-"""Every defaulted parameter of a package function is set by some call.
+"""Every defaulted parameter of a package function is set by some call, and
+not only to its own default.
 
 The companion of ``test_parameters.py``: a default that no caller ever
-overrides is a constant written as a setting. It belongs in the body, or
-as a module constant beside the function. Like ``test_callers.py`` this
+overrides is a constant written as a setting, and so is one that every call
+setting it passes as the default's own literal. Either belongs in the body,
+or as a module constant beside the function. Like ``test_callers.py`` this
 stands in for a lint tool and matches by name: a call sets a parameter when
 it names the function (as a plain name or an attribute) and passes the
 parameter by keyword or reaches its position; a call of a class name counts
 for the class's ``__init__``. A call that unpacks ``*args`` or ``**kwargs``
-counts as setting every parameter it could reach.
+counts as setting every parameter it could reach to a value that is not the
+default.
 """
 
 import ast
@@ -19,9 +22,10 @@ CALLERS = [ROOT / "src", ROOT / "tests", ROOT / "demos"]
 
 
 def defaulted_parameters(package):
-    """(module, function, parameter, position) of every parameter with a
-    default; position is None for keyword-only ones, and counts from the
-    first argument a caller passes (a method's ``self`` or ``cls`` is not)."""
+    """(module, function, parameter, position, default) of every parameter
+    with a default; position is None for keyword-only ones, and counts from
+    the first argument a caller passes (a method's ``self`` or ``cls`` is
+    not); default is the default's expression."""
     found = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -37,17 +41,15 @@ def defaulted_parameters(package):
             positional = args.posonlyargs + args.args
             offset = 1 if positional and positional[0].arg in ("self", "cls") else 0
             first_default = len(positional) - len(args.defaults)
-            found += [(path.stem, name, a.arg, i - offset)
+            found += [(path.stem, name, a.arg, i - offset, args.defaults[i - first_default])
                       for i, a in enumerate(positional) if i >= first_default]
-            found += [(path.stem, name, a.arg, None)
+            found += [(path.stem, name, a.arg, None, d)
                       for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
     return found
 
 
-def set_parameters(roots):
-    """{function name: (most positional arguments passed, keywords passed)}
-    over every call in the files under `roots`; an unpacked ``*args`` counts
-    as any number of positions and an unpacked ``**kwargs`` as every keyword."""
+def calls_by_name(roots):
+    """{function name: [call node]} over every call in the files under `roots`."""
     calls = {}
     for root in roots:
         for path in sorted(root.rglob("*.py")):
@@ -57,27 +59,89 @@ def set_parameters(roots):
                 func = node.func
                 name = (func.id if isinstance(func, ast.Name)
                         else func.attr if isinstance(func, ast.Attribute) else None)
-                if name is None:
-                    continue
-                most, keywords = calls.get(name, (0, set()))
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
-                most = max(most, float("inf") if starred else len(node.args))
-                keywords = keywords | {k.arg for k in node.keywords}
-                calls[name] = (most, keywords)
+                if name is not None:
+                    calls.setdefault(name, []).append(node)
     return calls
+
+
+UNPACKED = object()  # an unpacked *args or **kwargs that may reach the parameter
+
+
+def passed(call, param, position):
+    """The expression `call` passes for a parameter, UNPACKED, or None when
+    the call leaves the parameter at its default."""
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            if position is not None:
+                return UNPACKED
+            break
+        if i == position:
+            return arg
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    if any(k.arg is None for k in call.keywords):
+        return UNPACKED
+    return None
+
+
+def literal(node):
+    """(type, value) of a literal expression, or None for any other."""
+    if node is UNPACKED:
+        return None
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return None
+    return type(value), value
+
+
+def default_settings(package, roots):
+    """(module, function, parameter, default, [what each setting call passes])
+    of every defaulted parameter."""
+    calls = calls_by_name(roots)
+    found = []
+    for module, function, param, position, default in defaulted_parameters(package):
+        values = [passed(call, param, position) for call in calls.get(function, [])]
+        found.append((module, function, param, default,
+                      [v for v in values if v is not None]))
+    return found
 
 
 def unset_defaults(package, roots):
     """(module, function, parameter) of each default no call overrides."""
-    calls = set_parameters(roots)
-    unset = []
-    for module, function, param, position in defaulted_parameters(package):
-        most, keywords = calls.get(function, (0, set()))
-        by_position = position is not None and most > position
-        if not (by_position or param in keywords or None in keywords):
-            unset.append((module, function, param))
-    return unset
+    return [(module, function, param)
+            for module, function, param, _, values in default_settings(package, roots)
+            if not values]
+
+
+def restated_defaults(package, roots):
+    """(module, function, parameter) of each default that every call setting
+    it passes as the default's own literal."""
+    restated = []
+    for module, function, param, default, values in default_settings(package, roots):
+        own = literal(default)
+        if values and own is not None and all(literal(v) == own for v in values):
+            restated.append((module, function, param))
+    return restated
 
 
 def test_every_default_is_set_by_some_call():
     assert unset_defaults(PACKAGE, CALLERS) == []
+
+
+def test_no_default_is_only_restated():
+    assert restated_defaults(PACKAGE, CALLERS) == []
+
+
+def test_restated_default_is_flagged(tmp_path):
+    package, callers = tmp_path / "pkg", tmp_path / "callers"
+    package.mkdir()
+    callers.mkdir()
+    (package / "m.py").write_text(
+        "def f(x, strict=True, axis=-1, scale=1.0):\n    return x\n")
+    (callers / "c.py").write_text(
+        "f(1, True, axis=-1)\nf(2, strict=True, scale=s)\nf(3, *rest)\n")
+    assert restated_defaults(package, [callers]) == []  # *rest may pass anything
+    (callers / "c.py").write_text("f(1, True, axis=-1)\nf(2, strict=True, scale=s)\n")
+    assert restated_defaults(package, [callers]) == [("m", "f", "strict"), ("m", "f", "axis")]

@@ -198,7 +198,7 @@ class TestPipeline:
                 frustum = per_object_frustum(points, rec.box2d, calib)
                 assert s.n_raw_points == len(frustum)
                 gt = lidar_box_from_label(rec, calib)
-                fg = int(points_in_box3d(frustum, gt, strict=True).sum())
+                fg = int(points_in_box3d(frustum, gt).sum())
                 assert s.n_foreground_points == fg
 
     def test_build_deterministic(self, tmp_path):

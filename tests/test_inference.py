@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from frustumbox.inference import predict_samples
-from frustumbox.model import BoxAnnotator, ModelConfig
+from frustumbox.model import BoxAnnotator, ModelConfig, decode_prediction, direction_score
 
 
 def _model_and_samples(n=7, n_points=16):
@@ -26,9 +26,10 @@ def test_matches_graph_building_forward_bytewise():
         chunk = samples[lo : lo + 3]
         fwd = model.forward(np.stack([s.points for s in chunk]))
         assert fwd.boxes.requires_grad  # the reference does build the graph
-        for i, p in enumerate(preds[lo : lo + 3]):
-            assert p.row.tobytes() == fwd.boxes.data[i].tobytes()
-            assert p.logits.tobytes() == fwd.direction_logits.data[i].tobytes()
+        for i, (s, p) in enumerate(zip(chunk, preds[lo : lo + 3])):
+            row, logits = fwd.boxes.data[i], fwd.direction_logits.data[i]
+            assert p.box == decode_prediction(row, logits, centroid=s.centroid)
+            assert p.score == direction_score(logits)
 
 
 def test_builds_no_graph_and_leaves_gradients_alone():

@@ -59,6 +59,12 @@ class TestCalibParsing:
             parse_kitti_calib(bad)
         assert "one" in str(ei.value)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_number_is_malformed(self, token):
+        bad = MINIMAL_CALIB.replace("P2: 1", f"P2: {token}")
+        with pytest.raises(MalformedNumber, match=f"non-finite number {token!r}"):
+            parse_kitti_calib(bad)
+
     def test_real_p2_line_matches_split_oracle(self):
         text = REAL_P2_LINE + "\nR0_rect: 1 0 0 0 1 0 0 0 1\nTr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0\n"
         calib = parse_kitti_calib(text)

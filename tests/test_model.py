@@ -147,7 +147,7 @@ class TestPositionalEncoding:
         rng = np.random.default_rng(4)
         pts = rand_points(rng, 2, 8)
         out = m.forward(pts)
-        T.backward(out.boxes.sum())
+        T.backward(T.tsum(out.boxes))
         g = m.params["pos.l0.w"].grad
         assert g is not None and np.abs(g).max() > 0
 
@@ -382,9 +382,9 @@ class TestForward:
         pts = rand_points(np.random.default_rng(19), 3, 8)
         grads = []
         for capture in (False, True):
-            T.zero_grads(m.params)
+            T.zero_grads(m.params.values())
             out = m.forward(pts, capture_attention=capture)
-            T.backward(out.boxes.sum() + out.direction_logits.sum())
+            T.backward(T.tsum(out.boxes) + T.tsum(out.direction_logits))
             grads.append({name: p.grad.tobytes() for name, p in m.params.items()})
         plain, captured = m.forward(pts), out
         assert plain.boxes.data.tobytes() == captured.boxes.data.tobytes()
@@ -479,8 +479,8 @@ class TestDecoderlessRows:
         weights = rng.normal(size=(b, 7)), rng.normal(size=(b, 2))
 
         def grads(boxes, logits):
-            T.zero_grads(m.params)
-            T.backward((boxes * weights[0]).sum() + (logits * weights[1]).sum())
+            T.zero_grads(m.params.values())
+            T.backward(T.tsum(boxes * weights[0]) + T.tsum(logits * weights[1]))
             return {name: p.grad for name, p in m.params.items()}
 
         want_boxes, want_logits, want_maps = full_rows_forward(m, pts, capture=True)
@@ -544,7 +544,7 @@ class TestPersistence:
     def test_checkpoint_roundtrip(self, tmp_path):
         m = make_model(seed=5)
         path = m.save(tmp_path / "model.ckpt", extras={"note": 1})
-        loaded = BoxAnnotator.from_checkpoint(str(path))
+        loaded = BoxAnnotator.from_checkpoint(load_checkpoint(path))
         assert loaded.config == m.config
         for name, p in m.params.items():
             np.testing.assert_array_equal(loaded.params[name].data, p.data)
@@ -559,7 +559,7 @@ class TestPersistence:
                       n_global_layers=1)
         path = save_checkpoint(tmp_path / "older.ckpt", {"model": header},
                                direct.state_arrays())
-        loaded = BoxAnnotator.from_checkpoint(str(path))
+        loaded = BoxAnnotator.from_checkpoint(load_checkpoint(path))
         assert loaded.config == direct.config and loaded.config.n_global_layers == 0
         pts = rand_points(np.random.default_rng(21), 3, 8)
         a, b = loaded.forward(pts), direct.forward(pts)
@@ -573,7 +573,7 @@ class TestPersistence:
         header = dict(m.config.to_dict(), **bad)
         path = save_checkpoint(tmp_path / "bad.ckpt", {"model": header}, m.state_arrays())
         with pytest.raises(CheckpointMismatch, match="checkpoint model config"):
-            BoxAnnotator.from_checkpoint(str(path))
+            BoxAnnotator.from_checkpoint(load_checkpoint(path))
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         a = make_model(seed=6).save(tmp_path / "a.ckpt")
@@ -652,7 +652,7 @@ class TestLeafOnlyBackward:
                for _ in range(b)]
 
         def step(backward):
-            T.zero_grads(m.params)
+            T.zero_grads(m.params.values())
             out = m.forward(pts)
             total = total_loss(out.boxes, out.direction_logits, gts,
                                TrainConfig().lambda_box).total
