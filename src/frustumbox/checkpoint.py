@@ -29,16 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CheckpointError
+
 MAGIC = b"FBOXCKPT"
 FORMAT_VERSION = 1
-
-
-class CheckpointError(Exception):
-    pass
-
-
-class CheckpointMismatch(CheckpointError):
-    """Stored parameters do not match the model built from the stored config."""
 
 
 @dataclass

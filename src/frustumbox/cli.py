@@ -31,19 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, CheckpointMismatch, load_checkpoint
-from .config import ConfigError, load_run_config, resolved_text
-from .evaluate import (
-    EvalError,
-    FrameMismatch,
-    UnmatchedObject,
-    ablation_config,
-    evaluate_boxes,
-    object_table,
-    run_ablation,
-)
+from .checkpoint import load_checkpoint
+from .config import load_run_config, resolved_text
+from .errors import CATEGORIES, ConfigError, DataError
+from .evaluate import ablation_config, evaluate_boxes, object_table, run_ablation
 from .frustums import (
-    EmptyCloud,
     build_dataset_samples,
     build_frustum_sample,  # noqa: F401 - looked up on this module by perfbench/tracing.py
     dataset_sampling_rng,
@@ -54,7 +46,6 @@ from .gradcheck import model_gradient_check
 from .geometry import Box3D
 from .inference import object_key, predict_samples, prediction_record
 from .kitti import (
-    KittiFormatError,
     load_frame,  # noqa: F401 - looked up on this module by perfbench/tracing.py
     manifest_frames,
     parse_kitti_calib,
@@ -62,26 +53,19 @@ from .kitti import (
     scored_box_from_label,
     serialize_kitti_label,
 )
-from .loss import InvalidBox
-from .model import BoxAnnotator, IndexOutOfRange, InvalidMode, export_attention
+from .model import BoxAnnotator, export_attention
 from .synthetic import write_synthetic_dataset
-from .train import NonFiniteLoss, train
-from .tensor import TensorError, no_grad
-
-_ERROR_CATEGORIES = [
-    ((ConfigError, InvalidMode, ValueError), "config", 2),
-    ((KittiFormatError,), "format", 3),
-    ((EvalError, EmptyCloud, UnmatchedObject, FrameMismatch, IndexOutOfRange), "data", 4),
-    ((CheckpointError, CheckpointMismatch), "checkpoint", 5),
-    ((NonFiniteLoss, InvalidBox, TensorError), "numeric", 6),
-    ((OSError,), "io", 7),
-]
+from .train import train
+from .tensor import no_grad
 
 
 def _classify(err):
-    for types, category, code in _ERROR_CATEGORIES:
-        if isinstance(err, types):
-            return category, code
+    """(category, exit code) of a failure: its class's in ``errors.py``,
+    io (7) for an OSError, else internal (1)."""
+    if isinstance(err, CATEGORIES):
+        return err.category, err.code
+    if isinstance(err, OSError):
+        return "io", 7
     return "internal", 1
 
 
@@ -134,7 +118,7 @@ def cmd_train(args):
     for frame, obj, reason in rejections:
         print(f"filtered out {obj}: {reason}")
     if len(kept) < cfg.train.batch_size:
-        raise ValueError(
+        raise ConfigError(
             f"filtered dataset holds {len(kept)} samples, smaller than one "
             f"batch of {cfg.train.batch_size}"
         )
@@ -261,7 +245,7 @@ def cmd_annotate(args):
 def _label_frames(root):
     label_dir = Path(root) / "label_2"
     if not label_dir.is_dir():
-        raise FrameMismatch(f"{root} has no label_2 directory")
+        raise DataError(f"{root} has no label_2 directory")
     return sorted(p.stem for p in label_dir.glob("*.txt"))
 
 
@@ -281,7 +265,7 @@ def cmd_eval(args):
     gt_frames = _label_frames(args.gt)
     if pred_frames != gt_frames:
         missing = sorted(set(gt_frames) ^ set(pred_frames))
-        raise FrameMismatch(f"frame ids disagree; unmatched: {missing}")
+        raise DataError(f"frame ids disagree; unmatched: {missing}")
     preds = {}
     gts = {}
     for frame in gt_frames:
@@ -304,6 +288,9 @@ def cmd_eval(args):
 
 def cmd_gradcheck(args):
     cfg = _resolve_config(args)
+    if args.batch < 1 or args.probes < 0 or not args.step > 0:
+        raise ConfigError(f"gradcheck needs --batch >= 1, --probes >= 0 and --step > 0, got "
+                          f"{args.batch}, {args.probes} and {args.step}")
     model = BoxAnnotator(cfg.model, rng=np.random.default_rng([cfg.seed, 271]))
     rng = np.random.default_rng([cfg.seed, 997])
     b = args.batch
@@ -329,9 +316,9 @@ def cmd_attn(args):
     samples, _ = frame_samples(args.dataset, args.frame, model.config.n_points,
                                dataset_sampling_rng(cfg.seed), require_gt=False)
     if not samples:
-        raise EmptyCloud(f"frame {args.frame} has no annotatable objects")
+        raise DataError(f"frame {args.frame} has no annotatable objects")
     if not 0 <= args.object < len(samples):
-        raise IndexOutOfRange(
+        raise DataError(
             f"object {args.object} outside 0..{len(samples) - 1} for frame {args.frame}"
         )
     batch = np.stack([s.points for s in samples])
@@ -386,9 +373,10 @@ def cmd_attn(args):
 
 def cmd_ablate(args):
     cfg = _resolve_config(args)
-    seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip() != ""]
-    if not seeds:
-        raise ConfigError("ablate needs at least one seed")
+    seeds = [tok.strip() for tok in args.seeds.split(",") if tok.strip() != ""]
+    if not seeds or not all(tok.isascii() and tok.isdigit() for tok in seeds):
+        raise ConfigError(f"--seeds takes one or more non-negative integers, got {args.seeds!r}")
+    seeds = [int(tok) for tok in seeds]
     out = Path(args.out)
     _log_config(cfg, out)
     train_samples, _ = filter_samples(
@@ -400,9 +388,9 @@ def cmd_ablate(args):
                               split=args.eval_split)
     )
     if len(train_samples) < cfg.train.batch_size:
-        raise ValueError("filtered train split smaller than one batch")
+        raise ConfigError("filtered train split smaller than one batch")
     if not eval_samples:
-        raise ValueError("eval split is empty after filtering")
+        raise ConfigError("eval split is empty after filtering")
     rows = run_ablation(train_samples, eval_samples, cfg.model, cfg.train, seeds,
                         log=print)
     table_lines = [row.format_row() for row in rows]

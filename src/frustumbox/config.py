@@ -11,17 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ConfigError
 from .model import ModelConfig
 from .synthetic import SceneSpec
 from .train import TrainConfig
-
-
-class ConfigError(Exception):
-    pass
-
-
-class UnknownConfigKey(ConfigError):
-    pass
 
 
 @dataclass
@@ -42,21 +35,24 @@ _TOP_LEVEL = {"seed": int, "n_scenes": int, "val_every": int}
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "scene": SceneSpec}
 
 
-def _coerce(raw, like):
-    """Parse a string into the type of the current value `like`."""
+def _coerce(key, raw, like):
+    """Parse key's string value into the type of its current value `like`."""
     if isinstance(like, bool):
         lowered = raw.strip().lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if isinstance(like, int):
-        return int(raw)
-    if isinstance(like, float):
-        return float(raw)
-    if isinstance(like, (tuple, list)):
-        return tuple(float(tok) for tok in raw.split(","))
+        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    try:
+        if isinstance(like, int):
+            return int(raw)
+        if isinstance(like, float):
+            return float(raw)
+        if isinstance(like, (tuple, list)):
+            return tuple(float(tok) for tok in raw.split(","))
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from None
     return raw
 
 
@@ -90,14 +86,16 @@ def build_run_config(pairs=None, overrides=()):
 
     for key, raw in merged.items():
         if key in _TOP_LEVEL:
-            top_values[key] = _coerce(raw, top_values[key])
+            top_values[key] = _coerce(key, raw, top_values[key])
+            if top_values[key] < 0:
+                raise ConfigError(f"{key} must be >= 0, got {top_values[key]}")
             continue
         section, _, field_name = key.partition(".")
         if section in _SECTIONS and field_name in section_values[section]:
             current = section_values[section][field_name]
-            section_values[section][field_name] = _coerce(raw, current)
+            section_values[section][field_name] = _coerce(key, raw, current)
         else:
-            raise UnknownConfigKey(f"unknown configuration key {key!r}")
+            raise ConfigError(f"unknown configuration key {key!r}")
 
     return RunConfig(
         model=ModelConfig.from_dict(section_values["model"]),

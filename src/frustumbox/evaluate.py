@@ -14,27 +14,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import ConfigError, DataError
 from .geometry import direction_label, iou_3d
 from .inference import object_key, predict_samples, quantize_prediction
 from .model import BoxAnnotator
 
 DEFAULT_IOU_THRESHOLD = 0.7
-
-
-class EvalError(Exception):
-    pass
-
-
-class UnmatchedObject(EvalError):
-    pass
-
-
-class EmptySet(EvalError):
-    pass
-
-
-class FrameMismatch(EvalError):
-    """Prediction and ground-truth directories disagree on frame ids."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +69,7 @@ def object_table(entries, source):
     table = {}
     for key, value in entries:
         if key in table:
-            raise EvalError(f"{source}: two objects share the object key {key}")
+            raise DataError(f"{source}: two objects share the object key {key}")
         table[key] = value
     return table
 
@@ -93,7 +78,7 @@ def _pair(preds, gts):
     if set(preds) != set(gts):
         missing = sorted(set(gts) - set(preds))
         extra = sorted(set(preds) - set(gts))
-        raise UnmatchedObject(f"missing predictions for {missing}; unmatched {extra}")
+        raise DataError(f"missing predictions for {missing}; unmatched {extra}")
     return sorted(gts)
 
 
@@ -104,7 +89,7 @@ def _interpolated_ap(scored, recall_points):
     prediction; every ground truth has exactly one prediction.
     """
     if not scored:
-        raise EmptySet("average precision over an empty set")
+        raise DataError("average precision over an empty set")
     order = sorted(scored, key=lambda t: (-t[0], t[2]))
     n = len(order)
     tp = 0
@@ -142,7 +127,7 @@ def evaluate_boxes(preds, gts, threshold=DEFAULT_IOU_THRESHOLD):
     """Full report. preds: id -> (Box3D, score); gts: id -> Box3D."""
     ids = _pair(preds, gts)
     if not ids:
-        raise EmptySet("no objects to evaluate")
+        raise DataError("no objects to evaluate")
     boxes = [preds[oid][0] for oid in ids]
     ious = iou_3d(boxes, [gts[oid] for oid in ids])
     records = [
@@ -202,16 +187,16 @@ class AblationRow:
 def ablation_config(base_config, name):
     """The base configuration with variant ``name``'s toggles applied.
 
-    Raises ValueError when the variant keeps a stage that the base
+    Raises ConfigError when the variant keeps a stage that the base
     configuration has 0 layers of, since that variant would silently be
     another one."""
     if name not in ABLATION_TOGGLES:
-        raise ValueError(f"unknown ablation {name!r}; know {sorted(ABLATION_TOGGLES)}")
+        raise ConfigError(f"unknown ablation {name!r}; know {sorted(ABLATION_TOGGLES)}")
     toggles = ABLATION_TOGGLES[name]
     for count in _STAGE_COUNTS:
         if count not in toggles and getattr(base_config, count) == 0:
-            raise ValueError(f"ablation {name} keeps a stage the base config has "
-                             f"{count}=0 of")
+            raise ConfigError(f"ablation {name} keeps a stage the base config has "
+                              f"{count}=0 of")
     return replace(base_config, **toggles)
 
 
@@ -222,7 +207,7 @@ def evaluate_model(model, samples, batch_size):
     keyed by :func:`~frustumbox.inference.object_key`."""
     for s in samples:
         if s.sensor_gt_box is None:
-            raise EvalError(f"sample {s.object_id} has no ground truth")
+            raise DataError(f"sample {s.object_id} has no ground truth")
     gts = object_table(((object_key(s.frame_id, s.box2d), s.sensor_gt_box) for s in samples),
                        "samples")
     preds = predict_samples(model, samples, batch_size)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .geometry import Box2D, Box3D, ProjectionModel, extract_frustum, points_in_box3d
 from .kitti import lidar_box_from_label, load_frame, manifest_frames
 
@@ -23,10 +24,6 @@ _SAMPLING_SALT = 104729
 
 MIN_TOTAL_POINTS = 30
 MIN_FOREGROUND_POINTS = 5
-
-
-class EmptyCloud(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ def sample_to_fixed_size(m, n, rng):
     without replacement when enough points exist, otherwise every point once
     plus a with-replacement remainder."""
     if m == 0:
-        raise EmptyCloud("cannot sample an empty cloud")
+        raise DataError("cannot sample an empty cloud")
     if m >= n:
         return rng.choice(m, size=n, replace=False)
     return np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import DataError
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,7 +162,7 @@ def extract_frustum(cloud, boxes, calib):
     """
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 3)
     if len(pts) == 0:
-        raise ValueError("empty input cloud")
+        raise DataError("empty input cloud")
     uv, depth = calib.project(pts)
     front = np.flatnonzero(depth > 0)
     u, v = uv[front, 0], uv[front, 1]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .errors import NumericError
 from .loss import total_loss
 
 DEFAULT_STEP = 1e-4
@@ -88,9 +89,9 @@ def model_gradient_check(model, points, gt_boxes, lambda_box, probes=2,
     report = GradCheckReport()
     for name, p in model.params.items():
         if p.grad is None:
-            raise T.TensorError(f"parameter {name!r} received no gradient")
+            raise NumericError(f"parameter {name!r} received no gradient")
         if not np.isfinite(p.grad).all():
-            raise T.TensorError(f"parameter {name!r} received a non-finite gradient")
+            raise NumericError(f"parameter {name!r} received a non-finite gradient")
         directions = [p.grad / max(np.linalg.norm(p.grad), 1e-30)]
         for _ in range(max(probes - 1, 0)):
             d = rng.normal(size=p.data.shape)

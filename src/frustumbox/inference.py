@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import NumericError
 from .kitti import (
     label_from_lidar_box,
     parse_kitti_label,
@@ -43,14 +44,21 @@ class Prediction:
 
 def predict_samples(model, samples, batch_size):
     """Forward every sample once, building no graph; deterministic chunking
-    in list order."""
+    in list order. Raises NumericError naming the first object whose box
+    row or direction logits are not finite."""
     out = []
     for lo in range(0, len(samples), batch_size):
         chunk = samples[lo : lo + batch_size]
         points = np.stack([s.points for s in chunk])
         with T.no_grad():
             fwd = model.forward(points)
-        for s, row, logit in zip(chunk, fwd.boxes.data, fwd.direction_logits.data):
+        rows, logits = fwd.boxes.data, fwd.direction_logits.data
+        finite = np.isfinite(rows).all(axis=1) & np.isfinite(logits).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))  # the first object with a non-finite output
+            raise NumericError(f"non-finite prediction for object {chunk[i].object_id}: "
+                               f"box {rows[i].tolist()}, direction logits {logits[i].tolist()}")
+        for s, row, logit in zip(chunk, rows, logits):
             box = decode_prediction(row, logit, centroid=s.centroid)
             out.append(Prediction(sample=s, box=box, score=direction_score(logit)))
     return out

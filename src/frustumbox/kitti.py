@@ -21,27 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import KittiFormatError
 from .geometry import Box2D, Box3D, ProjectionModel, wrap_angle
-
-
-class KittiFormatError(Exception):
-    pass
-
-
-class MissingKey(KittiFormatError):
-    pass
-
-
-class MalformedNumber(KittiFormatError):
-    pass
-
-
-class FieldCount(KittiFormatError):
-    pass
-
-
-class TruncatedFile(KittiFormatError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +33,15 @@ _CALIB_KEYS = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
 
 
 def _parse_floats(tokens, line):
-    """The tokens as finite floats; anything else is a MalformedNumber."""
+    """The tokens as finite floats; anything else is a KittiFormatError."""
     out = []
     for tok in tokens:
         try:
             value = float(tok)
         except ValueError as err:
-            raise MalformedNumber(f"bad number {tok!r} in line: {line.strip()!r}") from err
+            raise KittiFormatError(f"bad number {tok!r} in line: {line.strip()!r}") from err
         if not math.isfinite(value):
-            raise MalformedNumber(f"non-finite number {tok!r} in line: {line.strip()!r}")
+            raise KittiFormatError(f"non-finite number {tok!r} in line: {line.strip()!r}")
         out.append(value)
     return out
 
@@ -77,18 +58,23 @@ def parse_kitti_calib(text):
             continue
         values = _parse_floats(rest.split(), line)
         if len(values) != _CALIB_KEYS[key]:
-            raise FieldCount(
+            raise KittiFormatError(
                 f"{key} expects {_CALIB_KEYS[key]} values, got {len(values)}"
             )
         found[key] = np.array(values)
     for key in _CALIB_KEYS:
         if key not in found:
-            raise MissingKey(f"calibration is missing {key}")
-    return ProjectionModel(
+            raise KittiFormatError(f"calibration is missing {key}")
+    calib = ProjectionModel(
         P=found["P2"].reshape(3, 4),
         R0=found["R0_rect"].reshape(3, 3),
         Tr=found["Tr_velo_to_cam"].reshape(3, 4),
     )
+    # reading a label's box back into the sensor frame inverts both rotations
+    for key, rotation in (("R0_rect", calib.R0), ("Tr_velo_to_cam", calib.Tr[:, :3])):
+        if np.linalg.matrix_rank(rotation) < 3:
+            raise KittiFormatError(f"{key} is singular: {rotation.ravel().tolist()}")
+    return calib
 
 
 def serialize_kitti_calib(calib):
@@ -151,7 +137,7 @@ def parse_kitti_label(text):
             continue
         tokens = line.split()
         if len(tokens) not in (15, 16):
-            raise FieldCount(f"label line has {len(tokens)} fields: {line.strip()!r}")
+            raise KittiFormatError(f"label line has {len(tokens)} fields: {line.strip()!r}")
         vals = _parse_floats(tokens[1:], line)
         try:
             box2d = Box2D(vals[3], vals[4], vals[5], vals[6])
@@ -254,10 +240,10 @@ def label_from_lidar_box(cls, box, box2d, calib, truncation=0.0, occlusion=0,
 def load_point_cloud(data):
     """Decode the packed float32 records; returns ((N, 3) points, (N,) intensity).
 
-    Raises TruncatedFile with the offset of the first incomplete record.
+    Raises KittiFormatError with the offset of the first incomplete record.
     """
     if len(data) % 16 != 0:
-        raise TruncatedFile(
+        raise KittiFormatError(
             f"point record truncated at byte offset {len(data) - len(data) % 16}"
         )
     raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
@@ -314,7 +300,7 @@ def write_manifest(root, splits):
 def read_manifest(root):
     path = Path(root) / "manifest.txt"
     if not path.exists():
-        raise MissingKey(f"no manifest.txt under {root}")
+        raise KittiFormatError(f"no manifest.txt under {root}")
     splits = {}
     for line in path.read_text().splitlines():
         if not line.strip():

@@ -22,12 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import NumericError
 from .geometry import box_iou, box_rows, direction_label, footprint
 from .tensor import Tensor
-
-
-class InvalidBox(Exception):
-    """A predicted box row has a non-positive or non-finite extent."""
 
 
 @dataclass
@@ -49,19 +46,19 @@ def diou_loss(pred, gt_boxes):
     floats for logging).
 
     The whole batch is one graph of fixed shapes, so the node count does not
-    depend on B or on how the boxes overlap. Raises InvalidBox naming the
+    depend on B or on how the boxes overlap. Raises NumericError naming the
     first object with a non-finite or non-positive extent.
     """
     pred = T.as_tensor(pred)
     n = len(gt_boxes)
     if pred.shape != (n, 7):
-        raise T.ShapeMismatch(f"predictions {pred.shape} vs {n} ground-truth boxes")
+        raise NumericError(f"predictions {pred.shape} vs {n} ground-truth boxes")
     gt = box_rows(gt_boxes)
     extent = pred.data[:, 3:6]
     bad = np.argwhere(~(np.isfinite(extent) & (extent > 0)))
     if len(bad):
         i, j = bad[0]
-        raise InvalidBox(f"object {i}: extent {float(extent[i, j])!r}")
+        raise NumericError(f"object {i}: extent {float(extent[i, j])!r}")
     iou, corners, offset, (bottom, top) = box_iou(pred, gt)
 
     # penalty: squared center distance over the diagonal of the axis-aligned

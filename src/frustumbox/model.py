@@ -26,17 +26,10 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import Checkpoint, CheckpointMismatch, save_checkpoint
+from .checkpoint import Checkpoint, save_checkpoint
+from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .geometry import DIRECTION_BACK, wrap_angle, Box3D
 from .tensor import Parameter, Tensor
-
-
-class InvalidMode(Exception):
-    """Unknown positional-encoding mode."""
-
-
-class IndexOutOfRange(Exception):
-    """Attention export index outside the captured trace."""
 
 
 POS_MODES = ("none", "sine", "mlp")
@@ -73,15 +66,15 @@ class ModelConfig:
 
     def validate(self):
         if self.pos_mode not in POS_MODES:
-            raise InvalidMode(f"pos_mode must be one of {POS_MODES}, got {self.pos_mode!r}")
-        if self.d % self.heads != 0:
-            raise T.HeadDivisibility(f"embed width {self.d} not divisible by {self.heads} heads")
-        if self.d < 1 or self.n_points < 1 or self.head_hidden < 1:
-            raise ValueError("widths and point counts must be >= 1")
+            raise ConfigError(f"pos_mode must be one of {POS_MODES}, got {self.pos_mode!r}")
+        if min(self.d, self.n_points, self.head_hidden, self.heads) < 1:
+            raise ConfigError("widths, point counts and heads must be >= 1")
         if self.n_local_layers < 1:
-            raise ValueError("at least one local layer is required")
+            raise ConfigError("at least one local layer is required")
         if self.n_global_layers < 0 or self.n_decoder_layers < 0:
-            raise ValueError("layer counts must be >= 0")
+            raise ConfigError("layer counts must be >= 0")
+        if self.d % self.heads != 0:
+            raise ConfigError(f"embed width {self.d} not divisible by {self.heads} heads")
 
     @classmethod
     def desk(cls, **overrides):
@@ -275,7 +268,7 @@ class BoxAnnotator:
         """Pointwise MLP with two hidden layers: (B, N, 3) -> (B, N, d)."""
         x = T.as_tensor(points)
         if x.ndim != 3 or x.shape[-1] != 3:
-            raise T.ShapeMismatch(f"embed_points expects (B, N, 3), got {x.shape}")
+            raise NumericError(f"embed_points expects (B, N, 3), got {x.shape}")
         x = T.relu(self._linear(x, "embed.l0"))
         x = T.relu(self._linear(x, "embed.l1"))
         return self._linear(x, "embed.l2")
@@ -290,7 +283,7 @@ class BoxAnnotator:
         if mode == "sine":
             feats = _sine_features(pts.data)
             return self._linear(Tensor(feats), "pos.proj")
-        raise InvalidMode(f"positional encoding requested with pos_mode={mode!r}")
+        raise ConfigError(f"positional encoding requested with pos_mode={mode!r}")
 
     def box_token_sequence(self, batch_size):
         """The learned box tokens broadcast to (B, 7, d)."""
@@ -443,13 +436,13 @@ class BoxAnnotator:
         if mine != theirs:
             missing = sorted(mine - theirs)
             unexpected = sorted(theirs - mine)
-            raise CheckpointMismatch(
+            raise CheckpointError(
                 f"parameter names disagree; missing={missing}, unexpected={unexpected}"
             )
         for name, p in self.params.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != p.data.shape:
-                raise CheckpointMismatch(
+                raise CheckpointError(
                     f"shape of {name!r}: checkpoint {arr.shape} vs model {p.data.shape}"
                 )
         for name, p in self.params.items():
@@ -469,12 +462,12 @@ class BoxAnnotator:
 def checkpoint_model_config(ckpt):
     """The ModelConfig a checkpoint's header stores. A key that
     ``ModelConfig.from_dict`` does not read, or a value it rejects, is a
-    CheckpointMismatch: the file, not the run's configuration, is at fault."""
+    CheckpointError: the file, not the run's configuration, is at fault."""
     stored = ckpt.config["model"]
     try:
         return ModelConfig.from_dict(stored)
-    except (TypeError, ValueError, InvalidMode, T.HeadDivisibility) as err:
-        raise CheckpointMismatch(f"checkpoint model config {stored}: {err}") from err
+    except (TypeError, ValueError, ConfigError) as err:
+        raise CheckpointError(f"checkpoint model config {stored}: {err}") from err
 
 
 def _sine_features(points):
@@ -520,25 +513,25 @@ def export_attention(trace, object_index, reference_point_index, top_k,
     rows for the same object and layer.
     """
     if not trace or not trace.local_layers:
-        raise IndexOutOfRange("no local attention trace captured")
+        raise DataError("no local attention trace captured")
     try:
         weights = trace.local_layers[layer].data
     except IndexError as err:
-        raise IndexOutOfRange(f"layer {layer} outside trace of {len(trace.local_layers)}") from err
+        raise DataError(f"layer {layer} outside trace of {len(trace.local_layers)}") from err
     B, _, S, _ = weights.shape
     if not 0 <= object_index < B:
-        raise IndexOutOfRange(f"object {object_index} outside batch of {B}")
+        raise DataError(f"object {object_index} outside batch of {B}")
     if reference_is_token:
         if not 0 <= reference_point_index < N_BOX_TOKENS:
-            raise IndexOutOfRange(f"token {reference_point_index} outside 0..6")
+            raise DataError(f"token {reference_point_index} outside 0..6")
         position = reference_point_index
     else:
         n_points = S - N_BOX_TOKENS
         if not 0 <= reference_point_index < n_points:
-            raise IndexOutOfRange(f"point {reference_point_index} outside 0..{n_points - 1}")
+            raise DataError(f"point {reference_point_index} outside 0..{n_points - 1}")
         position = N_BOX_TOKENS + reference_point_index
     if not 1 <= top_k <= S:
-        raise IndexOutOfRange(f"top_k {top_k} outside 1..{S}")
+        raise DataError(f"top_k {top_k} outside 1..{S}")
     row = weights[object_index, :, position, :].mean(axis=0)
     order = np.argsort(-row, kind="stable")[:top_k]
     token_rows = weights[object_index, :, :N_BOX_TOKENS, :].mean(axis=0)

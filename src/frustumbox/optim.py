@@ -6,16 +6,12 @@ import math
 
 import numpy as np
 
-from .tensor import TensorError
+from .errors import CheckpointError, NumericError
 
 
 # Moment decay rates and the denominator guard (Kingma & Ba, arXiv:1412.6980).
 BETA1, BETA2 = 0.9, 0.999
 EPS = 1e-8
-
-
-class MissingGradient(TensorError):
-    """A parameter reached the optimizer without a populated gradient."""
 
 
 def cosine_lr(step, total, lr_max, lr_min=0.0):
@@ -48,7 +44,7 @@ class Adam:
         """One update over all parameters at learning rate ``lr``."""
         for name, p in self.params.items():
             if p.grad is None:
-                raise MissingGradient(f"parameter {name!r} has no gradient")
+                raise NumericError(f"parameter {name!r} has no gradient")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1**t
@@ -74,8 +70,12 @@ class Adam:
         }
 
     def load_state_dict(self, state):
-        if set(state["m"]) != set(self.m):
-            raise ValueError("optimizer state parameter names do not match")
+        for moment in ("m", "v"):
+            if set(state[moment]) != set(self.m):
+                raise CheckpointError(
+                    f"optimizer state parameter names do not match: {moment} moments missing="
+                    f"{sorted(set(self.m) - set(state[moment]))}, unexpected="
+                    f"{sorted(set(state[moment]) - set(self.m))}")
         self.step_count = int(state["step_count"])
         for k in self.m:
             self.m[k] = np.array(state["m"][k], dtype=np.float64)

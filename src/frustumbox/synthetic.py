@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import Box2D, Box3D, ProjectionModel, box_corners, iou_3d
 from .kitti import label_from_lidar_box, write_frame, write_manifest
 
@@ -45,18 +46,26 @@ class SceneSpec:
 
     def validate(self):
         for name in ("length_range", "width_range", "height_range", "yaw_range"):
-            lo, hi = getattr(self, name)
+            bounds = getattr(self, name)
+            if len(bounds) != 2:
+                raise ConfigError(f"{name} needs two values (lo, hi), got {bounds}")
+            lo, hi = bounds
             if not lo <= hi:
-                raise ValueError(f"{name} is empty: ({lo}, {hi})")
-        if not 0 < self.range_min <= self.range_max:
-            raise ValueError("range band must be positive and ordered")
+                raise ConfigError(f"{name} is empty: ({lo}, {hi})")
+            if name != "yaw_range" and not lo > 0:
+                raise ConfigError(f"{name} must be positive: ({lo}, {hi})")
+        if not 0 < self.range_min <= self.range_max < math.inf:
+            raise ConfigError("range band must be positive and ordered")
         for name in ("occlusion", "truncation"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be a fraction in [0, 1]")
+                raise ConfigError(f"{name} must be a fraction in [0, 1]")
         if self.n_objects_min < 0 or self.n_objects_max < self.n_objects_min:
-            raise ValueError("object count range is empty")
+            raise ConfigError("object count range is empty")
+        if not 0 <= self.points_min <= self.points_max:
+            raise ConfigError(f"points_min={self.points_min} and points_max={self.points_max}"
+                              " must satisfy 0 <= points_min <= points_max")
         if self.noise_sigma < 0 or self.clutter_density < 0:
-            raise ValueError("noise and clutter must be non-negative")
+            raise ConfigError("noise and clutter must be non-negative")
 
     def to_dict(self):
         d = asdict(self)

@@ -36,25 +36,7 @@ import math
 
 import numpy as np
 
-
-class TensorError(Exception):
-    """Base class for engine failures."""
-
-
-class ShapeMismatch(TensorError):
-    pass
-
-
-class RankMismatch(TensorError):
-    pass
-
-
-class HeadDivisibility(TensorError):
-    pass
-
-
-class NonScalarLoss(TensorError):
-    pass
+from .errors import NumericError
 
 
 class Tensor:
@@ -92,10 +74,10 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -188,6 +170,20 @@ def add(a, b):
         return out
 
     return _node(a.data + b.data, (a, b), grad_fn)
+
+
+def sub(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+
+    def grad_fn(g):
+        out = []
+        if a.requires_grad:
+            out.append((a, _unbroadcast(g, a.data.shape)))
+        if b.requires_grad:
+            out.append((b, _unbroadcast(-g, b.data.shape)))
+        return out
+
+    return _node(a.data - b.data, (a, b), grad_fn)
 
 
 def mul(a, b):
@@ -396,7 +392,7 @@ def permute(a, perm):
     a = as_tensor(a)
     perm = np.asarray(perm, dtype=np.intp)
     if not np.array_equal(np.sort(perm), np.arange(a.shape[0])):
-        raise ShapeMismatch(f"not a permutation of {a.shape[0]} rows: {perm.tolist()}")
+        raise NumericError(f"not a permutation of {a.shape[0]} rows: {perm.tolist()}")
     inverse = np.argsort(perm)
 
     def grad_fn(g):
@@ -456,16 +452,16 @@ def amin(a, axis, keepdims=False):
 def matmul(a, b):
     """Batched matrix product with broadcasting over leading axes.
 
-    Both operands have rank 2 or more. Raises ShapeMismatch with both
+    Both operands have rank 2 or more. Raises NumericError with both
     shapes on a lower rank or on inner or batch disagreement.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch(f"matmul inner extents disagree: {a.shape} x {b.shape}")
+        raise NumericError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
     try:
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError as err:
-        raise ShapeMismatch(f"matmul batch extents disagree: {a.shape} x {b.shape}") from err
+        raise NumericError(f"matmul batch extents disagree: {a.shape} x {b.shape}") from err
 
     def grad_fn(g):
         out = []
@@ -583,7 +579,7 @@ def linear(x, weight, bias):
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if weight.ndim != 2 or x.shape[-1:] != weight.shape[:1]:
-        raise ShapeMismatch(f"linear extents disagree: {x.shape} x {weight.shape}")
+        raise NumericError(f"linear extents disagree: {x.shape} x {weight.shape}")
     out_data = x.data @ weight.data
     out_data += bias.data
 
@@ -659,16 +655,16 @@ def multi_head_attention(q, k, v, heads, params, capture=False):
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
-        raise RankMismatch(
+        raise NumericError(
             f"attention expects rank-3 q/k/v, got {q.shape}, {k.shape}, {v.shape}"
         )
     B, Lq, d = q.shape
     if k.shape[0] != B or v.shape[0] != B or k.shape[2] != d or v.shape[2] != d:
-        raise ShapeMismatch(f"attention operands disagree: {q.shape}, {k.shape}, {v.shape}")
+        raise NumericError(f"attention operands disagree: {q.shape}, {k.shape}, {v.shape}")
     if k.shape[1] != v.shape[1]:
-        raise ShapeMismatch(f"key/value lengths disagree: {k.shape} vs {v.shape}")
+        raise NumericError(f"key/value lengths disagree: {k.shape} vs {v.shape}")
     if d % heads != 0:
-        raise HeadDivisibility(f"width {d} not divisible by {heads} heads")
+        raise NumericError(f"width {d} not divisible by {heads} heads")
     Lk = k.shape[1]
     dh = d // heads
 
@@ -730,7 +726,7 @@ def backward(loss):
     """
     loss = as_tensor(loss)
     if loss.data.size != 1:
-        raise NonScalarLoss(f"backward needs a scalar, got shape {loss.shape}")
+        raise NumericError(f"backward needs a scalar, got shape {loss.shape}")
     pending = {id(loss): np.ones_like(loss.data)}
     for node in reversed(_toposort(loss)):
         g = pending.pop(id(node), None)

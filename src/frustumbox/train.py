@@ -19,7 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from .augment import augment
-from .checkpoint import CheckpointMismatch, load_checkpoint
+from .checkpoint import load_checkpoint
+from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .evaluate import (
     evaluate_boxes,  # noqa: F401 - looked up on this module by perfbench/tracing.py
     evaluate_model,
@@ -30,7 +31,7 @@ from .model import checkpoint_model_config
 from .optim import Adam, cosine_lr
 
 
-class NonFiniteLoss(Exception):
+class NonFiniteLoss(NumericError):
     """A training step produced a non-finite objective."""
 
 
@@ -51,11 +52,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+            raise ConfigError("epochs and batch_size must be positive")
         if not 0.0 <= self.flip_prob <= 1.0:
-            raise ValueError("flip_prob must be a probability")
+            raise ConfigError("flip_prob must be a probability")
         if self.scale_low > self.scale_high:
-            raise ValueError("scale range is empty")
+            raise ConfigError("scale range is empty")
 
     def to_dict(self):
         return asdict(self)
@@ -134,9 +135,12 @@ def _restore(model, optimizer, rng, resume_from):
     resumed run keeps its own config's (a stored model config must equal the
     run's)."""
     ckpt = load_checkpoint(resume_from)
+    missing = [k for k in ("optimizer", "rng_state", "epoch", "step") if k not in ckpt.extras]
+    if missing:
+        raise CheckpointError(f"{resume_from}: no training state to resume, lacks {missing}")
     stored_model = checkpoint_model_config(ckpt)
     if stored_model != model.config:
-        raise CheckpointMismatch(
+        raise CheckpointError(
             f"resume model config {stored_model} differs from {model.config}"
         )
     model.load_state(ckpt.params)
@@ -167,15 +171,15 @@ def train(model, samples, config, seed, out_dir=None, resume_from=None):
     """
     n = len(samples)
     if n < config.batch_size:
-        raise ValueError(
+        raise ConfigError(
             f"dataset holds {n} samples, smaller than one batch of {config.batch_size}"
         )
     drop_last = model.config.n_global_layers > 0
     if drop_last and config.batch_size < 2:
-        raise ValueError("batch_size must be >= 2 when the cross-object encoder is on")
+        raise ConfigError("batch_size must be >= 2 when the cross-object encoder is on")
     for s in samples:
         if s.gt_box is None:
-            raise ValueError(f"sample {s.object_id} has no ground truth")
+            raise DataError(f"sample {s.object_id} has no ground truth")
 
     steps_per_epoch = n // config.batch_size if drop_last else math.ceil(n / config.batch_size)
     total_steps = config.epochs * steps_per_epoch

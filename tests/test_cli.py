@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from frustumbox.checkpoint import load_checkpoint, save_checkpoint
 from frustumbox.cli import main
+from frustumbox.config import RunConfig, resolved_text
 from frustumbox.kitti import load_frame, manifest_frames, parse_kitti_label
 from oracles import serial_annotate
 
@@ -88,6 +90,30 @@ class TestSynth:
         assert code == 2
         assert not out.exists()
         assert "error category=config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_every_key_at_a_small_value_runs_or_is_config_error(self, tmp_path, capsys,
+                                                                value):
+        for key in [line.split("=")[0] for line in resolved_text(RunConfig.default()).splitlines()]:
+            code = run(["synth", "--out", tmp_path / f"{key}{value}", "n_scenes=1",
+                        f"{key}={value}"])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (key, err)
+            assert (code == 2) == ("error category=config" in err), (key, err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["model.heads=3"], "embed width 64 not divisible by 3 heads"),
+        (["model.heads=0"], "widths, point counts and heads must be >= 1"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["scene.points_max=-1"], "points_min=12 and points_max=-1 must satisfy"),
+        (["scene.yaw_range=1"], "yaw_range needs two values"),
+        (["model.d=wide"], "model.d: invalid literal for int()"),
+        (["scene.length_range=0,0"], "length_range must be positive: (0.0, 0.0)"),
+    ], ids=["heads_3", "heads_0", "seed", "points_max", "one_value_range", "not_a_number",
+            "zero_extent"])
+    def test_invalid_value_names_the_key(self, tmp_path, capsys, argv, message):
+        assert run(["synth", "--out", tmp_path / "x", "n_scenes=1"] + argv) == 2
+        assert f"error category=config: {message}" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -181,6 +207,48 @@ class TestTrain:
         assert resumed_lines == full_lines[len(full_lines) - len(resumed_lines):]
         assert (resumed / "ckpt_final.bin").read_bytes() == (
             full / "ckpt_final.bin").read_bytes()
+
+    def test_empty_cloud_is_data_error(self, dataset, tmp_path, capsys):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        (copy / "velodyne" / f"{manifest_frames(copy)[0]}.bin").write_bytes(b"")
+        code = run(["train", "--dataset", copy, "--out", tmp_path / "out", "--seed", "0"]
+                   + FAST)
+        assert code == 4
+        assert "error category=data: empty input cloud" in capsys.readouterr().err
+
+    def test_singular_rectification_is_format_error(self, dataset, tmp_path, capsys):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        path = copy / "calib" / f"{manifest_frames(copy)[0]}.txt"
+        lines = ["R0_rect: " + " ".join(["0.0"] * 9) if line.startswith("R0_rect") else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["train", "--dataset", copy, "--out", tmp_path / "out", "--seed", "0"]
+                   + FAST)
+        assert code == 3
+        assert "error category=format: R0_rect is singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", [
+        ("no_optimizer", "no training state to resume, lacks ['optimizer']"),
+        ("no_moments", "m moments missing=['dec.0.cross.k.b', "),
+    ], ids=["no_optimizer", "no_moments"])
+    def test_resume_without_training_state_is_checkpoint_error(self, dataset, training,
+                                                               tmp_path, capsys, damage,
+                                                               message):
+        ckpt = load_checkpoint(Path(training) / "ckpt_final.bin")
+        extras, arrays = dict(ckpt.extras), dict(ckpt.extra_arrays)
+        if damage == "no_optimizer":
+            del extras["optimizer"]
+        else:
+            arrays = {}
+        path = save_checkpoint(tmp_path / "damaged.bin", ckpt.config, ckpt.params, extras,
+                               arrays)
+        code = run(["train", "--dataset", dataset, "--out", tmp_path / "resumed",
+                    "--seed", "0", "--resume", path] + FAST)
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "error category=checkpoint" in err and message in err
 
     def test_undersized_dataset_message(self, dataset, tmp_path, capsys):
         out = tmp_path / "small"
@@ -289,6 +357,19 @@ class TestAnnotateAndEval:
         err = capsys.readouterr().err
         assert "error category=checkpoint" in err and "malformed header" in err
         assert repr(entry["name"]) in err
+
+    def test_non_finite_prediction_is_numeric_error(self, dataset, training, tmp_path,
+                                                     capsys):
+        ckpt = load_checkpoint(Path(training) / "ckpt_final.bin")
+        params = dict(ckpt.params)
+        params["head.loc.l2.b"] = np.full_like(params["head.loc.l2.b"], np.nan)
+        path = save_checkpoint(tmp_path / "nan.bin", ckpt.config, params)
+        code = run(["annotate", "--checkpoint", path, "--dataset", dataset,
+                    "--out", tmp_path / "ann", "--seed", "0"] + FAST)
+        assert code == 6
+        first = f"{manifest_frames(dataset)[0]}:0"
+        assert (f"error category=numeric: non-finite prediction for object {first}: box [nan"
+                in capsys.readouterr().err)
 
     def test_degenerate_2d_box_is_format_error(self, dataset, training, tmp_path, capsys):
         copy = tmp_path / "ds"
@@ -530,7 +611,7 @@ class TestAnnotatePipeline:
     def test_forward_failure_keeps_its_category_and_cancels_pending_frames(
             self, dataset, training, tmp_path, capsys, monkeypatch):
         import frustumbox.cli as cli
-        from frustumbox.tensor import TensorError
+        from frustumbox.errors import NumericError
 
         prepared = []
         failed = threading.Event()
@@ -546,7 +627,7 @@ class TestAnnotatePipeline:
 
         def failing_forward(*args, **kwargs):
             failed.set()
-            raise TensorError("forward failed on purpose")
+            raise NumericError("forward failed on purpose")
 
         monkeypatch.setattr(cli, "frame_samples", slow_after_first)
         monkeypatch.setattr(cli, "predict_samples", failing_forward)
@@ -563,6 +644,12 @@ class TestAnnotatePipeline:
 
 
 class TestGradcheckCommand:
+    @pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--batch", "-1"),
+                                             ("--step", "0")])
+    def test_bad_argument_is_config_error(self, capsys, flag, value):
+        assert run(["gradcheck", "--seed", "0", flag, value] + FAST) == 2
+        assert "error category=config: gradcheck needs --batch >= 1" in capsys.readouterr().err
+
     def test_tiny_config_passes(self, capsys):
         code = run(["gradcheck", "--seed", "0", "--probes", "1"] + FAST)
         out = capsys.readouterr().out
@@ -672,6 +759,14 @@ class TestAblateCommand:
         assert [r.name for r in rows] == ["A", "B"]
         for row in rows:
             assert 0.0 <= row.mean["miou"] <= 1.0
+
+    @pytest.mark.parametrize("seeds", ["a", "-1", "1,,x", ","])
+    def test_bad_seed_list_is_config_error(self, dataset, tmp_path, capsys, seeds):
+        code = run(["ablate", "--dataset", dataset, "--out", tmp_path / "abl", "--seeds",
+                    seeds, "--seed", "0"] + FAST)
+        assert code == 2
+        assert "error category=config" in capsys.readouterr().err
+        assert not (tmp_path / "abl").exists()
 
     def test_cli_ablate_writes_table(self, dataset, tmp_path):
         out = tmp_path / "abl_cli"

@@ -1,9 +1,9 @@
 import pytest
 
+from frustumbox.errors import ConfigError
+
 from frustumbox.config import (
-    ConfigError,
     RunConfig,
-    UnknownConfigKey,
     build_run_config,
     load_run_config,
     parse_config_text,
@@ -23,7 +23,7 @@ class TestParseText:
         assert pairs == {"model.d": "32", "train.epochs": "7", "seed": "5"}
 
     def test_rejects_garbage_line(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="expected key=value"):
             parse_config_text("not a pair")
 
 
@@ -55,11 +55,11 @@ class TestBuild:
         assert cfg.n_scenes == 9
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(UnknownConfigKey):
+        with pytest.raises(ConfigError, match="unknown configuration key 'model.dd'"):
             build_run_config({"model.dd": "1"})
-        with pytest.raises(UnknownConfigKey):
+        with pytest.raises(ConfigError, match="unknown configuration key 'model.use_global'"):
             build_run_config({"model.use_global": "false"})
-        with pytest.raises(UnknownConfigKey):
+        with pytest.raises(ConfigError, match="unknown configuration key 'banana'"):
             build_run_config({"banana": "1"})
 
     def test_overrides_beat_file(self):
@@ -67,12 +67,23 @@ class TestBuild:
         assert cfg.train.epochs == 9
 
     def test_bad_bool(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="train.augment: expected a boolean, got 'maybe'"):
             build_run_config({"train.augment": "maybe"})
+
+    @pytest.mark.parametrize("key, raw", [("model.d", "abc"), ("train.lr_max", "fast"),
+                                          ("scene.length_range", "3,x"), ("seed", "1.5")])
+    def test_bad_number_names_the_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            build_run_config({key: raw})
+
+    @pytest.mark.parametrize("key", ["seed", "n_scenes", "val_every"])
+    def test_negative_top_level_value_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got -1$"):
+            build_run_config({key: "-1"})
 
     def test_invalid_resulting_config_raises(self):
         # d not divisible by heads is rejected at construction
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError, match="embed width 30 not divisible by 8 heads"):
             build_run_config({"model.d": "30"})
 
 

@@ -5,8 +5,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from frustumbox.cli import main
+from frustumbox.errors import DataError
 from frustumbox.frustums import (
-    EmptyCloud,
     FrustumSample,
     build_dataset_samples,
     build_frustum_sample,
@@ -82,7 +82,7 @@ class TestSampleToFixedSize:
         np.testing.assert_array_equal(a, b)
 
     def test_empty_cloud(self):
-        with pytest.raises(EmptyCloud):
+        with pytest.raises(DataError, match="cannot sample an empty cloud"):
             sample_to_fixed_size(0, 16, np.random.default_rng(0))
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from frustumbox import geometry as geo
 from frustumbox import tensor as T
+from frustumbox.errors import DataError
 from frustumbox.geometry import (
     Box2D,
     Box3D,
@@ -139,7 +140,7 @@ class TestExtractFrustum:
         assert set(got[0].tolist()) < set(got[1].tolist())
 
     def test_empty_cloud_is_an_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="empty input cloud"):
             extract_frustum(np.zeros((0, 3)), [Box2D(-1.0, -1.0, 1.0, 1.0)],
                             identity_calibration())
 

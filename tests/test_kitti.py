@@ -5,12 +5,8 @@ import pytest
 
 from frustumbox.geometry import Box2D, Box3D, iou_3d
 from frustumbox.kitti import (
-    FieldCount,
     KittiFormatError,
     LabelRecord,
-    MalformedNumber,
-    MissingKey,
-    TruncatedFile,
     label_from_lidar_box,
     lidar_box_from_label,
     load_frame,
@@ -49,20 +45,20 @@ class TestCalibParsing:
 
     def test_missing_key(self):
         text = "\n".join(l for l in MINIMAL_CALIB.splitlines() if not l.startswith("Tr"))
-        with pytest.raises(MissingKey) as ei:
+        with pytest.raises(KittiFormatError, match="calibration is missing") as ei:
             parse_kitti_calib(text)
         assert "Tr_velo_to_cam" in str(ei.value)
 
     def test_malformed_number_has_line_context(self):
         bad = MINIMAL_CALIB.replace("R0_rect: 1", "R0_rect: one")
-        with pytest.raises(MalformedNumber) as ei:
+        with pytest.raises(KittiFormatError, match="bad number") as ei:
             parse_kitti_calib(bad)
         assert "one" in str(ei.value)
 
     @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
     def test_non_finite_number_is_malformed(self, token):
         bad = MINIMAL_CALIB.replace("P2: 1", f"P2: {token}")
-        with pytest.raises(MalformedNumber, match=f"non-finite number {token!r}"):
+        with pytest.raises(KittiFormatError, match=f"non-finite number {token!r}"):
             parse_kitti_calib(bad)
 
     def test_real_p2_line_matches_split_oracle(self):
@@ -81,8 +77,16 @@ class TestCalibParsing:
         np.testing.assert_array_equal(back.Tr, calib.Tr)
 
     def test_wrong_value_count(self):
-        with pytest.raises(FieldCount):
+        with pytest.raises(KittiFormatError, match="P2 expects 12 values, got 3"):
             parse_kitti_calib("P2: 1 2 3\nR0_rect: 1 0 0 0 1 0 0 0 1\nTr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0")
+
+    @pytest.mark.parametrize("key, zeros", [("R0_rect", 9), ("Tr_velo_to_cam", 12)])
+    def test_singular_rotation_is_format_error_naming_the_key(self, key, zeros):
+        # reading a label back into the sensor frame inverts both rotations
+        lines = [f"{key}: " + " ".join(["0"] * zeros) if line.startswith(key) else line
+                 for line in MINIMAL_CALIB.splitlines()]
+        with pytest.raises(KittiFormatError, match=f"^{key} is singular"):
+            parse_kitti_calib("\n".join(lines))
 
 
 class TestLabelParsing:
@@ -107,7 +111,7 @@ class TestLabelParsing:
         assert rec.camera_box is None
 
     def test_field_count_error(self):
-        with pytest.raises(FieldCount):
+        with pytest.raises(KittiFormatError, match="label line has 4 fields"):
             parse_kitti_label("Car 1 2 3")
 
     def test_degenerate_2d_box_is_format_error_naming_the_line(self):
@@ -176,7 +180,7 @@ class TestPointCloudIO:
         assert inten.shape == (2,)
 
     def test_truncated(self):
-        with pytest.raises(TruncatedFile) as ei:
+        with pytest.raises(KittiFormatError, match="point record truncated") as ei:
             load_point_cloud(bytes(33))
         assert "32" in str(ei.value)
 
@@ -213,5 +217,5 @@ class TestLayout:
         assert manifest_frames(tmp_path, split="val") == ["000001"]
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(MissingKey):
+        with pytest.raises(KittiFormatError, match="no manifest.txt"):
             read_manifest(tmp_path)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from frustumbox import tensor as T
+from frustumbox.errors import NumericError
 from frustumbox.geometry import Box3D, box_rows
-from frustumbox.loss import InvalidBox, diou_loss, direction_loss, total_loss
+from frustumbox.loss import diou_loss, direction_loss, total_loss
 from frustumbox.tensor import Tensor, backward
 from frustumbox.train import TrainConfig
 
@@ -95,7 +96,7 @@ class TestDiouLoss:
         assert len(sizes) == 1, sizes
         # the penalty's enclosing box, centre offset and vertical span reuse
         # the kernel's prediction footprint, offset and vertical extent
-        assert sizes.pop() <= 95
+        assert sizes.pop() <= 87
 
     def test_invalid_box_names_first_bad_object(self):
         rng = np.random.default_rng(9)
@@ -103,10 +104,10 @@ class TestDiouLoss:
         rows = box_rows([random_box(rng, 1.0) for _ in range(4)])
         rows[2, 5] = np.nan
         rows[3, 3] = -1.0
-        with pytest.raises(InvalidBox, match=r"^object 2: extent nan$"):
+        with pytest.raises(NumericError, match=r"^object 2: extent nan$"):
             diou_loss(Tensor(rows), gts)
         rows[2, 5] = 0.0
-        with pytest.raises(InvalidBox, match=r"^object 2: extent 0.0$"):
+        with pytest.raises(NumericError, match=r"^object 2: extent 0.0$"):
             diou_loss(Tensor(rows), gts)
 
     def test_batch_gradient_matches_finite_differences(self):
@@ -216,7 +217,7 @@ class TestDiouLoss:
         assert p.grad[0, 0] > 0  # decreasing cx decreases the loss
 
     def test_invalid_box_on_nonfinite(self):
-        with pytest.raises(InvalidBox):
+        with pytest.raises(NumericError, match=r"^object 0: extent nan$"):
             diou_loss(Tensor(np.full((1, 7), np.nan)), [Box3D(0, 0, 0, 1, 1, 1, 0)])
 
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from frustumbox import tensor as T
-from frustumbox.checkpoint import CheckpointMismatch, load_checkpoint, save_checkpoint
+from frustumbox.checkpoint import load_checkpoint, save_checkpoint
+from frustumbox.errors import CheckpointError, ConfigError, DataError
 from frustumbox.model import (
     LOG_EXTENT_CAP,
     AttentionTrace,
     BoxAnnotator,
-    IndexOutOfRange,
-    InvalidMode,
     ModelConfig,
     decode_prediction,
     direction_score,
@@ -58,12 +57,18 @@ class TestConfig:
         assert cfg.n_decoder_layers == 1
 
     def test_invalid_pos_mode(self):
-        with pytest.raises(InvalidMode):
+        with pytest.raises(ConfigError, match="pos_mode must be one of"):
             ModelConfig(pos_mode="fourier")
 
     def test_head_divisibility(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError, match="embed width 10 not divisible by 3 heads"):
             ModelConfig(d=10, heads=3)
+
+    @pytest.mark.parametrize("bad", [{"heads": 0}, {"heads": -1}, {"d": -1}, {"d": 0},
+                                     {"n_points": 0}, {"head_hidden": -1}])
+    def test_widths_and_heads_checked_before_divisibility(self, bad):
+        with pytest.raises(ConfigError, match="widths, point counts and heads must be >= 1"):
+            ModelConfig.desk(**bad)
 
     def test_roundtrip_dict(self):
         cfg = ModelConfig.desk(n_global_layers=0, pos_mode="sine")
@@ -75,11 +80,11 @@ class TestConfig:
         assert "use_global" not in keys and "use_decoder" not in keys
 
     def test_negative_layer_counts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="layer counts must be >= 0"):
             ModelConfig.desk(n_global_layers=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="layer counts must be >= 0"):
             ModelConfig.desk(n_decoder_layers=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="at least one local layer"):
             ModelConfig.desk(n_local_layers=0)
 
     def test_stage_flags_of_older_dicts_map_to_zero_layers(self):
@@ -132,7 +137,7 @@ class TestPositionalEncoding:
 
     def test_none_mode_raises_on_direct_call(self):
         m = make_model(pos_mode="none")
-        with pytest.raises(InvalidMode):
+        with pytest.raises(ConfigError, match="requested with pos_mode='none'"):
             m.positional_encode(np.zeros((1, 2, 3)))
 
     def test_none_mode_forward_ignores_positions(self):
@@ -530,13 +535,13 @@ class TestAttentionExport:
 
     def test_index_errors(self):
         _, out = self._traced()
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DataError, match="object 9 outside batch"):
             export_attention(out.attention, 9, 0, top_k=5)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DataError, match="point 99 outside"):
             export_attention(out.attention, 0, 99, top_k=5)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DataError, match="top_k 99 outside"):
             export_attention(out.attention, 0, 0, top_k=99)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DataError, match="no local attention trace"):
             export_attention(AttentionTrace(), 0, 0, top_k=1)
 
 
@@ -566,13 +571,13 @@ class TestPersistence:
         assert a.boxes.data.tobytes() == b.boxes.data.tobytes()
         assert a.direction_logits.data.tobytes() == b.direction_logits.data.tobytes()
 
-    @pytest.mark.parametrize("bad", [{"bogus": 1}, {"heads": 3}, {"pos_mode": "bogus"},
-                                     {"n_local_layers": 0}])
+    @pytest.mark.parametrize("bad", [{"bogus": 1}, {"heads": 3}, {"heads": 0},
+                                     {"pos_mode": "bogus"}, {"n_local_layers": 0}])
     def test_invalid_model_header_is_checkpoint_mismatch(self, tmp_path, bad):
         m = make_model(seed=5)
         header = dict(m.config.to_dict(), **bad)
         path = save_checkpoint(tmp_path / "bad.ckpt", {"model": header}, m.state_arrays())
-        with pytest.raises(CheckpointMismatch, match="checkpoint model config"):
+        with pytest.raises(CheckpointError, match="checkpoint model config"):
             BoxAnnotator.from_checkpoint(load_checkpoint(path))
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
@@ -617,14 +622,14 @@ class TestPersistence:
         path = m.save(tmp_path / "model.ckpt")
         other = make_model(n_global_layers=0)
         ckpt = load_checkpoint(path)
-        with pytest.raises(CheckpointMismatch):
+        with pytest.raises(CheckpointError, match="parameter names disagree"):
             other.load_state(ckpt.params)
 
     def test_shape_mismatch_fails_loudly(self):
         m = make_model()
         arrays = m.state_arrays()
         arrays["embed.l0.w"] = np.zeros((3, 99))
-        with pytest.raises(CheckpointMismatch):
+        with pytest.raises(CheckpointError, match="shape of 'embed.l0.w'"):
             m.load_state(arrays)
 
     def test_parameter_count_stable(self):

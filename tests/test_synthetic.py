@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from frustumbox.errors import ConfigError
 from frustumbox.frustums import build_dataset_samples, filter_samples
 from frustumbox.geometry import box_corners, points_in_box3d
 from frustumbox.kitti import load_frame, manifest_frames, read_manifest
@@ -34,12 +35,21 @@ class TestSceneSpec:
         SceneSpec()
 
     def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="occlusion must be a fraction"):
             SceneSpec(occlusion=1.5)
 
     def test_rejects_empty_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"length_range is empty: \(5.0, 3.0\)"):
             SceneSpec(length_range=(5.0, 3.0))
+
+    def test_rejects_one_value_range(self):
+        with pytest.raises(ConfigError, match=r"width_range needs two values"):
+            SceneSpec(width_range=(1.5,))
+
+    @pytest.mark.parametrize("bounds", [(12, -1), (-1, 1200), (20, 10)])
+    def test_rejects_bad_point_budget(self, bounds):
+        with pytest.raises(ConfigError, match="0 <= points_min <= points_max"):
+            SceneSpec(points_min=bounds[0], points_max=bounds[1])
 
     def test_dict_roundtrip(self):
         spec = SceneSpec(occlusion=0.4, points_base=200)
