@@ -9,6 +9,7 @@ before doing work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -48,12 +49,16 @@ def _coerce(key, raw, like):
         if isinstance(like, int):
             return int(raw)
         if isinstance(like, float):
-            return float(raw)
-        if isinstance(like, (tuple, list)):
-            return tuple(float(tok) for tok in raw.split(","))
+            values = (float(raw),)
+        elif isinstance(like, (tuple, list)):
+            values = tuple(float(tok) for tok in raw.split(","))
+        else:
+            return raw
     except ValueError as err:
         raise ConfigError(f"{key}: {err}") from None
-    return raw
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{key}: expected finite numbers, got {raw!r}")
+    return values[0] if isinstance(like, float) else values
 
 
 def parse_config_text(text):

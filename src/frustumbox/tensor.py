@@ -16,8 +16,10 @@ projections around it. The core shifts a slab's scores by their row max only
 where a bound on the slab's scores, read from its (L, dh) operands, exceeds
 :data:`EXP_SAFE_SCORE`; below it ``exp`` of the raw scores stays inside
 float64's normal range, and the shift would only cost two passes over the
-(L, L) scores. :func:`linear` and :func:`layer_norm` are one node each too,
-so an encoder layer builds 20 nodes. Inside a :func:`no_grad`
+(L, L) scores. The core works one cache-sized block of slabs at a time, and
+its backward rebuilds each block's weights instead of holding them, so no
+graph keeps an (L, L) array. :func:`linear` and :func:`layer_norm` are one
+node each too, so an encoder layer builds 20 nodes. Inside a :func:`no_grad`
 block the ops record no parents, so a forward-only pass (inference,
 attention export) builds no graph and frees each intermediate array once
 the next op has read it.
@@ -500,10 +502,27 @@ def log_softmax(a):
 # row-max shift.
 EXP_SAFE_SCORE = 512.0
 
+# Bytes of (Lq, Lk) weights that attention_core builds at a time: as many
+# whole slabs as fit, and at least one, so a block's passes run in cache.
+ATTENTION_BLOCK_BYTES = 512 * 1024
+
 
 def _abs_max(x):
     """max |x| over each (L, dh) slab of a (..., L, dh) array."""
     return np.abs(x).max(axis=(-2, -1), initial=0.0)
+
+
+def _block_weights(qs, kt, shifted):
+    """Unnormalized softmax weights ``exp(qs @ kt - shift)`` of a block of
+    (n, Lq, dh) and (n, dh, Lk) slabs, shifted by the row max only in the
+    slabs that ``shifted`` (n,) marks: the forward and the backward both
+    build a block's weights here, so the backward's are the forward's bit
+    for bit."""
+    e = qs @ kt
+    if shifted.any():
+        e[shifted] -= e[shifted].max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return e
 
 
 def attention_core(Q, K, V, scale, capture=False):
@@ -526,47 +545,76 @@ def attention_core(Q, K, V, scale, capture=False):
     passes only some query rows (a layer that computes only the box-token
     rows), the bound reads those rows alone: it still bounds every score
     the slab computes, though it may skip a shift that the same slab with
-    every query row would take. The backward follows the same split (Dao et al., FlashAttention) and never reads the
-    shift: with ``gr = g·r`` and ``d = rowsum(gr ∘ context)``, an (Lq, dh)
-    sum, the score gradient is ``e ∘ (gr Vᵀ − d)``. Results agree with the
-    four-node composition (``tests/oracles.py``) to rounding, not bit for
-    bit.
+    every query row would take.
+
+    The slabs are worked in blocks of as many whole slabs as fit
+    :data:`ATTENTION_BLOCK_BYTES` of weights (Rabe & Staats; Dao et al.,
+    FlashAttention): a block's ``e`` is built, reduced and multiplied while
+    it is in cache, and no (Lq, Lk) array outlives its block. A slab's rows
+    are never split, since the products of a slab are one BLAS call each
+    and their bits would otherwise depend on where a block starts. The
+    backward keeps only ``r``, the context and the operands, rebuilds each
+    block's ``e`` as the forward built it, and never reads the shift: with
+    ``gr = g·r`` and ``d = rowsum(gr ∘ context)``, an (Lq, dh) sum, the
+    score gradient is ``e ∘ (gr Vᵀ − d)``. Results agree with the four-node
+    composition (``tests/oracles.py``) to rounding, not bit for bit, and
+    with the core that held ``e`` bit for bit.
     """
     Q, K, V = as_tensor(Q), as_tensor(K), as_tensor(V)
-    qs = Q.data * scale
+    *lead, Lq, dh = Q.shape
+    Lk = K.shape[-2]
+    n = math.prod(lead)
+    qs = (Q.data * scale).reshape(n, Lq, dh)
+    k = K.data.reshape(n, Lk, dh)
+    v = V.data.reshape(n, Lk, dh)
     # a contiguous Kᵀ runs the product ~25% faster than the transposed view
-    kt = K.data.swapaxes(-1, -2).copy()
-    e = qs @ kt
-    bound = qs.shape[-1] * _abs_max(qs) * _abs_max(K.data)
-    shifted = bound > EXP_SAFE_SCORE
-    if shifted.any():
-        e[shifted] -= e[shifted].max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    total = e.sum(axis=-1, keepdims=True)
-    r = 1.0 / total
-    ctx = e @ V.data
-    ctx *= r
-    # dividing keeps a one-key row exactly 1.0, where e·(1/e) may miss by an ulp
-    weights = Tensor(e / total) if capture else None
+    kt = k.swapaxes(-1, -2).copy()
+    shifted = dh * _abs_max(qs) * _abs_max(k) > EXP_SAFE_SCORE
+    step = max(1, ATTENTION_BLOCK_BYTES // (8 * Lq * Lk))
+    blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    r = np.empty((n, Lq, 1))
+    ctx = np.empty((n, Lq, dh))
+    weights = np.empty((n, Lq, Lk)) if capture else None
+    for b in blocks:
+        e = _block_weights(qs[b], kt[b], shifted[b])
+        total = e.sum(axis=-1, keepdims=True)
+        np.divide(1.0, total, out=r[b])
+        np.matmul(e, v[b], out=ctx[b])
+        ctx[b] *= r[b]
+        if capture:
+            # dividing keeps a one-key row exactly 1.0, where e·(1/e) may miss by an ulp
+            np.divide(e, total, out=weights[b])
 
     def grad_fn(g):
+        g = g.reshape(n, Lq, dh)
+        gq = np.empty((n, Lq, dh)) if Q.requires_grad else None
+        gk = np.empty((n, Lk, dh)) if K.requires_grad else None
+        gv = np.empty((n, Lk, dh)) if V.requires_grad else None
+        for b in blocks:
+            e = _block_weights(qs[b], kt[b], shifted[b])
+            gr = g[b] * r[b]
+            if gv is not None:
+                np.matmul(e.swapaxes(-1, -2), gr, out=gv[b])
+            d = (gr * ctx[b]).sum(axis=-1, keepdims=True)
+            gs = gr @ v[b].swapaxes(-1, -2)
+            gs -= d
+            gs *= e
+            if gq is not None:
+                np.matmul(gs, k[b], out=gq[b])
+            if gk is not None:
+                np.matmul(gs.swapaxes(-1, -2), qs[b], out=gk[b])
         out = []
-        gr = g * r
-        if V.requires_grad:
-            out.append((V, e.swapaxes(-1, -2) @ gr))
-        d = (gr * ctx).sum(axis=-1, keepdims=True)
-        gs = gr @ V.data.swapaxes(-1, -2)
-        gs -= d
-        gs *= e
-        if Q.requires_grad:
-            gq = gs @ K.data
+        if gv is not None:
+            out.append((V, gv.reshape(V.shape)))
+        if gq is not None:
             gq *= scale
-            out.append((Q, gq))
-        if K.requires_grad:
-            out.append((K, gs.swapaxes(-1, -2) @ qs))
+            out.append((Q, gq.reshape(Q.shape)))
+        if gk is not None:
+            out.append((K, gk.reshape(K.shape)))
         return out
 
-    return _node(ctx, (Q, K, V), grad_fn), weights
+    out = _node(ctx.reshape(Q.shape), (Q, K, V), grad_fn)
+    return out, None if weights is None else Tensor(weights.reshape(*lead, Lq, Lk))
 
 
 def linear(x, weight, bias):

@@ -219,6 +219,49 @@ def attention_core_composed(Q, K, V, scale):
     return T.matmul(weights, V), weights
 
 
+def attention_core_held(Q, K, V, scale, capture=False):
+    """``tensor.attention_core`` as it was before it worked in blocks: one
+    pass over the whole batch of slabs, whose (..., Lq, Lk) weights the
+    backward holds instead of rebuilding. The blocked core must match it
+    bit for bit: the same per-slab products, the same per-slab shift
+    decision, the same op order."""
+    from frustumbox import tensor as T
+
+    Q, K, V = T.as_tensor(Q), T.as_tensor(K), T.as_tensor(V)
+    qs = Q.data * scale
+    kt = K.data.swapaxes(-1, -2).copy()
+    e = qs @ kt
+    bound = qs.shape[-1] * T._abs_max(qs) * T._abs_max(K.data)
+    shifted = bound > T.EXP_SAFE_SCORE
+    if shifted.any():
+        e[shifted] -= e[shifted].max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    total = e.sum(axis=-1, keepdims=True)
+    r = 1.0 / total
+    ctx = e @ V.data
+    ctx *= r
+    weights = T.Tensor(e / total) if capture else None
+
+    def grad_fn(g):
+        out = []
+        gr = g * r
+        if V.requires_grad:
+            out.append((V, e.swapaxes(-1, -2) @ gr))
+        d = (gr * ctx).sum(axis=-1, keepdims=True)
+        gs = gr @ V.data.swapaxes(-1, -2)
+        gs -= d
+        gs *= e
+        if Q.requires_grad:
+            gq = gs @ K.data
+            gq *= scale
+            out.append((Q, gq))
+        if K.requires_grad:
+            out.append((K, gs.swapaxes(-1, -2) @ qs))
+        return out
+
+    return T._node(ctx, (Q, K, V), grad_fn), weights
+
+
 def linear_composed(x, weight, bias):
     """Affine map as a ``matmul`` node and an ``add`` node: the pair
     ``tensor.linear`` fuses."""

@@ -115,6 +115,13 @@ class TestSynth:
         assert run(["synth", "--out", tmp_path / "x", "n_scenes=1"] + argv) == 2
         assert f"error category=config: {message}" in capsys.readouterr().err
 
+    def test_non_finite_float_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "inf"
+        assert run(["synth", "--out", out, "n_scenes=2", "scene.noise_sigma=inf"]) == 2
+        err = capsys.readouterr().err
+        assert "error category=config: scene.noise_sigma: expected finite numbers" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_metrics(self, training):
@@ -165,6 +172,17 @@ class TestTrain:
         code = run(["train", "--dataset", dataset, "--out", out, "train.seed=1"] + FAST)
         assert code == 2
         assert "unknown configuration key 'train.seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", ["train.lr_max=nan", "train.weight_decay=inf"])
+    def test_non_finite_float_is_config_error(self, dataset, tmp_path, capsys, override):
+        # rejected when parsed, before a step can turn it into a numeric error
+        key, _, raw = override.partition("=")
+        out = tmp_path / "nonfinite"
+        code = run(["train", "--dataset", dataset, "--out", out, override] + FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error category=config: {key}: expected finite numbers, got '{raw}'" in err
         assert not out.exists()
 
     def test_resume_from_checkpoint_with_unknown_model_key(self, dataset, training,

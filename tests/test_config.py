@@ -76,6 +76,12 @@ class TestBuild:
         with pytest.raises(ConfigError, match=f"^{key}: "):
             build_run_config({key: raw})
 
+    @pytest.mark.parametrize("key, raw", [("train.lr_max", "nan"), ("scene.noise_sigma", "inf"),
+                                          ("scene.length_range", "3,-inf")])
+    def test_non_finite_float_names_the_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"^{key}: expected finite numbers, got '{raw}'$"):
+            build_run_config({key: raw})
+
     @pytest.mark.parametrize("key", ["seed", "n_scenes", "val_every"])
     def test_negative_top_level_value_rejected(self, key):
         with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got -1$"):

@@ -643,6 +643,52 @@ class TestPersistence:
         assert m.num_parameters() == 35_496_965
 
 
+class TestGraphMemory:
+    @pytest.mark.parametrize("b", [5, 8])
+    def test_no_attention_weights_outlive_the_forward(self, b, monkeypatch):
+        # the core rebuilds its (Lq, Lk) weights block by block in the
+        # backward, so no array of a core call's weights, (..., Lq, Lk) or
+        # its flattened (slabs, Lq, Lk), stays in the graph. Where Lk equals
+        # dh (the global stack at B=8) the weights have the shape of the
+        # core's operands, so B=5 checks the global stack.
+        m = BoxAnnotator(ModelConfig.desk(), rng=np.random.default_rng(0))
+        weights_shapes = set()
+        core = T.attention_core
+
+        def spy(Q, K, V, *args, **kwargs):
+            *lead, lq, dh = Q.shape
+            lk = K.shape[-2]
+            if lk != dh:
+                weights_shapes.update({(*lead, lq, lk), (math.prod(lead), lq, lk)})
+            return core(Q, K, V, *args, **kwargs)
+
+        monkeypatch.setattr(T, "attention_core", spy)
+        out = m.forward(np.random.default_rng(23).normal(size=(b, m.config.n_points, 3)))
+        assert len(weights_shapes) == (8 if b == 5 else 6)
+        arrays, seen, stack = [], set(), [out.boxes, out.direction_logits]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if node._grad_fn is None:
+                continue
+            cells = [c.cell_contents for c in node._grad_fn.__closure__ or ()]
+            while cells:
+                value = cells.pop()
+                if isinstance(value, (list, tuple)):
+                    cells.extend(value)
+                elif isinstance(value, T.Tensor):
+                    arrays.append(value.data)
+                elif isinstance(value, np.ndarray):
+                    arrays.append(value)
+        assert len(seen) > 100 and arrays
+        held = [a.shape for a in arrays
+                if a.shape in weights_shapes or a.shape[-2:] == (135, 135)]
+        assert not held, held
+
+
 class TestLeafOnlyBackward:
     """``tensor.backward`` stores gradients on leaves only; the oracle stores
     one on every node, as the engine did before, in the same order."""

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from frustumbox import tensor as T
-from oracles import attention_core_composed, layer_norm_composed, linear_composed, softmax
+from oracles import (
+    attention_core_composed,
+    attention_core_held,
+    layer_norm_composed,
+    linear_composed,
+    softmax,
+)
 from frustumbox.errors import NumericError
 from frustumbox.tensor import (
     Parameter,
@@ -506,6 +512,39 @@ class TestAttentionCore:
         composed = self._run(attention_core_composed, q0, k0, v0, g0)
         for name, a, b in zip(("context", "weights", "gQ", "gK", "gV"), fused, composed):
             assert rel_diff(a, b) < 1e-12, f"{case}: {name} differs"
+
+    @staticmethod
+    def _slabs_per_block(q_shape, k_shape):
+        return max(1, T.ATTENTION_BLOCK_BYTES // (8 * q_shape[-2] * k_shape[-2]))
+
+    @pytest.mark.parametrize("case", sorted(SHAPES) + ["ragged_blocks", "slab_over_budget"])
+    def test_blocks_match_held_weights_bit_for_bit(self, case):
+        # the core builds each block's weights twice, in the forward and
+        # again in the backward; both must be those of one pass over the
+        # whole batch that holds the weights for the backward
+        rng = np.random.default_rng(49)
+        if case == "ragged_blocks":
+            # 10 slabs of (135, 135) in blocks of 3: the last block is short,
+            # and slab 4, in a middle block, is over EXP_SAFE_SCORE
+            q_shape = kv_shape = (2, 5, 135, 8)
+        elif case == "slab_over_budget":
+            q_shape = kv_shape = (1, 2, 300, 8)
+        else:
+            q_shape, kv_shape = self.SHAPES[case]
+        q0, k0, v0 = rng.normal(size=q_shape), rng.normal(size=kv_shape), rng.normal(size=kv_shape)
+        per_block = self._slabs_per_block(q_shape, kv_shape)
+        if case == "ragged_blocks":
+            q0[0, 4] *= 500.0
+            bound = 8 * np.abs(q0 / math.sqrt(8)).max(axis=(-2, -1)) * np.abs(k0).max(axis=(-2, -1))
+            assert np.flatnonzero(bound.ravel() > T.EXP_SAFE_SCORE).tolist() == [4]
+            assert 10 % per_block and 0 < 4 // per_block < (10 - 1) // per_block
+        if case == "slab_over_budget":
+            assert 8 * 300 * 300 > T.ATTENTION_BLOCK_BYTES and per_block == 1
+        g0 = rng.normal(size=T.swapaxes(Tensor(q0), 1, 2).shape)
+        blocked = self._run(T.attention_core, q0, k0, v0, g0, capture=True)
+        held = self._run(attention_core_held, q0, k0, v0, g0, capture=True)
+        for name, a, b in zip(("context", "weights", "gQ", "gK", "gV"), blocked, held):
+            assert np.array_equal(a, b), f"{case}: {name} differs"
 
     def test_weights_outside_graph(self):
         rng = np.random.default_rng(42)
