@@ -38,7 +38,6 @@ from .evaluate import ablation_config, evaluate_boxes, object_table, run_ablatio
 from .frustums import (
     build_dataset_samples,
     build_frustum_sample,  # noqa: F401 - looked up on this module by perfbench/tracing.py
-    dataset_sampling_rng,
     filter_samples,
     frame_samples,
 )
@@ -53,7 +52,7 @@ from .kitti import (
     scored_box_from_label,
     serialize_kitti_label,
 )
-from .model import BoxAnnotator, export_attention
+from .model import N_BOX_TOKENS, BoxAnnotator, export_attention
 from .synthetic import write_synthetic_dataset
 from .train import train
 from .tensor import no_grad
@@ -186,18 +185,17 @@ def cmd_annotate(args):
     """Label every manifest frame with the checkpoint's model.
 
     One worker thread prepares the frames in manifest order (load, project,
-    cut, resample: the one `dataset_sampling_rng` stream is drawn only
-    there) while this thread forwards each full chunk of `train.batch_size`
-    samples as soon as it exists. Chunks still follow list order across
-    frames and the final partial chunk goes last, so the labels equal a
-    serial run's byte for byte.
+    cut, resample on the frame's own (seed, frame) stream) while this
+    thread forwards each full chunk of `train.batch_size` samples as soon
+    as it exists. Chunks still follow list order across frames and the
+    final partial chunk goes last, so the labels equal a serial run's byte
+    for byte.
     """
     cfg = _resolve_config(args)
     ckpt = load_checkpoint(args.checkpoint)
     model = BoxAnnotator.from_checkpoint(ckpt)
     out = Path(args.out)
     _log_config(cfg, out)
-    rng = dataset_sampling_rng(cfg.seed)
     frames = manifest_frames(args.dataset, split=args.split)
     label_dir = out / "label_2"
     label_dir.mkdir(parents=True, exist_ok=True)
@@ -212,7 +210,7 @@ def cmd_annotate(args):
     start = time.perf_counter()
     with _frame_worker() as pool:
         futures = [pool.submit(frame_samples, args.dataset, frame, model.config.n_points,
-                               rng, require_gt=False)
+                               cfg.seed, require_gt=False)
                    for frame in frames]
         for frame, future in zip(frames, futures):
             try:
@@ -314,7 +312,7 @@ def cmd_attn(args):
     cfg = _resolve_config(args)
     model = BoxAnnotator.from_checkpoint(load_checkpoint(args.checkpoint))
     samples, _ = frame_samples(args.dataset, args.frame, model.config.n_points,
-                               dataset_sampling_rng(cfg.seed), require_gt=False)
+                               cfg.seed, require_gt=False)
     if not samples:
         raise DataError(f"frame {args.frame} has no annotatable objects")
     if not 0 <= args.object < len(samples):
@@ -324,27 +322,28 @@ def cmd_attn(args):
     batch = np.stack([s.points for s in samples])
     with no_grad():
         out = model.forward(batch, capture_attention=True)
+    top_k = model.config.n_points + N_BOX_TOKENS if args.top_k is None else args.top_k
     export = export_attention(
-        out.attention, args.object, args.point, top_k=args.top_k, layer=args.layer,
+        out.attention, args.object, args.point, top_k=top_k, layer=args.layer,
     )
     sample = samples[args.object]
     original = sample.points + sample.centroid
 
     def row_entry(rank, seq_index, score):
         seq_index = int(seq_index)
-        if seq_index < 7:
+        if seq_index < N_BOX_TOKENS:
             return {"rank": rank, "seq_index": seq_index, "kind": "token",
                     "token_index": seq_index, "coordinate": None,
                     "score": float(score)}
-        pi = seq_index - 7
+        pi = seq_index - N_BOX_TOKENS
         return {"rank": rank, "seq_index": seq_index, "kind": "point",
                 "point_index": pi, "coordinate": [float(v) for v in original[pi]],
                 "score": float(score)}
 
     token_rows = []
-    for t in range(7):
+    for t in range(N_BOX_TOKENS):
         row = export.token_rows[t]
-        order = np.argsort(-row, kind="stable")[: args.top_k]
+        order = np.argsort(-row, kind="stable")[:top_k]
         token_rows.append(
             {
                 "token_index": t,
@@ -358,7 +357,7 @@ def cmd_attn(args):
         "object_id": sample.object_id,
         "reference_point_index": args.point,
         "layer": args.layer,
-        "top_k": args.top_k,
+        "top_k": top_k,
         "reference_row_sum": float(export.full_row.sum()),
         "rows": [row_entry(r, idx, score)
                  for r, (idx, score) in enumerate(zip(export.indices, export.scores))],
@@ -475,7 +474,8 @@ def build_parser():
     p.add_argument("--frame", required=True)
     p.add_argument("--object", type=int, required=True)
     p.add_argument("--point", type=int, required=True)
-    p.add_argument("--top-k", type=int, default=500, dest="top_k")
+    p.add_argument("--top-k", type=int, dest="top_k",
+                   help="rows to export (default: the whole sequence, n_points + 7)")
     p.add_argument("--layer", type=int, default=-1)
     p.add_argument("--out", required=True)
     common(p)

@@ -4,12 +4,15 @@ A FrustumSample is one object's training unit: its fixed-size sub-cloud in a
 centroid-relative frame, the 2D box and calibration it came from, and the
 (shifted) ground-truth box when available. A frustum is the row indices of
 the cloud inside a 2D box; a sample draws n of them and gathers and centres
-those n points in one pass. Sample construction is a pure function of the
-dataset and a seed, so training and annotation see bit-identical inputs.
+those n points in one pass. Each frame draws from its own stream, keyed by
+(seed, frame id), so a frame's samples are a pure function of its files,
+the seed and n: training, annotation, attention dumps and any subset of
+frames see bit-identical inputs.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +21,7 @@ from .errors import DataError
 from .geometry import Box2D, Box3D, ProjectionModel, extract_frustum, points_in_box3d
 from .kitti import lidar_box_from_label, load_frame, manifest_frames
 
-# Salt mixed into the seed for dataset sampling so the training loop's
+# Salt mixed into each frame's sampling key so the training loop's
 # random stream stays independent of sample construction.
 _SAMPLING_SALT = 104729
 
@@ -113,12 +116,7 @@ def filter_samples(samples):
     return kept, rejections
 
 
-def dataset_sampling_rng(seed):
-    """The rng stream used for frustum resampling; pure function of the seed."""
-    return np.random.default_rng([seed, _SAMPLING_SALT])
-
-
-def frame_samples(root, frame_id, n_points, rng, require_gt):
+def frame_samples(root, frame_id, n_points, seed, require_gt):
     """The frustum samples of one frame, in label-row order.
 
     The one sample path for training, annotation and attention dumps. Every
@@ -128,9 +126,10 @@ def frame_samples(root, frame_id, n_points, rng, require_gt):
     coordinates. With `require_gt`, a row's 3D box feeds only the sample's
     ground truth and foreground count; without it no 3D box is read, so
     every sample has ``gt_box`` and ``sensor_gt_box`` None and no
-    foreground points. Random numbers are drawn once per non-empty
-    frustum, in row order; without `require_gt` the stream thus does not
-    depend on which rows carry 3D boxes.
+    foreground points. The frame's stream is keyed by the seed and a CRC-32
+    of the frame id, not by any other frame; it is drawn once per non-empty
+    frustum, in row order, so without `require_gt` the draws do not depend
+    on which rows carry 3D boxes.
 
     Returns (samples, empty): the samples, and the object ids of rows whose
     frustum held no points. Raises FileNotFoundError for a missing frame.
@@ -142,6 +141,7 @@ def frame_samples(root, frame_id, n_points, rng, require_gt):
     ]
     if not rows:
         return [], []
+    rng = np.random.default_rng([seed, _SAMPLING_SALT, zlib.crc32(frame_id.encode())])
     frustums = extract_frustum(points, [rec.box2d for _, rec in rows], calib)
     samples, empty = [], []
     for (i, rec), frustum in zip(rows, frustums):
@@ -163,10 +163,9 @@ def build_dataset_samples(root, n_points, seed, split=None):
     """All frustum samples of a dataset directory's labeled objects, unfiltered.
 
     Objects without 3D extents (DontCare rows, 2D-only rows) are skipped.
-    Deterministic in (directory contents, n_points, seed).
+    Each frame's samples are those :func:`frame_samples` gives it alone.
     """
-    rng = dataset_sampling_rng(seed)
     samples = []
     for frame_id in manifest_frames(root, split=split):
-        samples.extend(frame_samples(root, frame_id, n_points, rng, require_gt=True)[0])
+        samples.extend(frame_samples(root, frame_id, n_points, seed, require_gt=True)[0])
     return samples

@@ -8,6 +8,7 @@ a one-point projection, so the package keeps no code without a caller.
 """
 
 import math
+import zlib
 
 import numpy as np
 
@@ -420,23 +421,27 @@ def per_object_sample(cloud, box2d, calib, gt_box, frame_id, object_id, n_points
     )
 
 
+def frame_sampling_rng(seed, frame_id):
+    """The resampling stream of one frame, keyed as the package keys it: the
+    seed, the sampling salt 104729 and a CRC-32 of the frame id's bytes."""
+    return np.random.default_rng([seed, 104729, zlib.crc32(frame_id.encode())])
+
+
 def serial_annotate(root, checkpoint, seed, batch_size):
     """The serial ``annotate`` loop: every frame's samples first, in manifest
-    order on one resampling stream, then one ``predict_samples`` over the
-    whole list. Returns ({frame: label file text}, the ``skipping`` lines in
-    print order)."""
+    order, then one ``predict_samples`` over the whole list. Returns
+    ({frame: label file text}, the ``skipping`` lines in print order)."""
     from frustumbox.checkpoint import load_checkpoint
-    from frustumbox.frustums import dataset_sampling_rng, frame_samples
+    from frustumbox.frustums import frame_samples
     from frustumbox.inference import predict_samples, prediction_record
     from frustumbox.kitti import manifest_frames, serialize_kitti_label
     from frustumbox.model import BoxAnnotator
 
     model = BoxAnnotator.from_checkpoint(load_checkpoint(checkpoint))
-    rng = dataset_sampling_rng(seed)
     samples, skips, rows = [], [], {}
     for frame in manifest_frames(root):
         try:
-            got, empty = frame_samples(root, frame, model.config.n_points, rng,
+            got, empty = frame_samples(root, frame, model.config.n_points, seed,
                                        require_gt=False)
         except FileNotFoundError as err:
             skips.append(f"skipping frame {frame}: {err}")

@@ -548,6 +548,17 @@ def ragged(tmp_path_factory, dataset):
     return root
 
 
+@pytest.fixture(scope="module")
+def training_a(tmp_path_factory, dataset):
+    # variant A has no cross-object encoder: a label depends only on the
+    # object's own sample
+    out = tmp_path_factory.mktemp("cli_train_a")
+    code = run(["train", "--dataset", dataset, "--out", out, "--seed", "0",
+                "--ablation", "A"] + FAST)
+    assert code == 0
+    return out
+
+
 class TestAnnotatePipeline:
     """`annotate` prepares frames on a worker thread while it forwards full
     chunks; the result must be the serial loop's, byte for byte."""
@@ -568,6 +579,20 @@ class TestAnnotatePipeline:
         assert written == labels
         n_objects = sum(len(text.splitlines()) for text in labels.values())
         assert n_objects > batch_size and f"annotated {n_objects} objects" in out
+
+    def test_a_split_writes_the_full_runs_labels_for_its_frames(self, dataset, training_a,
+                                                               tmp_path):
+        ckpt = Path(training_a) / "ckpt_final.bin"
+        for name, split in (("full", []), ("val", ["--split", "val"])):
+            assert run(["annotate", "--checkpoint", ckpt, "--dataset", dataset, "--out",
+                        tmp_path / name, "--seed", "0"] + split + FAST) == 0
+        val = manifest_frames(dataset, split="val")
+        assert val and val[0] != manifest_frames(dataset)[0]
+        assert sorted(p.stem for p in (tmp_path / "val" / "label_2").glob("*.txt")) == val
+        for frame in val:
+            subset = (tmp_path / "val" / "label_2" / f"{frame}.txt").read_bytes()
+            assert subset
+            assert subset == (tmp_path / "full" / "label_2" / f"{frame}.txt").read_bytes()
 
     def test_frames_are_prepared_off_the_main_thread(self, dataset, training, tmp_path,
                                                      monkeypatch):
@@ -746,6 +771,51 @@ class TestAttnCommand:
         assert code == 0
         payload = json.loads(out_file.read_text())
         assert len(payload["rows"]) == 500
+
+    def test_exports_the_sample_annotate_labeled(self, dataset, training, tmp_path,
+                                                 monkeypatch):
+        import frustumbox.cli as cli
+
+        built = {}
+        original = cli.frame_samples
+
+        def recorded(root, frame, *args, **kwargs):
+            samples, empty = original(root, frame, *args, **kwargs)
+            built[frame] = samples
+            return samples, empty
+
+        monkeypatch.setattr(cli, "frame_samples", recorded)
+        ckpt = Path(training) / "ckpt_final.bin"
+        assert run(["annotate", "--checkpoint", ckpt, "--dataset", dataset,
+                    "--out", tmp_path / "ann", "--seed", "0"] + FAST) == 0
+        monkeypatch.setattr(cli, "frame_samples", original)
+        frame = manifest_frames(dataset)[-1]
+        sample = built[frame][-1]
+        out_file = tmp_path / "attn.json"
+        assert run(["attn", "--checkpoint", ckpt, "--dataset", dataset, "--frame", frame,
+                    "--object", len(built[frame]) - 1, "--point", "0", "--top-k", 16 + 7,
+                    "--out", out_file, "--seed", "0"] + FAST) == 0
+        payload = json.loads(out_file.read_text())
+        assert payload["object_id"] == sample.object_id
+        points = {r["point_index"]: r["coordinate"] for r in payload["rows"]
+                  if r["kind"] == "point"}
+        assert sorted(points) == list(range(len(sample.points)))
+        np.testing.assert_array_equal([points[i] for i in sorted(points)],
+                                      sample.points + sample.centroid)
+
+    @pytest.mark.parametrize("top_k, code", [(None, 0), (0, 4), (16 + 8, 4)])
+    def test_top_k_defaults_to_the_sequence_length(self, dataset, training, tmp_path,
+                                                   capsys, top_k, code):
+        out_file = tmp_path / "attn.json"
+        flag = [] if top_k is None else ["--top-k", top_k]
+        assert run(["attn", "--checkpoint", Path(training) / "ckpt_final.bin",
+                    "--dataset", dataset, "--frame", "000000", "--object", "0",
+                    "--point", "0", "--out", out_file, "--seed", "0"] + flag + FAST) == code
+        if code:
+            assert f"error category=data: top_k {top_k} outside 1..23" in capsys.readouterr().err
+        else:
+            payload = json.loads(out_file.read_text())
+            assert payload["top_k"] == len(payload["rows"]) == 16 + 7
 
     def test_out_of_range_indices(self, dataset, training, tmp_path, capsys):
         code = run(

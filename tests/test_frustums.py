@@ -10,7 +10,6 @@ from frustumbox.frustums import (
     FrustumSample,
     build_dataset_samples,
     build_frustum_sample,
-    dataset_sampling_rng,
     filter_samples,
     frame_samples,
     sample_to_fixed_size,
@@ -35,6 +34,7 @@ from frustumbox.synthetic import SceneSpec, virtual_calibration, write_synthetic
 
 from oracles import (
     denormalize_frustum,
+    frame_sampling_rng,
     identity_calibration,
     per_object_frustum,
     per_object_sample,
@@ -298,12 +298,11 @@ class TestFrameFrustums:
         off_image, sky = f"{frames[0]}:{n_rows - 2}", f"{frames[0]}:{n_rows - 1}"
 
         for require_gt in (True, False):
-            rng_new = dataset_sampling_rng(3)
-            rng_old = dataset_sampling_rng(3)
             built, skipped = [], []
             for frame in frames:
-                samples, empty = frame_samples(tmp_path, frame, 32, rng_new,
+                samples, empty = frame_samples(tmp_path, frame, 32, 3,
                                                require_gt=require_gt)
+                rng = frame_sampling_rng(3, frame)
                 built += [s.object_id for s in samples]
                 skipped += empty
                 points, _, calib, records = load_frame(tmp_path, frame)
@@ -315,7 +314,7 @@ class TestFrameFrustums:
                         points, rec.box2d, calib,
                         lidar_box_from_label(rec, calib) if require_gt else None,
                         frame, f"{frame}:{i}", 32,
-                        rng_old, cls=rec.cls)
+                        rng, cls=rec.cls)
                     if sample is None:
                         want_empty.append(f"{frame}:{i}")
                     else:
@@ -336,20 +335,49 @@ class TestFrameFrustums:
         write_synthetic_dataset(tmp_path, SceneSpec(noise_sigma=0.02), 2,
                                 np.random.default_rng(7), val_every=0)
         frames = manifest_frames(tmp_path)
-        with_gt = [s for f in frames
-                   for s in frame_samples(tmp_path, f, 32, dataset_sampling_rng(3), True)[0]]
+        with_gt = [s for f in frames for s in frame_samples(tmp_path, f, 32, 3, True)[0]]
         assert with_gt and all(s.n_foreground_points > 0 for s in with_gt)
 
         def unread(rec, calib):
             raise AssertionError("a 3D box was read")
 
+        def drawn(samples):
+            return [(s.object_id, s.points.tobytes(), s.centroid.tobytes()) for s in samples]
+
         monkeypatch.setattr("frustumbox.frustums.lidar_box_from_label", unread)
-        samples = [s for f in frames
-                   for s in frame_samples(tmp_path, f, 32, dataset_sampling_rng(3), False)[0]]
-        assert [s.object_id for s in samples] == [s.object_id for s in with_gt]
+        samples = [s for f in frames for s in frame_samples(tmp_path, f, 32, 3, False)[0]]
+        assert drawn(samples) == drawn(with_gt)
         for s in samples:
             assert s.gt_box is None and s.sensor_gt_box is None
             assert s.n_foreground_points == 0
+        # the draws do not depend on which rows carry 3D boxes
+        for f in frames:
+            rewrite_labels(tmp_path, f, lambda rows: [two_d_only(r) if i % 2 and r.is_care
+                                                      else r for i, r in enumerate(rows)])
+        assert any(not r.has_box3d for r in load_frame(tmp_path, frames[0])[3])
+        mixed = [s for f in frames for s in frame_samples(tmp_path, f, 32, 3, False)[0]]
+        assert drawn(mixed) == drawn(samples)
+
+    def test_a_frames_samples_do_not_depend_on_other_frames(self, tmp_path):
+        write_synthetic_dataset(tmp_path, SceneSpec(noise_sigma=0.02), 6,
+                                np.random.default_rng(8), val_every=3)
+        frames = manifest_frames(tmp_path)
+        val = manifest_frames(tmp_path, split="val")
+        frame = val[-1]
+        assert frames.index(frame) > 0
+
+        def drawn(samples):
+            return [(s.object_id, s.points.tobytes(), s.centroid.tobytes(),
+                     s.n_raw_points, s.n_foreground_points) for s in samples]
+
+        alone = drawn(frame_samples(tmp_path, frame, 32, 4, require_gt=True)[0])
+        assert alone
+        for split in (None, "val"):
+            within = [s for s in build_dataset_samples(tmp_path, 32, 4, split=split)
+                      if s.frame_id == frame]
+            assert drawn(within) == alone
+        other_seed = drawn(frame_samples(tmp_path, frame, 32, 5, require_gt=True)[0])
+        assert [d[1] for d in other_seed] != [d[1] for d in alone]
 
     def test_annotate_projects_each_frame_once(self, tmp_path, monkeypatch):
         data = tmp_path / "data"
