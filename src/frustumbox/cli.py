@@ -52,10 +52,9 @@ from .kitti import (
     scored_box_from_label,
     serialize_kitti_label,
 )
-from .model import N_BOX_TOKENS, BoxAnnotator, export_attention
+from .model import N_BOX_TOKENS, BoxAnnotator, export_attention, ranked
 from .synthetic import write_synthetic_dataset
 from .train import train
-from .tensor import no_grad
 
 
 def _classify(err):
@@ -194,9 +193,9 @@ def cmd_annotate(args):
     cfg = _resolve_config(args)
     ckpt = load_checkpoint(args.checkpoint)
     model = BoxAnnotator.from_checkpoint(ckpt)
+    frames = manifest_frames(args.dataset, split=args.split)
     out = Path(args.out)
     _log_config(cfg, out)
-    frames = manifest_frames(args.dataset, split=args.split)
     label_dir = out / "label_2"
     label_dir.mkdir(parents=True, exist_ok=True)
     batch_size = cfg.train.batch_size
@@ -286,8 +285,8 @@ def cmd_eval(args):
 
 def cmd_gradcheck(args):
     cfg = _resolve_config(args)
-    if args.batch < 1 or args.probes < 0 or not args.step > 0:
-        raise ConfigError(f"gradcheck needs --batch >= 1, --probes >= 0 and --step > 0, got "
+    if args.batch < 1 or args.probes < 1 or not args.step > 0:
+        raise ConfigError(f"gradcheck needs --batch >= 1, --probes >= 1 and --step > 0, got "
                           f"{args.batch}, {args.probes} and {args.step}")
     model = BoxAnnotator(cfg.model, rng=np.random.default_rng([cfg.seed, 271]))
     rng = np.random.default_rng([cfg.seed, 997])
@@ -319,13 +318,9 @@ def cmd_attn(args):
         raise DataError(
             f"object {args.object} outside 0..{len(samples) - 1} for frame {args.frame}"
         )
-    batch = np.stack([s.points for s in samples])
-    with no_grad():
-        out = model.forward(batch, capture_attention=True)
+    weights = model.local_attention(np.stack([s.points for s in samples]), args.layer)
     top_k = model.config.n_points + N_BOX_TOKENS if args.top_k is None else args.top_k
-    export = export_attention(
-        out.attention, args.object, args.point, top_k=top_k, layer=args.layer,
-    )
+    export = export_attention(weights, args.object, args.point, top_k)
     sample = samples[args.object]
     original = sample.points + sample.centroid
 
@@ -340,17 +335,14 @@ def cmd_attn(args):
                 "point_index": pi, "coordinate": [float(v) for v in original[pi]],
                 "score": float(score)}
 
-    token_rows = []
-    for t in range(N_BOX_TOKENS):
-        row = export.token_rows[t]
-        order = np.argsort(-row, kind="stable")[:top_k]
-        token_rows.append(
-            {
-                "token_index": t,
-                "row_sum": float(row.sum()),
-                "top": [row_entry(r, idx, row[idx]) for r, idx in enumerate(order)],
-            }
-        )
+    token_rows = [
+        {
+            "token_index": t,
+            "row_sum": float(row.sum()),
+            "top": [row_entry(r, idx, row[idx]) for r, idx in enumerate(ranked(row, top_k))],
+        }
+        for t, row in enumerate(export.token_rows)
+    ]
     payload = {
         "frame": args.frame,
         "object_index": args.object,
@@ -376,8 +368,6 @@ def cmd_ablate(args):
     if not seeds or not all(tok.isascii() and tok.isdigit() for tok in seeds):
         raise ConfigError(f"--seeds takes one or more non-negative integers, got {args.seeds!r}")
     seeds = [int(tok) for tok in seeds]
-    out = Path(args.out)
-    _log_config(cfg, out)
     train_samples, _ = filter_samples(
         build_dataset_samples(args.dataset, cfg.model.n_points, cfg.seed,
                               split=args.train_split)
@@ -390,6 +380,8 @@ def cmd_ablate(args):
         raise ConfigError("filtered train split smaller than one batch")
     if not eval_samples:
         raise ConfigError("eval split is empty after filtering")
+    out = Path(args.out)
+    _log_config(cfg, out)
     rows = run_ablation(train_samples, eval_samples, cfg.model, cfg.train, seeds,
                         log=print)
     table_lines = [row.format_row() for row in rows]

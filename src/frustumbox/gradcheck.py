@@ -93,7 +93,7 @@ def model_gradient_check(model, points, gt_boxes, lambda_box, probes=2,
         if not np.isfinite(p.grad).all():
             raise NumericError(f"parameter {name!r} received a non-finite gradient")
         directions = [p.grad / max(np.linalg.norm(p.grad), 1e-30)]
-        for _ in range(max(probes - 1, 0)):
+        for _ in range(probes - 1):
             d = rng.normal(size=p.data.shape)
             directions.append(d / np.linalg.norm(d))
         worst = None

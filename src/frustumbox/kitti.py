@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import KittiFormatError
+from .errors import ConfigError, KittiFormatError
 from .geometry import Box2D, Box3D, ProjectionModel, wrap_angle
 
 
@@ -311,5 +311,10 @@ def read_manifest(root):
 
 
 def manifest_frames(root, split=None):
+    """Sorted frame ids of the manifest, or of one split of it. A split that
+    no manifest line names is a ConfigError listing the splits there are."""
     splits = read_manifest(root)
+    if split is not None and split not in splits.values():
+        present = ", ".join(sorted(set(splits.values()))) or "none"
+        raise ConfigError(f"no manifest frame is in split {split!r}; splits present: {present}")
     return sorted(f for f, s in splits.items() if split is None or s == split)

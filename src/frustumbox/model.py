@@ -21,7 +21,7 @@ optimizer and checkpoints stay structure-agnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -43,9 +43,9 @@ SINE_FREQS = 8  # fixed frequencies 2^0 .. 2^7 per coordinate
 LOG_EXTENT_CAP = 2.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters.
+    """Architecture hyperparameters, validated once on construction.
 
     Defaults are the full-scale configuration; ``desk()`` is the small
     preset used by the test and acceptance suites. ``n_global_layers=0`` or
@@ -62,9 +62,6 @@ class ModelConfig:
     pos_mode: str = "mlp"
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if self.pos_mode not in POS_MODES:
             raise ConfigError(f"pos_mode must be one of {POS_MODES}, got {self.pos_mode!r}")
         if min(self.d, self.n_points, self.head_hidden, self.heads) < 1:
@@ -107,26 +104,9 @@ class ModelConfig:
 
 
 @dataclass
-class AttentionTrace:
-    """Per-layer attention weights captured during one forward pass.
-
-    Local maps are (B, H, N+7, N+7) in every layer, the last included.
-    Global maps are (S, H, B, B) over the S positions the global stack runs
-    on: all N+7 when a decoder follows, the 7 box-token positions when none
-    does.
-    """
-
-    local_layers: list = field(default_factory=list)
-    global_layers: list = field(default_factory=list)
-    decoder_self: list = field(default_factory=list)
-    decoder_cross: list = field(default_factory=list)
-
-
-@dataclass
 class ForwardOutput:
     boxes: Tensor  # (B, 7) rows (cx, cy, cz, w, l, h, yaw), centred frustum frame
     direction_logits: Tensor  # (B, 2) front/back
-    attention: AttentionTrace | None = None
 
 
 @dataclass
@@ -143,7 +123,6 @@ class BoxAnnotator:
     """Frustum sub-clouds in, 3D box rows and direction logits out."""
 
     def __init__(self, config: ModelConfig, rng=None):
-        config.validate()
         self.config = config
         self.params: dict[str, Parameter] = {}
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -226,42 +205,27 @@ class BoxAnnotator:
         return T.linear(x, self._p(f"{prefix}.w"), self._p(f"{prefix}.b"))
 
     def _attn_params(self, prefix):
-        return {
-            "wq": self._p(f"{prefix}.q.w"),
-            "bq": self._p(f"{prefix}.q.b"),
-            "wk": self._p(f"{prefix}.k.w"),
-            "bk": self._p(f"{prefix}.k.b"),
-            "wv": self._p(f"{prefix}.v.w"),
-            "bv": self._p(f"{prefix}.v.b"),
-            "wo": self._p(f"{prefix}.o.w"),
-            "bo": self._p(f"{prefix}.o.b"),
-        }
+        """The wq, bq, ..., wo, bo mapping ``multi_head_attention`` reads."""
+        return {f"{w}{part}": self._p(f"{prefix}.{part}.{w}") for part in "qkvo" for w in "wb"}
 
     def _layer_norm(self, x, prefix):
         return T.layer_norm(x, self._p(f"{prefix}.gain"), self._p(f"{prefix}.bias"))
 
-    def _encoder_layer(self, x, prefix, capture=False, rows=None):
+    def _encoder_layer(self, x, prefix, rows=None):
         """One pre-norm encoder layer over x (B, L, d).
 
         With ``rows`` set, only the first ``rows`` rows are computed: they
         query the keys and values of all L rows, and the layer returns
-        (B, rows, d). The captured map still covers every query row; it is
-        built by a separate graph-free call that feeds nothing downstream.
+        (B, rows, d).
         """
         h = self._layer_norm(x, f"{prefix}.ln1")
-        heads, params = self.config.heads, self._attn_params(f"{prefix}.attn")
-        if rows is None:
-            attn_out, weights = T.multi_head_attention(h, h, h, heads, params, capture)
-        else:
-            attn_out, _ = T.multi_head_attention(h[:, :rows], h, h, heads, params)
-            x, weights = x[:, :rows], None
-            if capture:
-                with T.no_grad():
-                    _, weights = T.multi_head_attention(h, h, h, heads, params, True)
+        q, x = (h, x) if rows is None else (h[:, :rows], x[:, :rows])
+        attn_out, _ = T.multi_head_attention(
+            q, h, h, self.config.heads, self._attn_params(f"{prefix}.attn")
+        )
         x = x + attn_out
         h = self._layer_norm(x, f"{prefix}.ln2")
-        x = x + self._linear(T.relu(self._linear(h, f"{prefix}.mlp.l1")), f"{prefix}.mlp.l2")
-        return x, weights
+        return x + self._linear(T.relu(self._linear(h, f"{prefix}.mlp.l1")), f"{prefix}.mlp.l2")
 
     # -- forward components --------------------------------------------------
     def embed_points(self, points):
@@ -293,26 +257,56 @@ class BoxAnnotator:
             (batch_size, N_BOX_TOKENS, self.config.d),
         )
 
-    def forward_local(self, embeddings, capture=False):
+    def point_features(self, points):
+        """Embedding plus, unless ``pos_mode`` is none, positional
+        encoding: (B, N, 3) -> (B, N, d), the local stack's point rows."""
+        pts = T.as_tensor(points)
+        emb = self.embed_points(pts)
+        if self.config.pos_mode != "none":
+            emb = emb + self.positional_encode(pts)
+        return emb
+
+    def forward_local(self, embeddings):
         """Box tokens prepended, then the per-object encoder stack.
 
-        embeddings: (B, N, d). Returns ((B, N+7, d), [attention weights]),
-        or ((B, 7, d), ...) when no decoder follows: the heads then read only
-        the box tokens, so the last layer computes only their rows. The
-        weights are built, and the list filled, only under ``capture``.
+        embeddings: (B, N, d). Returns (B, N+7, d), or (B, 7, d) when no
+        decoder follows: the heads then read only the box tokens, so the
+        last layer computes only their rows.
         """
         B = embeddings.shape[0]
         x = T.concat([self.box_token_sequence(B), embeddings], axis=1)
         last = self.config.n_local_layers - 1
         rows = None if self.config.n_decoder_layers else N_BOX_TOKENS
-        traces = []
         for i in range(self.config.n_local_layers):
-            x, w = self._encoder_layer(x, f"local.{i}", capture, rows if i == last else None)
-            if capture:
-                traces.append(w)
-        return x, traces
+            x = self._encoder_layer(x, f"local.{i}", rows if i == last else None)
+        return x
 
-    def forward_global(self, features, capture=False):
+    def local_attention(self, points, layer):
+        """Attention weights (B, H, N+7, N+7) of local layer ``layer``, every
+        query row included; a negative ``layer`` counts from the last.
+
+        The maps are recomputed rather than kept by the forward (the
+        recompute-for-memory trade of Chen et al., arXiv:1604.06174): one
+        graph-free pass builds the layer's input with the forward's own ops
+        (embedding, positional encoding, box tokens, the layers before it
+        on all rows), then only this layer's weights.
+        """
+        n = self.config.n_local_layers
+        if not -n <= layer < n:
+            raise DataError(f"layer {layer} outside the {n} local layers")
+        layer %= n
+        with T.no_grad():
+            x = self.point_features(points)
+            x = T.concat([self.box_token_sequence(x.shape[0]), x], axis=1)
+            for i in range(layer):
+                x = self._encoder_layer(x, f"local.{i}")
+            h = self._layer_norm(x, f"local.{layer}.ln1")
+            _, weights = T.multi_head_attention(
+                h, h, h, self.config.heads, self._attn_params(f"local.{layer}.attn"), True
+            )
+        return weights.data
+
+    def forward_global(self, features):
         """Cross-object encoder: attends along the batch axis per position.
 
         The batch is first sorted into a canonical order, by the bytes of
@@ -326,42 +320,30 @@ class BoxAnnotator:
         objects as the attention axis. A position's output reads only that
         position, and the 7-row sort key is a prefix of the N+7-row one, so
         the token rows come out the same whichever S runs. The output
-        (B, S, d) and the captured weights (S, H, B, B) come back in the
-        caller's order.
+        (B, S, d) comes back in the caller's order.
         """
         features = T.as_tensor(features)
         order = sorted(range(features.shape[0]), key=lambda b: features.data[b].tobytes())
-        inverse = np.argsort(order)
         x = T.swapaxes(T.permute(features, order), 0, 1)
-        traces = []
         for i in range(self.config.n_global_layers):
-            x, w = self._encoder_layer(x, f"global.{i}", capture)
-            if capture:
-                traces.append(w[:, :, inverse[:, None], inverse])
-        return T.permute(T.swapaxes(x, 0, 1), inverse), traces
+            x = self._encoder_layer(x, f"global.{i}")
+        return T.permute(T.swapaxes(x, 0, 1), np.argsort(order))
 
-    def forward_decoder(self, encoder_out, capture=False):
+    def forward_decoder(self, encoder_out):
         """Box-token queries attend to point features: -> (B, 7, d)."""
         q = encoder_out[:, :N_BOX_TOKENS]
         mem = encoder_out[:, N_BOX_TOKENS:]
-        self_traces, cross_traces = [], []
+        heads = self.config.heads
         for i in range(self.config.n_decoder_layers):
             h = self._layer_norm(q, f"dec.{i}.ln1")
-            sa, w_self = T.multi_head_attention(
-                h, h, h, self.config.heads, self._attn_params(f"dec.{i}.self"), capture
-            )
+            sa, _ = T.multi_head_attention(h, h, h, heads, self._attn_params(f"dec.{i}.self"))
             q = q + sa
             h = self._layer_norm(q, f"dec.{i}.ln2")
-            ca, w_cross = T.multi_head_attention(
-                h, mem, mem, self.config.heads, self._attn_params(f"dec.{i}.cross"), capture
-            )
+            ca, _ = T.multi_head_attention(h, mem, mem, heads, self._attn_params(f"dec.{i}.cross"))
             q = q + ca
             h = self._layer_norm(q, f"dec.{i}.ln3")
             q = q + self._linear(T.relu(self._linear(h, f"dec.{i}.mlp.l1")), f"dec.{i}.mlp.l2")
-            if capture:
-                self_traces.append(w_self)
-                cross_traces.append(w_cross)
-        return q, self_traces, cross_traces
+        return q
 
     def _head(self, x, prefix):
         h = T.leaky_relu(self._linear(x, f"{prefix}.l1"))
@@ -391,39 +373,24 @@ class BoxAnnotator:
         out = self._head(x[:, 6:7], "head.dir")
         return T.reshape(out, (x.shape[0], 2))
 
-    def forward(self, points, capture_attention=False):
+    def forward(self, points):
         """Full pass: embed, encode, decode, regress.
 
         points: (B, N, 3) array or Tensor of centroid-normalized
         coordinates. The global stack and the decoder run only when their
         layer count is positive; without a decoder the encoders emit only
         the (B, 7, d) box-token rows, and the heads read those. Returns a
-        ForwardOutput; the attention trace is captured only when requested.
+        ForwardOutput.
         """
-        pts = T.as_tensor(points)
-        emb = self.embed_points(pts)
-        if self.config.pos_mode != "none":
-            emb = emb + self.positional_encode(pts)
-        trace = AttentionTrace() if capture_attention else None
-        x, local_w = self.forward_local(emb, capture=capture_attention)
-        if capture_attention:
-            trace.local_layers = local_w
+        x = self.forward_local(self.point_features(points))
         if self.config.n_global_layers:
-            x, global_w = self.forward_global(x, capture=capture_attention)
-            if capture_attention:
-                trace.global_layers = global_w
+            x = self.forward_global(x)
         if self.config.n_decoder_layers:
-            decoded, w_self, w_cross = self.forward_decoder(x, capture=capture_attention)
-            if capture_attention:
-                trace.decoder_self = w_self
-                trace.decoder_cross = w_cross
-        else:
-            decoded = x
-        tokens = self._layer_norm(decoded, "head.norm")
+            x = self.forward_decoder(x)
+        tokens = self._layer_norm(x, "head.norm")
         return ForwardOutput(
             boxes=self.regress_box(tokens),
             direction_logits=self.classify_direction(tokens),
-            attention=trace,
         )
 
     # -- persistence ----------------------------------------------------------
@@ -503,41 +470,35 @@ def direction_score(logits):
     return float(e.max() / e.sum())
 
 
-def export_attention(trace, object_index, reference_point_index, top_k,
-                     layer=-1, reference_is_token=False):
+def ranked(row, top_k):
+    """Indices of the ``top_k`` largest entries of ``row``, descending; ties
+    keep index order."""
+    return np.argsort(-row, kind="stable")[:top_k]
+
+
+def export_attention(weights, object_index, reference_point_index, top_k):
     """Rank one local-encoder attention row for export.
 
-    The row belongs to the chosen reference point (sequence position
-    7 + point index) or to a box token, head-averaged, in the chosen local
-    layer. Returns the descending ranking plus the head-averaged box-token
-    rows for the same object and layer.
+    weights: one local layer's (B, H, N+7, N+7) map
+    (``BoxAnnotator.local_attention``). The row belongs to the chosen
+    reference point (sequence position 7 + point index), head-averaged.
+    Returns its descending ranking plus the head-averaged box-token rows
+    of the same object.
     """
-    if not trace or not trace.local_layers:
-        raise DataError("no local attention trace captured")
-    try:
-        weights = trace.local_layers[layer].data
-    except IndexError as err:
-        raise DataError(f"layer {layer} outside trace of {len(trace.local_layers)}") from err
     B, _, S, _ = weights.shape
     if not 0 <= object_index < B:
         raise DataError(f"object {object_index} outside batch of {B}")
-    if reference_is_token:
-        if not 0 <= reference_point_index < N_BOX_TOKENS:
-            raise DataError(f"token {reference_point_index} outside 0..6")
-        position = reference_point_index
-    else:
-        n_points = S - N_BOX_TOKENS
-        if not 0 <= reference_point_index < n_points:
-            raise DataError(f"point {reference_point_index} outside 0..{n_points - 1}")
-        position = N_BOX_TOKENS + reference_point_index
+    n_points = S - N_BOX_TOKENS
+    if not 0 <= reference_point_index < n_points:
+        raise DataError(f"point {reference_point_index} outside 0..{n_points - 1}")
     if not 1 <= top_k <= S:
         raise DataError(f"top_k {top_k} outside 1..{S}")
-    row = weights[object_index, :, position, :].mean(axis=0)
-    order = np.argsort(-row, kind="stable")[:top_k]
-    token_rows = weights[object_index, :, :N_BOX_TOKENS, :].mean(axis=0)
+    heads = weights[object_index]
+    row = heads[:, N_BOX_TOKENS + reference_point_index].mean(axis=0)
+    order = ranked(row, top_k)
     return AttentionExport(
         indices=order,
         scores=row[order],
-        token_rows=token_rows,
+        token_rows=heads[:, :N_BOX_TOKENS].mean(axis=0),
         full_row=row,
     )

@@ -397,14 +397,14 @@ def test_criterion_9_attention_export(tmp_path_factory):
     samples, _ = filter_samples(build_dataset_samples(root, n_points=512, seed=0))
     assert len(samples) >= 2
     batch = np.stack([s.points for s in samples[:2]])
-    out = model.forward(batch, capture_attention=True)
-    export = export_attention(out.attention, 0, 10, top_k=500)
+    weights = model.local_attention(batch, -1)
+    export = export_attention(weights, 0, 10, top_k=500)
 
     rows_ok = len(export.indices) == 500
     ranked_ok = (np.diff(export.scores) <= 0).all()
     ref_sum_ok = abs(export.full_row.sum() - 1.0) < 1e-9
     token_sums_ok = np.abs(export.token_rows.sum(axis=1) - 1.0).max() < 1e-9
-    full = export_attention(out.attention, 0, 10, top_k=cfg.n_points + 7)
+    full = export_attention(weights, 0, 10, top_k=cfg.n_points + 7)
     perm_ok = sorted(full.indices.tolist()) == list(range(cfg.n_points + 7))
 
     report(

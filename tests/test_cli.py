@@ -277,6 +277,14 @@ class TestTrain:
         assert code == 2
         assert "smaller than one batch" in capsys.readouterr().err
 
+    def test_unknown_split_is_config_error(self, dataset, tmp_path, capsys):
+        out = tmp_path / "typo"
+        assert run(["train", "--dataset", dataset, "--out", out, "--split", "vall",
+                    "--seed", "0"] + FAST) == 2
+        assert ("error category=config: no manifest frame is in split 'vall'; "
+                "splits present: train, val") in capsys.readouterr().err
+        assert not out.exists()
+
 
 def with_unknown_model_key(path, tmp_path):
     """A copy of checkpoint `path` whose model header carries `bogus=1`."""
@@ -328,6 +336,15 @@ class TestAnnotateAndEval:
             path = out / "label_2" / f"{frame}.txt"
             assert path.exists()
             assert path.read_text() == ""
+
+    def test_unknown_split_is_config_error(self, dataset, training, tmp_path, capsys):
+        out = tmp_path / "typo"
+        assert run(["annotate", "--checkpoint", Path(training) / "ckpt_final.bin",
+                    "--dataset", dataset, "--out", out, "--split", "vall",
+                    "--seed", "0"] + FAST) == 2
+        assert ("error category=config: no manifest frame is in split 'vall'; "
+                "splits present: train, val") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_checkpoint_with_unknown_model_key(self, dataset, training, tmp_path,
                                                capsys):
@@ -687,6 +704,11 @@ class TestAnnotatePipeline:
 
 
 class TestGradcheckCommand:
+    def test_zero_probes_is_config_error(self, capsys):
+        assert run(["gradcheck", "--seed", "0", "--probes", "0"] + FAST) == 2
+        err = capsys.readouterr().err
+        assert "error category=config: gradcheck needs" in err and "--probes >= 1" in err
+
     @pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--batch", "-1"),
                                              ("--step", "0")])
     def test_bad_argument_is_config_error(self, capsys, flag, value):
@@ -817,6 +839,41 @@ class TestAttnCommand:
             payload = json.loads(out_file.read_text())
             assert payload["top_k"] == len(payload["rows"]) == 16 + 7
 
+    @pytest.fixture(scope="class")
+    def two_layer_ckpt(self, tmp_path_factory):
+        from frustumbox.model import BoxAnnotator, ModelConfig
+
+        cfg = ModelConfig(d=16, n_points=16, n_local_layers=2, n_global_layers=1,
+                          n_decoder_layers=1, heads=2, head_hidden=16)
+        model = BoxAnnotator(cfg, rng=np.random.default_rng(0))
+        return model.save(tmp_path_factory.mktemp("two_layer") / "model.ckpt")
+
+    def _attn_layer(self, dataset, ckpt, out_file, layer):
+        return run(["attn", "--checkpoint", ckpt, "--dataset", dataset, "--frame", "000000",
+                    "--object", "0", "--point", "3", "--layer", layer, "--out", out_file,
+                    "--seed", "0"] + FAST)
+
+    def test_layer_picks_the_local_layer(self, dataset, two_layer_ckpt, tmp_path):
+        payloads = {}
+        for layer in (0, 1, -1):
+            assert self._attn_layer(dataset, two_layer_ckpt, tmp_path / f"{layer}.json",
+                                    layer) == 0
+            payloads[layer] = json.loads((tmp_path / f"{layer}.json").read_text())
+            assert payloads[layer]["layer"] == layer
+        assert payloads[0]["rows"] != payloads[-1]["rows"]
+        assert payloads[0]["box_token_rows"] != payloads[-1]["box_token_rows"]
+        # -1 counts from the last layer: the second of two
+        payloads[1]["layer"] = -1
+        assert payloads[1] == payloads[-1]
+
+    @pytest.mark.parametrize("layer", [2, -3])
+    def test_layer_outside_the_stack(self, dataset, two_layer_ckpt, tmp_path, capsys, layer):
+        out_file = tmp_path / "attn.json"
+        assert self._attn_layer(dataset, two_layer_ckpt, out_file, layer) == 4
+        assert (f"error category=data: layer {layer} outside the 2 local layers"
+                in capsys.readouterr().err)
+        assert not out_file.exists()
+
     def test_out_of_range_indices(self, dataset, training, tmp_path, capsys):
         code = run(
             ["attn", "--checkpoint", Path(training) / "ckpt_final.bin",
@@ -847,6 +904,15 @@ class TestAblateCommand:
         assert [r.name for r in rows] == ["A", "B"]
         for row in rows:
             assert 0.0 <= row.mean["miou"] <= 1.0
+
+    @pytest.mark.parametrize("flag", ["--train-split", "--eval-split"])
+    def test_unknown_split_is_config_error(self, dataset, tmp_path, capsys, flag):
+        out = tmp_path / "abl"
+        assert run(["ablate", "--dataset", dataset, "--out", out, flag, "vall",
+                    "--seed", "0"] + FAST) == 2
+        assert ("error category=config: no manifest frame is in split 'vall'; "
+                "splits present: train, val") in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["a", "-1", "1,,x", ","])
     def test_bad_seed_list_is_config_error(self, dataset, tmp_path, capsys, seeds):

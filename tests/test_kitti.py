@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from frustumbox.errors import ConfigError
 from frustumbox.geometry import Box2D, Box3D, iou_3d
 from frustumbox.kitti import (
     KittiFormatError,
@@ -215,6 +216,15 @@ class TestLayout:
         assert read_manifest(tmp_path) == splits
         assert manifest_frames(tmp_path) == ["000000", "000001", "000002"]
         assert manifest_frames(tmp_path, split="val") == ["000001"]
+
+    def test_split_no_line_names(self, tmp_path):
+        write_manifest(tmp_path, {"000000": "train", "000001": "val"})
+        with pytest.raises(ConfigError, match="split 'vall'; splits present: train, val"):
+            manifest_frames(tmp_path, split="vall")
+        write_manifest(tmp_path, {})
+        assert manifest_frames(tmp_path) == []
+        with pytest.raises(ConfigError, match="splits present: none"):
+            manifest_frames(tmp_path, split="train")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(KittiFormatError, match="no manifest.txt"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from frustumbox.checkpoint import load_checkpoint, save_checkpoint
 from frustumbox.errors import CheckpointError, ConfigError, DataError
 from frustumbox.model import (
     LOG_EXTENT_CAP,
-    AttentionTrace,
     BoxAnnotator,
     ModelConfig,
     decode_prediction,
@@ -73,6 +73,12 @@ class TestConfig:
     def test_roundtrip_dict(self):
         cfg = ModelConfig.desk(n_global_layers=0, pos_mode="sine")
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_frozen_once_validated(self):
+        # a field set after construction would skip __post_init__'s checks
+        cfg = ModelConfig.desk()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.heads = 3
 
     def test_eight_fields_no_stage_flags(self):
         keys = ModelConfig().to_dict()
@@ -161,7 +167,7 @@ class TestForwardLocal:
     def test_sequence_length(self):
         m = make_model()
         emb = m.embed_points(np.zeros((2, 8, 3)))
-        out, _ = m.forward_local(emb)
+        out = m.forward_local(emb)
         assert out.shape == (2, 15, 16)
 
     def test_point_permutation_moves_point_rows_fixes_tokens(self):
@@ -171,8 +177,8 @@ class TestForwardLocal:
         perm = rng.permutation(8)
         emb = m.embed_points(pts)
         emb_p = m.embed_points(pts[:, perm])
-        out, _ = m.forward_local(emb)
-        out_p, _ = m.forward_local(emb_p)
+        out = m.forward_local(emb)
+        out_p = m.forward_local(emb_p)
         np.testing.assert_allclose(out_p.data[:, :7], out.data[:, :7], atol=1e-9)
         np.testing.assert_allclose(out_p.data[:, 7:], out.data[:, 7 + perm], atol=1e-9)
 
@@ -184,18 +190,28 @@ class TestForwardLocal:
         rng = np.random.default_rng(6)
         emb = m.embed_points(rand_points(rng, 2, 8))
         seq = T.concat([m.box_token_sequence(2), emb], axis=1)
-        out, _ = m.forward_local(emb)
+        out = m.forward_local(emb)
         np.testing.assert_array_equal(out.data, seq.data)
 
 
 class TestForwardGlobal:
-    def test_single_object_attends_to_self(self):
+    def test_single_object_attends_to_self(self, monkeypatch):
         m = make_model()
         emb = m.embed_points(np.random.default_rng(7).normal(size=(1, 8, 3)))
-        x, _ = m.forward_local(emb)
-        # capture=True returns weights shaped (S, H, B, B); B=1 forces 1.0
-        out, traces = m.forward_global(x, capture=True)
-        assert all((w.data == 1.0).all() for w in traces)
+        x = m.forward_local(emb)
+        maps = []
+        core = T.attention_core
+
+        def capturing(Q, K, V, scale, capture=False):
+            ctx, weights = core(Q, K, V, scale, True)
+            maps.append(weights)
+            return ctx, None
+
+        monkeypatch.setattr(T, "attention_core", capturing)
+        out = m.forward_global(x)
+        # the global maps are (S, H, B, B); B=1 forces 1.0
+        assert len(maps) == 1 and maps[0].shape == (15, 2, 1, 1)
+        assert (maps[0].data == 1.0).all()
         assert out.shape == x.shape
 
     def test_batch_permutation_equivariance_bit_exact(self):
@@ -214,16 +230,12 @@ class TestForwardGlobal:
         pts = rand_points(rng, 6, 8)
         pts[4] = pts[1]  # byte-identical twins tie in the canonical order
         perm = rng.permutation(6)
-        out = m.forward(pts, capture_attention=True)
-        out_p = m.forward(pts[perm], capture_attention=True)
+        out = m.forward(pts)
+        out_p = m.forward(pts[perm])
         assert (out.boxes.data[perm] == out_p.boxes.data).all()
         assert (out.direction_logits.data[perm] == out_p.direction_logits.data).all()
         assert (out.boxes.data[1] == out.boxes.data[4]).all()
         assert (out.direction_logits.data[1] == out.direction_logits.data[4]).all()
-        assert len(out_p.attention.global_layers) == 2
-        for w, w_p in zip(out.attention.global_layers, out_p.attention.global_layers):
-            assert w.shape == (15, 2, 6, 6)
-            assert (w.data[:, :, perm][:, :, :, perm] == w_p.data).all()
 
     def test_cross_object_information_flow(self):
         m = make_model()
@@ -252,20 +264,20 @@ class TestForwardDecoder:
     def test_output_shape(self):
         m = make_model()
         rng = np.random.default_rng(11)
-        x, _ = m.forward_local(m.embed_points(rand_points(rng, 2, 8)))
-        q, _, _ = m.forward_decoder(x)
+        x = m.forward_local(m.embed_points(rand_points(rng, 2, 8)))
+        q = m.forward_decoder(x)
         assert q.shape == (2, 7, 16)
 
     def test_point_feature_permutation_invariance(self):
         m = make_model()
         rng = np.random.default_rng(12)
-        x, _ = m.forward_local(m.embed_points(rand_points(rng, 1, 8)))
+        x = m.forward_local(m.embed_points(rand_points(rng, 1, 8)))
         data = x.data.copy()
         perm = rng.permutation(8)
         permuted = data.copy()
         permuted[:, 7:] = data[:, 7 + perm]
-        q1, _, _ = m.forward_decoder(T.Tensor(data))
-        q2, _, _ = m.forward_decoder(T.Tensor(permuted))
+        q1 = m.forward_decoder(T.Tensor(data))
+        q2 = m.forward_decoder(T.Tensor(permuted))
         np.testing.assert_allclose(q1.data, q2.data, atol=1e-9)
 
     def test_decoder_off_reads_encoder_tokens(self):
@@ -341,7 +353,6 @@ class TestForward:
         out = m.forward(np.zeros((3, 8, 3)))
         assert out.boxes.shape == (3, 7)
         assert out.direction_logits.shape == (3, 2)
-        assert out.attention is None
 
     @pytest.mark.parametrize(
         "toggles",
@@ -382,27 +393,35 @@ class TestForward:
         )
 
     @pytest.mark.parametrize("variant", ["A", "B", "C", "full"])
-    def test_capture_leaves_outputs_byte_identical(self, variant):
+    def test_capture_leaves_outputs_byte_identical(self, variant, monkeypatch):
+        # capturing maps is local_attention's graph-free recompute: it builds
+        # no graph, and a forward and backward after it give the same bytes
         m = make_model(n_local_layers=2, **VARIANTS[variant])
         pts = rand_points(np.random.default_rng(19), 3, 8)
-        grads = []
-        for capture in (False, True):
+
+        def forward_and_grads():
             T.zero_grads(m.params.values())
-            out = m.forward(pts, capture_attention=capture)
+            out = m.forward(pts)
             T.backward(T.tsum(out.boxes) + T.tsum(out.direction_logits))
-            grads.append({name: p.grad.tobytes() for name, p in m.params.items()})
-        plain, captured = m.forward(pts), out
-        assert plain.boxes.data.tobytes() == captured.boxes.data.tobytes()
-        assert plain.direction_logits.data.tobytes() == captured.direction_logits.data.tobytes()
-        assert grads[0] == grads[1]
-        cfg, trace = m.config, captured.attention
-        assert len(trace.local_layers) == 2
-        assert len(trace.global_layers) == cfg.n_global_layers
-        assert len(trace.decoder_self) == len(trace.decoder_cross) == cfg.n_decoder_layers
+            grads = {name: p.grad.tobytes() for name, p in m.params.items()}
+            return out.boxes.data.tobytes(), out.direction_logits.data.tobytes(), grads
+
+        before = forward_and_grads()
+        graph = []
+        core = T.attention_core
+
+        def spy(Q, K, V, *args):
+            graph.append(Q.requires_grad or K.requires_grad or V.requires_grad)
+            return core(Q, K, V, *args)
+
+        monkeypatch.setattr(T, "attention_core", spy)
+        maps = [m.local_attention(pts, layer) for layer in (0, 1, -2, -1)]
+        monkeypatch.undo()
+        assert graph == [False] * 6  # each map's layer and the layers before it
         # every local map keeps all N+7 query rows, the row-pruned last layer's too
-        assert all(w.shape == (3, 2, 15, 15) for w in trace.local_layers)
-        positions = 15 if cfg.n_decoder_layers else 7
-        assert all(w.shape == (positions, 2, 3, 3) for w in trace.global_layers)
+        assert all(w.shape == (3, 2, 15, 15) for w in maps)
+        assert maps[0].tobytes() == maps[2].tobytes() and maps[1].tobytes() == maps[3].tobytes()
+        assert forward_and_grads() == before
 
     def test_no_weights_built_without_capture(self, monkeypatch):
         m = make_model()
@@ -445,7 +464,7 @@ class TestForward:
     def test_encoder_layer_is_twenty_nodes(self):
         m = make_model()
         x = T.Tensor(np.random.default_rng(21).normal(size=(2, 15, 16)), requires_grad=True)
-        out, _ = m._encoder_layer(x, "local.0")
+        out = m._encoder_layer(x, "local.0")
         ops, seen, stack = 0, set(), [out]
         while stack:
             node = stack.pop()
@@ -490,12 +509,13 @@ class TestDecoderlessRows:
 
         want_boxes, want_logits, want_maps = full_rows_forward(m, pts, capture=True)
         want = grads(want_boxes, want_logits)
-        out = m.forward(pts, capture_attention=True)
+        out = m.forward(pts)
         got = grads(out.boxes, out.direction_logits)
         assert out.boxes.data.tobytes() == want_boxes.data.tobytes()
         assert out.direction_logits.data.tobytes() == want_logits.data.tobytes()
-        for w, w_want in zip(out.attention.local_layers, want_maps, strict=True):
-            assert w.data.tobytes() == w_want.data.tobytes()
+        assert len(want_maps) == m.config.n_local_layers
+        for i, w_want in enumerate(want_maps):
+            assert m.local_attention(pts, i).tobytes() == w_want.data.tobytes()
         # the gradient into ln1's output adds its query, key and value parts
         # in another order; the key biases' exact gradient is 0, so their
         # rounding noise is measured against the model's largest gradient
@@ -506,43 +526,34 @@ class TestDecoderlessRows:
 
 
 class TestAttentionExport:
-    def _traced(self, n=8, b=2):
-        m = make_model()
-        rng = np.random.default_rng(18)
-        out = m.forward(rand_points(rng, b, n), capture_attention=True)
-        return m, out
+    def _maps(self):
+        return make_model().local_attention(rand_points(np.random.default_rng(18), 2, 8), -1)
 
     def test_full_permutation_when_topk_is_sequence(self):
-        _, out = self._traced()
-        exp = export_attention(out.attention, 0, 2, top_k=15)
+        exp = export_attention(self._maps(), 0, 2, top_k=15)
         assert sorted(exp.indices.tolist()) == list(range(15))
 
     def test_scores_non_increasing(self):
-        _, out = self._traced()
-        exp = export_attention(out.attention, 1, 5, top_k=10)
+        exp = export_attention(self._maps(), 1, 5, top_k=10)
         assert (np.diff(exp.scores) <= 0).all()
 
     def test_rows_sum_to_one(self):
-        _, out = self._traced()
-        exp = export_attention(out.attention, 0, 0, top_k=15)
+        exp = export_attention(self._maps(), 0, 0, top_k=15)
         assert exp.full_row.sum() == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(exp.token_rows.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_token_reference(self):
-        _, out = self._traced()
-        exp = export_attention(out.attention, 0, 3, top_k=5, reference_is_token=True)
-        assert len(exp.indices) == 5
-
     def test_index_errors(self):
-        _, out = self._traced()
+        maps = self._maps()
         with pytest.raises(DataError, match="object 9 outside batch"):
-            export_attention(out.attention, 9, 0, top_k=5)
+            export_attention(maps, 9, 0, top_k=5)
         with pytest.raises(DataError, match="point 99 outside"):
-            export_attention(out.attention, 0, 99, top_k=5)
+            export_attention(maps, 0, 99, top_k=5)
         with pytest.raises(DataError, match="top_k 99 outside"):
-            export_attention(out.attention, 0, 0, top_k=99)
-        with pytest.raises(DataError, match="no local attention trace"):
-            export_attention(AttentionTrace(), 0, 0, top_k=1)
+            export_attention(maps, 0, 0, top_k=99)
+        m, pts = make_model(), np.zeros((1, 8, 3))
+        for layer in (1, -2):
+            with pytest.raises(DataError, match=f"layer {layer} outside the 1 local layers"):
+                m.local_attention(pts, layer)
 
 
 class TestPersistence:
