@@ -19,13 +19,9 @@ machine-parseable ``error category=<cat>:`` line on stderr.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,7 +39,7 @@ from .frustums import (
 )
 from .gradcheck import model_gradient_check
 from .geometry import Box3D
-from .inference import object_key, predict_samples, prediction_record
+from .inference import forward_chunks, object_key, predict_samples, prediction_record
 from .kitti import (
     load_frame,  # noqa: F401 - looked up on this module by perfbench/tracing.py
     manifest_frames,
@@ -129,66 +125,18 @@ def cmd_train(args):
     return 0
 
 
-# glibc's mallopt parameter for the most malloc arenas a process may hold.
-_M_ARENA_MAX = -8
-
-
-def _single_malloc_arena():
-    """Keep every thread's allocations in glibc's main arena.
-
-    A thread that allocates otherwise gets an arena of its own, which keeps
-    the largest frame's transients for the rest of the process and so adds
-    to the peak resident size. Skipped silently where the C library has no
-    ``mallopt``.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(_M_ARENA_MAX, 1)
-
-
-@contextmanager
-def _frame_worker():
-    """One worker thread, kept on other CPUs than this thread's while it lives.
-
-    Left to place them, the scheduler often wakes each thread on the CPU
-    of the one that woke it; the two then share one CPU for a whole
-    command while another idles, and a run takes a third longer or more, or not,
-    depending on where the first wake-up landed. With two or more allowed
-    CPUs and ``sched_setaffinity``, this thread is pinned to the first half
-    of them and the worker to the second, and this thread's CPU set is
-    restored on exit. The pool is shut down on exit with its pending calls
-    cancelled.
-    """
-    _single_malloc_arena()
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    pinned = len(cpus) >= 2
-    if pinned:
-        half = len(cpus) // 2
-        os.sched_setaffinity(0, cpus[:half])
-        pool = ThreadPoolExecutor(max_workers=1, initializer=os.sched_setaffinity,
-                                  initargs=(0, cpus[half:]))
-    else:
-        pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-        if pinned:
-            os.sched_setaffinity(0, cpus)
-
-
 def cmd_annotate(args):
     """Label every manifest frame with the checkpoint's model.
 
-    One worker thread prepares the frames in manifest order (load, project,
-    cut, resample on the frame's own (seed, frame) stream) while this
-    thread forwards each full chunk of `train.batch_size` samples as soon
-    as it exists. Chunks still follow list order across frames and the
-    final partial chunk goes last, so the labels equal a serial run's byte
-    for byte.
+    This thread and one more, pinned to disjoint CPUs, share the work
+    through ``inference.forward_chunks``: each takes the next chunk of
+    `train.batch_size` samples under one lock, preparing frames for it
+    there (load, project, cut, resample on the frame's own (seed, frame)
+    stream) one at a time and in manifest order, and forwards the chunk
+    outside the lock. The chunks are those of a serial run, in list order
+    across frames with the final partial chunk last, and the label rows
+    are kept in chunk order, so the labels equal a serial run's byte for
+    byte.
     """
     cfg = _resolve_config(args)
     ckpt = load_checkpoint(args.checkpoint)
@@ -200,20 +148,13 @@ def cmd_annotate(args):
     label_dir.mkdir(parents=True, exist_ok=True)
     batch_size = cfg.train.batch_size
     frame_rows = {f: [] for f in frames}
-    pending = []
 
-    def forward(samples):
-        for p in predict_samples(model, samples, batch_size):
-            frame_rows[p.sample.frame_id].append(prediction_record(p))
-
-    start = time.perf_counter()
-    with _frame_worker() as pool:
-        futures = [pool.submit(frame_samples, args.dataset, frame, model.config.n_points,
-                               cfg.seed, require_gt=False)
-                   for frame in frames]
-        for frame, future in zip(frames, futures):
+    def chunks():
+        pending = []
+        for frame in frames:
             try:
-                samples, empty = future.result()
+                samples, empty = frame_samples(args.dataset, frame, model.config.n_points,
+                                               cfg.seed, require_gt=False)
             except FileNotFoundError as err:
                 print(f"skipping frame {frame}: {err}")
                 frame_rows.pop(frame)
@@ -221,12 +162,20 @@ def cmd_annotate(args):
             for object_id in empty:
                 print(f"skipping object {object_id}: empty frustum")
             pending.extend(samples)
-            full = len(pending) - len(pending) % batch_size
-            if full:
-                forward(pending[:full])
-                del pending[:full]
+            while len(pending) >= batch_size:
+                yield pending[:batch_size]
+                del pending[:batch_size]
         if pending:
-            forward(pending)
+            yield pending
+
+    def label(chunk):
+        return [(p.sample.frame_id, prediction_record(p))
+                for p in predict_samples(model, chunk, batch_size)]
+
+    start = time.perf_counter()
+    for rows in forward_chunks(chunks(), label):
+        for frame, row in rows:
+            frame_rows[frame].append(row)
     elapsed = time.perf_counter() - start
     n_objects = sum(map(len, frame_rows.values()))
     per_object_ms = 1000.0 * elapsed / max(n_objects, 1)
@@ -318,10 +267,11 @@ def cmd_attn(args):
         raise DataError(
             f"object {args.object} outside 0..{len(samples) - 1} for frame {args.frame}"
         )
-    weights = model.local_attention(np.stack([s.points for s in samples]), args.layer)
-    top_k = model.config.n_points + N_BOX_TOKENS if args.top_k is None else args.top_k
-    export = export_attention(weights, args.object, args.point, top_k)
+    # an object's maps depend on its own points alone: recompute its maps only
     sample = samples[args.object]
+    weights = model.local_attention(sample.points[None], args.layer)
+    top_k = model.config.n_points + N_BOX_TOKENS if args.top_k is None else args.top_k
+    export = export_attention(weights, 0, args.point, top_k)
     original = sample.points + sample.centroid
 
     def row_entry(rank, seq_index, score):

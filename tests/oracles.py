@@ -429,8 +429,9 @@ def frame_sampling_rng(seed, frame_id):
 
 def serial_annotate(root, checkpoint, seed, batch_size):
     """The serial ``annotate`` loop: every frame's samples first, in manifest
-    order, then one ``predict_samples`` over the whole list. Returns
-    ({frame: label file text}, the ``skipping`` lines in print order)."""
+    order, then one ``predict_samples`` per chunk of the whole list, in list
+    order, on this thread. Returns ({frame: label file text}, the
+    ``skipping`` lines in print order)."""
     from frustumbox.checkpoint import load_checkpoint
     from frustumbox.frustums import frame_samples
     from frustumbox.inference import predict_samples, prediction_record
@@ -449,6 +450,7 @@ def serial_annotate(root, checkpoint, seed, batch_size):
         skips.extend(f"skipping object {object_id}: empty frustum" for object_id in empty)
         samples.extend(got)
         rows[frame] = []
-    for p in predict_samples(model, samples, batch_size):
-        rows[p.sample.frame_id].append(prediction_record(p))
+    for lo in range(0, len(samples), batch_size):
+        for p in predict_samples(model, samples[lo : lo + batch_size], batch_size):
+            rows[p.sample.frame_id].append(prediction_record(p))
     return {frame: serialize_kitti_label(r) for frame, r in rows.items()}, skips

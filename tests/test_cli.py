@@ -577,8 +577,8 @@ def training_a(tmp_path_factory, dataset):
 
 
 class TestAnnotatePipeline:
-    """`annotate` prepares frames on a worker thread while it forwards full
-    chunks; the result must be the serial loop's, byte for byte."""
+    """`annotate` forwards its chunks on two pinned threads, preparing frames
+    as chunks are taken; the result must be the serial loop's, byte for byte."""
 
     @pytest.mark.parametrize("batch_size", [1, 3, 8])
     def test_labels_and_skips_equal_the_serial_loop(self, ragged, training, tmp_path,
@@ -611,51 +611,103 @@ class TestAnnotatePipeline:
             assert subset
             assert subset == (tmp_path / "full" / "label_2" / f"{frame}.txt").read_bytes()
 
-    def test_frames_are_prepared_off_the_main_thread(self, dataset, training, tmp_path,
-                                                     monkeypatch):
-        import frustumbox.cli as cli
-
-        threads = []
-        original = cli.frame_samples
-
-        def recorded(*args, **kwargs):
-            threads.append(threading.current_thread())
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "frame_samples", recorded)
-        assert run(["annotate", "--checkpoint", Path(training) / "ckpt_final.bin",
-                    "--dataset", dataset, "--out", tmp_path, "--seed", "0"] + FAST) == 0
-        assert len(threads) == len(manifest_frames(dataset))
-        assert len(set(threads)) == 1 and threads[0] is not threading.main_thread()
+    @staticmethod
+    def _annotate(dataset, training, out, extra=()):
+        return run(["annotate", "--checkpoint", Path(training) / "ckpt_final.bin",
+                    "--dataset", dataset, "--out", out, "--seed", "0"] + FAST + list(extra))
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="needs sched_setaffinity and two allowed CPUs")
-    def test_worker_runs_on_other_cpus_than_the_forward(self, dataset, training, tmp_path,
-                                                        monkeypatch):
+    def test_both_threads_forward_each_on_its_own_half_of_the_cpus(self, dataset, training,
+                                                                  tmp_path, monkeypatch):
         # left to the scheduler the two threads often share one CPU for a
         # whole command; each is pinned to its own half of the allowed CPUs
         import frustumbox.cli as cli
 
-        seen = {"worker": set(), "main": set()}
-        frames, forward = cli.frame_samples, cli.predict_samples
+        seen = {}
+        forward = cli.predict_samples
 
-        def recorded_frames(*args, **kwargs):
-            seen["worker"].add(frozenset(os.sched_getaffinity(0)))
-            return frames(*args, **kwargs)
-
-        def recorded_forward(*args, **kwargs):
-            seen["main"].add(frozenset(os.sched_getaffinity(0)))
+        def recorded(*args, **kwargs):
+            cpus = frozenset(os.sched_getaffinity(0))
+            seen.setdefault(threading.current_thread(), set()).add(cpus)
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "frame_samples", recorded_frames)
-        monkeypatch.setattr(cli, "predict_samples", recorded_forward)
+        monkeypatch.setattr(cli, "predict_samples", recorded)
         before = os.sched_getaffinity(0)
-        assert run(["annotate", "--checkpoint", Path(training) / "ckpt_final.bin",
-                    "--dataset", dataset, "--out", tmp_path, "--seed", "0"] + FAST) == 0
+        assert self._annotate(dataset, training, tmp_path, ["train.batch_size=1"]) == 0
         assert os.sched_getaffinity(0) == before
-        (worker,), (main,) = seen["worker"], seen["main"]
-        assert worker and main and not worker & main and worker | main == before
+        assert threading.main_thread() in seen and len(seen) == 2
+        (a,), (b,) = seen.values()
+        assert a and b and not a & b and a | b == before
+
+    def test_frames_are_prepared_one_at_a_time_in_manifest_order(self, dataset, training,
+                                                                  tmp_path, monkeypatch):
+        import frustumbox.cli as cli
+
+        order, active, most = [], [0], [0]
+        original = cli.frame_samples
+
+        def recorded(root, frame, *args, **kwargs):
+            active[0] += 1
+            most[0] = max(most[0], active[0])
+            order.append(frame)
+            try:
+                return original(root, frame, *args, **kwargs)
+            finally:
+                active[0] -= 1
+
+        monkeypatch.setattr(cli, "frame_samples", recorded)
+        assert self._annotate(dataset, training, tmp_path, ["train.batch_size=1"]) == 0
+        assert order == manifest_frames(dataset) and most[0] == 1
+
+    def test_predict_samples_gets_sized_lists_covering_every_label(self, dataset, training,
+                                                                   tmp_path, capsys,
+                                                                   monkeypatch):
+        # perfbench/tracing.py wraps cli.predict_samples and counts len(args[1])
+        import frustumbox.cli as cli
+
+        handed = []
+        forward = cli.predict_samples
+
+        def recorded(model, samples, batch_size):
+            handed.append(samples)
+            return forward(model, samples, batch_size)
+
+        monkeypatch.setattr(cli, "predict_samples", recorded)
+        capsys.readouterr()
+        assert self._annotate(dataset, training, tmp_path, ["train.batch_size=3"]) == 0
+        out = capsys.readouterr().out
+        n_labels = sum(len(p.read_text().splitlines())
+                       for p in (tmp_path / "label_2").glob("*.txt"))
+        assert all(type(samples) is list and 1 <= len(samples) <= 3 for samples in handed)
+        assert sum(map(len, handed)) == n_labels > 3
+        assert f"annotated {n_labels} objects" in out
+
+    @pytest.mark.parametrize("host", ["one CPU", "no sched_setaffinity"])
+    def test_a_single_cpu_forwards_every_chunk_on_the_calling_thread(
+            self, ragged, training, tmp_path, monkeypatch, host):
+        import frustumbox.cli as cli
+
+        pinned, threads = [], set()
+        if host == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append(cpus),
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        forward = cli.predict_samples
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "predict_samples", recorded)
+        ckpt = Path(training) / "ckpt_final.bin"
+        assert self._annotate(ragged, training, tmp_path, ["train.batch_size=3"]) == 0
+        assert threads == {threading.main_thread()} and pinned == []
+        written = {p.stem: p.read_text() for p in (tmp_path / "label_2").glob("*.txt")}
+        assert written == serial_annotate(ragged, ckpt, 0, 3)[0]
 
     def test_truncated_cloud_in_a_middle_frame_is_format_error(self, dataset, training,
                                                                tmp_path, capsys):
@@ -701,6 +753,45 @@ class TestAnnotatePipeline:
         assert prepared == frames[: len(prepared)] and len(prepared) <= 2 < len(frames)
         if hasattr(os, "sched_getaffinity"):
             assert os.sched_getaffinity(0) == cpus
+
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs sched_setaffinity and two allowed CPUs")
+    @pytest.mark.parametrize("first_fails", [True, False])
+    def test_a_later_chunk_failing_first_stops_both_threads(
+            self, dataset, training, tmp_path, capsys, monkeypatch, first_fails):
+        # the first chunk's forward waits until the second chunk's has
+        # failed; the error reported is still the earliest failing chunk's,
+        # and the thread that finishes the first chunk takes no other
+        import frustumbox.cli as cli
+        from frustumbox.errors import NumericError
+        from frustumbox.frustums import frame_samples
+
+        frames = manifest_frames(dataset)
+        first = frame_samples(dataset, frames[0], 16, 0, require_gt=False)[0][0].object_id
+        later_failed = threading.Event()
+        forwarded = []
+        forward = cli.predict_samples
+
+        def forward_failing(model, samples, batch_size):
+            (sample,) = samples
+            forwarded.append(sample.object_id)
+            if sample.object_id == first:
+                assert later_failed.wait(timeout=10)
+                if not first_fails:
+                    return forward(model, samples, batch_size)
+            else:
+                later_failed.set()
+            raise NumericError(f"non-finite prediction for object {sample.object_id}")
+
+        monkeypatch.setattr(cli, "predict_samples", forward_failing)
+        code = self._annotate(dataset, training, tmp_path, ["train.batch_size=1"])
+        assert code == 6
+        assert len(forwarded) == 2 and forwarded[0] != forwarded[1] and first in forwarded
+        named = first if first_fails else next(o for o in forwarded if o != first)
+        assert (f"error category=numeric: non-finite prediction for object {named}\n"
+                in capsys.readouterr().err)
 
 
 class TestGradcheckCommand:
@@ -847,6 +938,36 @@ class TestAttnCommand:
                           n_decoder_layers=1, heads=2, head_hidden=16)
         model = BoxAnnotator(cfg, rng=np.random.default_rng(0))
         return model.save(tmp_path_factory.mktemp("two_layer") / "model.ckpt")
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_one_objects_recompute_equals_the_whole_frames(self, dataset, two_layer_ckpt,
+                                                           tmp_path, monkeypatch, layer):
+        # an object's local maps depend on its own points only, so `attn`
+        # recomputes the chosen object alone; the full model's JSON must be
+        # that of the whole frame's recompute
+        from frustumbox.frustums import frame_samples
+        from frustumbox.model import BoxAnnotator
+
+        samples, _ = frame_samples(dataset, "000000", 16, 0, require_gt=False)
+        chosen = len(samples) - 1
+        assert chosen > 0
+
+        def attn(out_file):
+            return run(["attn", "--checkpoint", two_layer_ckpt, "--dataset", dataset,
+                        "--frame", "000000", "--object", chosen, "--point", "3",
+                        "--layer", layer, "--out", out_file, "--seed", "0"] + FAST)
+
+        assert attn(tmp_path / "alone.json") == 0
+        one_object = BoxAnnotator.local_attention
+
+        def whole_frame(model, points, layer):
+            np.testing.assert_array_equal(points, samples[chosen].points[None])
+            frame = np.stack([s.points for s in samples])
+            return one_object(model, frame, layer)[chosen : chosen + 1]
+
+        monkeypatch.setattr(BoxAnnotator, "local_attention", whole_frame)
+        assert attn(tmp_path / "frame.json") == 0
+        assert (tmp_path / "alone.json").read_bytes() == (tmp_path / "frame.json").read_bytes()
 
     def _attn_layer(self, dataset, ckpt, out_file, layer):
         return run(["attn", "--checkpoint", ckpt, "--dataset", dataset, "--frame", "000000",

@@ -1,5 +1,7 @@
 """Batched prediction runs forward-only: same numbers, no graph."""
 
+import os
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,3 +57,21 @@ def test_builds_no_graph_and_leaves_gradients_alone():
         assert p.grad is marker[name] and (p.grad == 3.0).all()
     # the flag is back on after inference
     assert model.forward(samples[0].points[None]).boxes.requires_grad
+
+
+def test_one_cpu_forwards_every_chunk_here_with_the_same_bytes(monkeypatch):
+    model, samples = _model_and_samples()
+    both = predict_samples(model, samples, batch_size=2)
+    threads = set()
+    forward = model.forward
+
+    def recording_forward(points, **kw):
+        threads.add(threading.current_thread())
+        return forward(points, **kw)
+
+    model.forward = recording_forward
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = predict_samples(model, samples, batch_size=2)
+    assert threads == {threading.current_thread()}
+    assert [(p.sample, p.box, p.score) for p in alone] == \
+        [(p.sample, p.box, p.score) for p in both]
