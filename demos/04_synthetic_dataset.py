@@ -24,7 +24,7 @@ print(f"wrote {len(splits)} frames under {root}")
 print("splits:", dict(Counter(splits.values())))
 
 frame = manifest_frames(root)[0]
-points, intensity, calib, records = load_frame(root, frame)
+points, calib, records = load_frame(root, frame)
 print(f"\nframe {frame}: {len(points)} points, {len(records)} labels")
 print("first label line fields:", records[0].cls, records[0].box2d.as_tuple())
 

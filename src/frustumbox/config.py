@@ -1,7 +1,7 @@
 """Run configuration: one key=value file, namespaced sections, overrides.
 
-Keys are ``section.field`` for the model, training, and scene sections plus
-a few top-level run keys. Unknown keys are rejected outright so a typo can
+Keys are the fields of ``RunConfig`` and, as ``section.field``, of its model,
+training and scene sections. Unknown keys are rejected outright so a typo can
 never silently fall back to a default. ``resolved_text`` renders the fully
 resolved configuration for logging; every command prints and persists it
 before doing work.
@@ -10,7 +10,7 @@ before doing work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError
 from .model import ModelConfig
@@ -20,20 +20,24 @@ from .train import TrainConfig
 
 @dataclass
 class RunConfig:
-    model: ModelConfig
-    train: TrainConfig
-    scene: SceneSpec
+    model: ModelConfig = field(default_factory=ModelConfig.desk)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    scene: SceneSpec = field(default_factory=SceneSpec)
     seed: int = 0
     n_scenes: int = 64
     val_every: int = 4
 
-    @classmethod
-    def default(cls):
-        return cls(model=ModelConfig.desk(), train=TrainConfig(), scene=SceneSpec())
 
-
-_TOP_LEVEL = {"seed": int, "n_scenes": int, "val_every": int}
-_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "scene": SceneSpec}
+def _sections(cfg):
+    """Field values by name of each section, and of the top level under ""."""
+    values = {"": {}}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            values[f.name] = {g.name: getattr(value, g.name) for g in fields(value)}
+        else:
+            values[""][f.name] = value
+    return values
 
 
 def _coerce(key, raw, like):
@@ -84,30 +88,19 @@ def build_run_config(pairs=None, overrides=()):
         key, _, value = item.partition("=")
         merged[key.strip()] = value.strip()
 
-    cfg = RunConfig.default()
-    section_values = {name: cfg_obj.to_dict() for name, cfg_obj in
-                      (("model", cfg.model), ("train", cfg.train), ("scene", cfg.scene))}
-    top_values = {"seed": cfg.seed, "n_scenes": cfg.n_scenes, "val_every": cfg.val_every}
-
+    cfg = RunConfig()
+    values = _sections(cfg)
     for key, raw in merged.items():
-        if key in _TOP_LEVEL:
-            top_values[key] = _coerce(key, raw, top_values[key])
-            if top_values[key] < 0:
-                raise ConfigError(f"{key} must be >= 0, got {top_values[key]}")
-            continue
-        section, _, field_name = key.partition(".")
-        if section in _SECTIONS and field_name in section_values[section]:
-            current = section_values[section][field_name]
-            section_values[section][field_name] = _coerce(key, raw, current)
-        else:
+        section, _, name = key.rpartition(".")
+        if name not in values.get(section, ()):
             raise ConfigError(f"unknown configuration key {key!r}")
-
-    return RunConfig(
-        model=ModelConfig.from_dict(section_values["model"]),
-        train=TrainConfig.from_dict(section_values["train"]),
-        scene=SceneSpec.from_dict(section_values["scene"]),
-        **top_values,
-    )
+        values[section][name] = value = _coerce(key, raw, values[section][name])
+        if not section and value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
+    top = values.pop("")
+    # replace() re-runs each class's __post_init__, its one validation
+    return replace(cfg, **top, **{name: replace(getattr(cfg, name), **section_values)
+                                  for name, section_values in values.items()})
 
 
 def load_run_config(path=None, overrides=()):
@@ -119,15 +112,11 @@ def load_run_config(path=None, overrides=()):
 
 
 def resolved_text(cfg):
-    """Deterministic dump of every resolved key."""
+    """Deterministic dump of every resolved key, the top-level ones first."""
     lines = []
-    for key in sorted(_TOP_LEVEL):
-        lines.append(f"{key}={getattr(cfg, key)}")
-    for section in sorted(_SECTIONS):
-        values = getattr(cfg, section).to_dict()
-        for field_name in sorted(values):
-            value = values[field_name]
+    for section, values in sorted(_sections(cfg).items()):
+        for name, value in sorted(values.items()):
             if isinstance(value, (list, tuple)):
                 value = ",".join(repr(float(v)) for v in value)
-            lines.append(f"{section}.{field_name}={value}")
+            lines.append(f"{section}.{name}={value}" if section else f"{name}={value}")
     return "\n".join(lines) + "\n"

@@ -134,7 +134,7 @@ def frame_samples(root, frame_id, n_points, seed, require_gt):
     Returns (samples, empty): the samples, and the object ids of rows whose
     frustum held no points. Raises FileNotFoundError for a missing frame.
     """
-    points, _, calib, records = load_frame(root, frame_id)
+    points, calib, records = load_frame(root, frame_id)
     rows = [
         (i, rec) for i, rec in enumerate(records)
         if rec.is_care and (rec.has_box3d or not require_gt)

@@ -238,7 +238,7 @@ def label_from_lidar_box(cls, box, box2d, calib, truncation=0.0, occlusion=0,
 
 
 def load_point_cloud(data):
-    """Decode the packed float32 records; returns ((N, 3) points, (N,) intensity).
+    """Decode the packed float32 records into (N, 3) points (intensity unread).
 
     Raises KittiFormatError with the offset of the first incomplete record.
     """
@@ -247,14 +247,12 @@ def load_point_cloud(data):
             f"point record truncated at byte offset {len(data) - len(data) % 16}"
         )
     raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
-    return raw[:, :3].astype(np.float64), raw[:, 3].astype(np.float64)
+    return raw[:, :3].astype(np.float64)
 
 
-def save_point_cloud(points, intensity=None):
-    """Inverse of :func:`load_point_cloud`; float32 in, float32 out is exact."""
+def save_point_cloud(points, intensity):
+    """Pack (x, y, z, intensity) float32 records; float32 points read back exactly."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if intensity is None:
-        intensity = np.zeros(len(pts))
     rec = np.column_stack([pts, np.asarray(intensity, dtype=np.float64)])
     return rec.astype("<f4").tobytes()
 
@@ -283,12 +281,12 @@ def write_frame(root, frame_id, points, intensity, calib, records):
 
 
 def load_frame(root, frame_id):
-    """Returns (points, intensity, calib, label records) for one frame."""
+    """Returns (points, calib, label records) for one frame."""
     paths = frame_paths(root, frame_id)
-    points, intensity = load_point_cloud(paths["velodyne"].read_bytes())
+    points = load_point_cloud(paths["velodyne"].read_bytes())
     calib = parse_kitti_calib(paths["calib"].read_text())
     records = parse_kitti_label(paths["label"].read_text())
-    return points, intensity, calib, records
+    return points, calib, records
 
 
 def write_manifest(root, splits):

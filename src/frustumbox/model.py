@@ -87,14 +87,11 @@ class ModelConfig:
         base.update(overrides)
         return cls(**base)
 
-    def to_dict(self):
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d):
-        """Build from ``to_dict`` output. A dict written before the layer
-        counts switched the stages may carry ``use_global`` and
-        ``use_decoder``; False there means 0 layers of that stage."""
+        """Build from a checkpoint header's ``asdict``. A header written
+        before the layer counts switched the stages may carry ``use_global``
+        and ``use_decoder``; False there means 0 layers of that stage."""
         d = dict(d)
         for flag, count in (("use_global", "n_global_layers"),
                             ("use_decoder", "n_decoder_layers")):
@@ -416,7 +413,7 @@ class BoxAnnotator:
             p.data = np.array(arrays[name], dtype=np.float64)
 
     def save(self, path, extras=None, extra_arrays=None):
-        config = {"model": self.config.to_dict()}
+        config = {"model": asdict(self.config)}
         return save_checkpoint(path, config, self.state_arrays(), extras, extra_arrays)
 
     @classmethod

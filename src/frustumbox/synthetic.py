@@ -11,7 +11,7 @@ contains the projection of every noise-free surface point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,9 +42,6 @@ class SceneSpec:
     ground_z: float = -1.6
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for name in ("length_range", "width_range", "height_range", "yaw_range"):
             bounds = getattr(self, name)
             if len(bounds) != 2:
@@ -66,20 +63,6 @@ class SceneSpec:
                               " must satisfy 0 <= points_min <= points_max")
         if self.noise_sigma < 0 or self.clutter_density < 0:
             raise ConfigError("noise and clutter must be non-negative")
-
-    def to_dict(self):
-        d = asdict(self)
-        for key in ("length_range", "width_range", "height_range", "yaw_range"):
-            d[key] = list(d[key])
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        kw = dict(d)
-        for key in ("length_range", "width_range", "height_range", "yaw_range"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
-        return cls(**kw)
 
 
 @dataclass

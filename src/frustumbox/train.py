@@ -57,13 +57,11 @@ class TrainConfig:
             raise ConfigError("flip_prob must be a probability")
         if self.scale_low > self.scale_high:
             raise ConfigError("scale range is empty")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+        if not self.scale_low > 0:
+            raise ConfigError(f"scale_low must be > 0, got {self.scale_low}")
+        for name in ("shift_range", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -116,7 +114,7 @@ def _save_train_checkpoint(model, optimizer, config, rng, epoch, step, path,
                            final_train_miou=None):
     state = optimizer.state_dict()
     extras = {
-        "train": config.to_dict(),
+        "train": asdict(config),
         "epoch": int(epoch),
         "step": int(step),
         "rng_state": rng.bit_generator.state,

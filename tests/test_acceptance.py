@@ -287,8 +287,10 @@ def test_criterion_7_format_fidelity(tmp_path_factory):
     pts = rng.normal(size=(500, 3)).astype(np.float32).astype(np.float64)
     inten = rng.uniform(size=500).astype(np.float32).astype(np.float64)
     blob = save_point_cloud(pts, inten)
-    pts2, inten2 = load_point_cloud(blob)
-    velodyne_ok = save_point_cloud(pts2, inten2) == blob
+    pts2 = load_point_cloud(blob)
+    written_intensity = np.frombuffer(blob, dtype="<f4").reshape(-1, 4)[:, 3]
+    velodyne_ok = (np.array_equal(pts2, pts) and np.array_equal(written_intensity, inten)
+                   and save_point_cloud(pts2, inten) == blob)
 
     # 30/5 filter against a brute-force recount over >= 1000 samples;
     # datasets are processed separately because frame ids restart per dataset
@@ -315,7 +317,7 @@ def test_criterion_7_format_fidelity(tmp_path_factory):
         }
 
         def recount(sample):
-            points, _, calib, recs = frames[sample.frame_id]
+            points, calib, recs = frames[sample.frame_id]
             rec = recs[int(sample.object_id.split(":")[1])]
             assert rec.box2d == sample.box2d
             inside_2d = []

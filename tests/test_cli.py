@@ -64,7 +64,7 @@ class TestSynth:
         frames = manifest_frames(dataset)
         assert len(frames) == 6
         for frame in frames:
-            points, intensity, calib, records = load_frame(dataset, frame)
+            points, calib, records = load_frame(dataset, frame)
             assert len(points) > 0 and len(records) > 0
 
     def test_same_seed_byte_identical(self, tmp_path):
@@ -94,7 +94,7 @@ class TestSynth:
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_every_key_at_a_small_value_runs_or_is_config_error(self, tmp_path, capsys,
                                                                 value):
-        for key in [line.split("=")[0] for line in resolved_text(RunConfig.default()).splitlines()]:
+        for key in [line.split("=")[0] for line in resolved_text(RunConfig()).splitlines()]:
             code = run(["synth", "--out", tmp_path / f"{key}{value}", "n_scenes=1",
                         f"{key}={value}"])
             err = capsys.readouterr().err
@@ -183,6 +183,23 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error category=config: {key}: expected finite numbers, got '{raw}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["train.scale_low=0", "train.scale_high=0"], "scale_low must be > 0, got 0.0"),
+        (["train.checkpoint_every=-1"], "checkpoint_every must be >= 0, got -1"),
+        (["train.shift_range=-0.1"], "shift_range must be >= 0, got -0.1"),
+    ], ids=["scale_low", "checkpoint_every", "shift_range"])
+    def test_out_of_range_train_value_is_config_error(self, dataset, tmp_path, capsys,
+                                                      overrides, message):
+        # each of these once started training: a zero scale and a negative
+        # shift range failed at the first augmented batch (a non-positive box
+        # extent; numpy's uniform with high < low), and a negative checkpoint
+        # interval wrote a mid-run checkpoint every epoch
+        out = tmp_path / "bad"
+        code = run(["train", "--dataset", dataset, "--out", out] + FAST + overrides)
+        assert code == 2
+        assert f"error category=config: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_resume_from_checkpoint_with_unknown_model_key(self, dataset, training,

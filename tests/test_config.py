@@ -1,6 +1,11 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
 
 from frustumbox.errors import ConfigError
+from frustumbox.model import ModelConfig
+from frustumbox.synthetic import SceneSpec
+from frustumbox.train import TrainConfig
 
 from frustumbox.config import (
     RunConfig,
@@ -100,8 +105,43 @@ class TestResolvedText:
         again = build_run_config(parse_config_text(text))
         assert resolved_text(again) == text
 
+    def test_every_field_is_a_key(self):
+        # every field away from its default: a field the resolver skipped
+        # would come back at its default, or be missing from the text
+        cfg = RunConfig(
+            model=ModelConfig(d=48, n_points=96, n_local_layers=3, n_global_layers=2,
+                              n_decoder_layers=0, heads=4, head_hidden=80, pos_mode="sine"),
+            train=TrainConfig(batch_size=3, epochs=5, lr_max=2e-3, lr_min=1e-5,
+                              weight_decay=0.01, lambda_box=2.5, augment=False,
+                              shift_range=0.5, scale_low=0.9, scale_high=1.1, flip_prob=0.25,
+                              checkpoint_every=2),
+            scene=SceneSpec(n_objects_min=1, n_objects_max=4, length_range=(3.0, 4.0),
+                            width_range=(1.4, 2.0), height_range=(1.2, 1.9),
+                            yaw_range=(-1.0, 1.0), range_min=5.0, range_max=30.0,
+                            occlusion=0.2, truncation=0.1, noise_sigma=0.02,
+                            clutter_density=0.3, points_base=300, points_min=10,
+                            points_max=1000, ground_z=-1.5),
+            seed=7, n_scenes=9, val_every=3,
+        )
+        default = RunConfig()
+        for obj, base in [(cfg, default)] + [(getattr(cfg, s), getattr(default, s))
+                                             for s in ("model", "train", "scene")]:
+            for f in fields(obj):
+                if not is_dataclass(getattr(obj, f.name)):
+                    assert getattr(obj, f.name) != getattr(base, f.name), f.name
+
+        text = resolved_text(cfg)
+        assert build_run_config(parse_config_text(text)) == cfg
+        sections = {"model": ModelConfig, "train": TrainConfig, "scene": SceneSpec}
+        keys = {f.name for f in fields(RunConfig) if f.name not in sections}
+        keys |= {f"{s}.{f.name}" for s, cls in sections.items() for f in fields(cls)}
+        assert {line.partition("=")[0] for line in text.splitlines()} == keys
+
+    def test_defaults_are_the_field_defaults(self):
+        assert build_run_config() == RunConfig()
+
     def test_lists_every_key(self):
-        text = resolved_text(RunConfig.default())
+        text = resolved_text(RunConfig())
         assert "model.d=" in text
         assert "train.lr_max=" in text
         assert "scene.noise_sigma=" in text

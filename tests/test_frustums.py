@@ -161,7 +161,7 @@ class TestPipeline:
         samples = build_dataset_samples(tmp_path, n_points=16, seed=0)
         rounded = 0
         for s in samples:
-            _, _, calib, records = load_frame(tmp_path, s.frame_id)
+            _, calib, records = load_frame(tmp_path, s.frame_id)
             label = lidar_box_from_label(records[int(s.object_id.split(":")[1])], calib)
             assert s.sensor_gt_box == label
             rounded += s.gt_box.translated(s.centroid) != label
@@ -189,7 +189,7 @@ class TestPipeline:
         samples = build_dataset_samples(tmp_path, n_points=64, seed=0)
         by_id = {s.object_id: s for s in samples}
         for frame in manifest_frames(tmp_path):
-            points, _, calib, records = load_frame(tmp_path, frame)
+            points, calib, records = load_frame(tmp_path, frame)
             for i, rec in enumerate(records):
                 sid = f"{frame}:{i}"
                 if sid not in by_id:
@@ -221,7 +221,7 @@ class TestPipeline:
             assert s.gt_box is not None
             frame = s.frame_id
             idx = int(s.object_id.split(":")[1])
-            _, _, calib, records = load_frame(tmp_path, frame)
+            _, calib, records = load_frame(tmp_path, frame)
             original = lidar_box_from_label(records[idx], calib)
             # normalized gt center is the original one minus the stored offset
             np.testing.assert_allclose(
@@ -294,7 +294,7 @@ class TestFrameFrustums:
                         Box2D(0.0, 0.0, 5.0, 5.0))  # sky: empty frustum
         ]
         rewrite_labels(tmp_path, frames[0], lambda rows: rows + [two_d_only(extra[0]), extra[1]])
-        n_rows = len(load_frame(tmp_path, frames[0])[3])
+        n_rows = len(load_frame(tmp_path, frames[0])[2])
         off_image, sky = f"{frames[0]}:{n_rows - 2}", f"{frames[0]}:{n_rows - 1}"
 
         for require_gt in (True, False):
@@ -305,7 +305,7 @@ class TestFrameFrustums:
                 rng = frame_sampling_rng(3, frame)
                 built += [s.object_id for s in samples]
                 skipped += empty
-                points, _, calib, records = load_frame(tmp_path, frame)
+                points, calib, records = load_frame(tmp_path, frame)
                 want, want_empty = [], []
                 for i, rec in enumerate(records):
                     if not rec.is_care or (require_gt and not rec.has_box3d):
@@ -354,7 +354,7 @@ class TestFrameFrustums:
         for f in frames:
             rewrite_labels(tmp_path, f, lambda rows: [two_d_only(r) if i % 2 and r.is_care
                                                       else r for i, r in enumerate(rows)])
-        assert any(not r.has_box3d for r in load_frame(tmp_path, frames[0])[3])
+        assert any(not r.has_box3d for r in load_frame(tmp_path, frames[0])[2])
         mixed = [s for f in frames for s in frame_samples(tmp_path, f, 32, 3, False)[0]]
         assert drawn(mixed) == drawn(samples)
 
@@ -406,7 +406,7 @@ class TestFrameFrustums:
         for frame in frames:
             rewrite_labels(flat, frame,
                            lambda rows: [two_d_only(r) if r.is_care else r for r in rows])
-            assert not any(r.has_box3d for r in load_frame(flat, frame)[3])
+            assert not any(r.has_box3d for r in load_frame(flat, frame)[2])
         ckpt = write_tiny_checkpoint(tmp_path / "tiny.bin")
         for root in (full, flat):
             assert main(["annotate", "--checkpoint", str(ckpt), "--dataset", str(root),
@@ -417,5 +417,5 @@ class TestFrameFrustums:
             b = (tmp_path / "ann_flat" / "label_2" / f"{frame}.txt").read_bytes()
             assert a == b
             labeled += len(parse_kitti_label(a.decode()))
-        assert labeled == sum(len(load_frame(full, f)[3]) for f in frames) > 0
+        assert labeled == sum(len(load_frame(full, f)[2]) for f in frames) > 0
 

@@ -176,9 +176,8 @@ class TestFrameConversion:
 
 class TestPointCloudIO:
     def test_32_bytes_two_points(self):
-        pts, inten = load_point_cloud(bytes(32))
+        pts = load_point_cloud(bytes(32))
         assert pts.shape == (2, 3)
-        assert inten.shape == (2,)
 
     def test_truncated(self):
         with pytest.raises(KittiFormatError, match="point record truncated") as ei:
@@ -190,10 +189,10 @@ class TestPointCloudIO:
         pts = rng.normal(size=(100, 3)).astype(np.float32).astype(np.float64)
         inten = rng.uniform(size=100).astype(np.float32).astype(np.float64)
         blob = save_point_cloud(pts, inten)
-        pts2, inten2 = load_point_cloud(blob)
-        assert save_point_cloud(pts2, inten2) == blob
+        pts2 = load_point_cloud(blob)
+        assert save_point_cloud(pts2, inten) == blob
         np.testing.assert_array_equal(pts, pts2)
-        np.testing.assert_array_equal(inten, inten2)
+        np.testing.assert_array_equal(np.frombuffer(blob, dtype="<f4").reshape(-1, 4)[:, 3], inten)
 
 
 class TestLayout:
@@ -205,7 +204,7 @@ class TestLayout:
         box = Box3D(10, 0, -0.8, 1.6, 4.0, 1.5, 0.2)
         rec = label_from_lidar_box("Car", box, Box2D(5, 5, 50, 40), calib)
         write_frame(tmp_path, "000042", pts, inten, calib, [rec])
-        pts2, inten2, calib2, recs = load_frame(tmp_path, "000042")
+        pts2, calib2, recs = load_frame(tmp_path, "000042")
         np.testing.assert_array_equal(pts, pts2)
         assert len(recs) == 1 and recs[0].cls == "Car"
         np.testing.assert_array_equal(calib2.P, calib.P)

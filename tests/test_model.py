@@ -72,7 +72,7 @@ class TestConfig:
 
     def test_roundtrip_dict(self):
         cfg = ModelConfig.desk(n_global_layers=0, pos_mode="sine")
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
     def test_frozen_once_validated(self):
         # a field set after construction would skip __post_init__'s checks
@@ -81,7 +81,7 @@ class TestConfig:
             cfg.heads = 3
 
     def test_eight_fields_no_stage_flags(self):
-        keys = ModelConfig().to_dict()
+        keys = dataclasses.asdict(ModelConfig())
         assert len(keys) == 8
         assert "use_global" not in keys and "use_decoder" not in keys
 
@@ -94,9 +94,9 @@ class TestConfig:
             ModelConfig.desk(n_local_layers=0)
 
     def test_stage_flags_of_older_dicts_map_to_zero_layers(self):
-        old = dict(ModelConfig.desk().to_dict(), use_global=False, use_decoder=True)
+        old = dict(dataclasses.asdict(ModelConfig.desk()), use_global=False, use_decoder=True)
         assert ModelConfig.from_dict(old) == ModelConfig.desk(n_global_layers=0)
-        old = dict(ModelConfig.desk().to_dict(), use_global=True, use_decoder=False)
+        old = dict(dataclasses.asdict(ModelConfig.desk()), use_global=True, use_decoder=False)
         assert ModelConfig.from_dict(old) == ModelConfig.desk(n_decoder_layers=0)
 
 
@@ -571,7 +571,7 @@ class TestPersistence:
         # a header written while the model config still carried use_global:
         # use_global=False beside n_global_layers=1 built no global stack
         direct = make_model(seed=5, n_global_layers=0)
-        header = dict(direct.config.to_dict(), use_global=False, use_decoder=True,
+        header = dict(dataclasses.asdict(direct.config), use_global=False, use_decoder=True,
                       n_global_layers=1)
         path = save_checkpoint(tmp_path / "older.ckpt", {"model": header},
                                direct.state_arrays())
@@ -586,7 +586,7 @@ class TestPersistence:
                                      {"pos_mode": "bogus"}, {"n_local_layers": 0}])
     def test_invalid_model_header_is_checkpoint_mismatch(self, tmp_path, bad):
         m = make_model(seed=5)
-        header = dict(m.config.to_dict(), **bad)
+        header = dict(dataclasses.asdict(m.config), **bad)
         path = save_checkpoint(tmp_path / "bad.ckpt", {"model": header}, m.state_arrays())
         with pytest.raises(CheckpointError, match="checkpoint model config"):
             BoxAnnotator.from_checkpoint(load_checkpoint(path))

@@ -3,7 +3,7 @@ import json
 import math
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -148,7 +148,7 @@ class TestTrainLoop:
 
     def test_seed_argument_drives_shuffle_and_augmentation(self, tiny_dataset):
         # the run's seed is the one seed: the config carries none
-        assert "seed" not in TrainConfig().to_dict()
+        assert "seed" not in asdict(TrainConfig())
         cfg = TrainConfig(batch_size=4, epochs=1)
 
         def losses(seed):
