@@ -207,6 +207,9 @@ def _boxes_from_labels(root, frame, calib):
 
 
 def cmd_eval(args):
+    if args.out and Path(args.out).suffix == ".txt":
+        raise ConfigError(f"--out {args.out}: the JSON report and the one-line row written "
+                          "beside it as <out>.txt would be the same file; name the report .json")
     pred_frames = _label_frames(args.pred)
     gt_frames = _label_frames(args.gt)
     if pred_frames != gt_frames:

@@ -20,7 +20,7 @@ from .geometry import Box2D, Box3D, ProjectionModel, box_corners, iou_3d
 from .kitti import label_from_lidar_box, write_frame, write_manifest
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
     """Generator knobs; defaults make easy, well-populated scenes."""
 

@@ -1,14 +1,21 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-A Tensor wraps an ndarray plus an optional backpropagation record. Graphs
-are built eagerly by the op functions below, one function per op; a Tensor
-adds only the arithmetic operators and indexing as sugar. ``backward``
-walks the graph once per call and accumulates into the ``.grad`` of its
-leaves (the tensors no op produced, such as parameters) until the caller
-clears it with :func:`zero_grads`. An
-intermediate never holds a gradient, so after ``backward`` a graph holds
-its activations and nothing more, and it is freed as soon as the caller
-drops its last tensor.
+A Tensor wraps an ndarray plus, for an op output, a data-free node record
+(:class:`_Node`): its parents' nodes and its backward rule. Graphs are
+built eagerly by the op functions below, one function per op; a Tensor
+adds only the arithmetic operators and indexing as sugar. Graph edges
+point at nodes, never at Tensors (a leaf, a tensor no op produced such as
+a parameter, is its own node), and a rule's closure holds only the arrays
+the rule reads: ``linear`` its input and weight, ``mul`` and ``matmul``
+their operands, ``exp``, ``tanh`` and ``log_softmax`` their output,
+``layer_norm`` x̂ and 1/σ, ``relu`` its mask, shape ops only shapes. An
+activation no rule reads (a q/k/v projection, a pre-activation MLP output,
+a residual sum) is freed as soon as the forward drops its Tensor, so a
+graph holds what its backward reads and nothing more. ``backward`` walks
+the nodes once per call and accumulates into the ``.grad`` of the leaves
+until the caller clears it with :func:`zero_grads`; an intermediate node
+never holds a gradient. No node refers to its Tensor, so a graph is freed
+by reference counting alone as soon as the caller drops its last tensor.
 
 Attention's scores, softmax and context are one op, :func:`attention_core`,
 with a hand-written backward; :func:`multi_head_attention` adds the head
@@ -42,16 +49,23 @@ from .errors import NumericError
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._grad_fn = None
+        self._node = None  # an op output's _Node; a leaf is its own node
 
     # -- introspection ----------------------------------------------------
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _grad_fn(self):
+        return None if self._node is None else self._node._grad_fn
+
     @property
     def shape(self):
         return self.data.shape
@@ -129,16 +143,45 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
-def _node(data, inputs, grad_fn):
-    """Internal: graph node over the `inputs` that require gradients."""
-    out = Tensor(data)
+class _Node:
+    """The backward record of one op output: its parents' nodes and its rule.
+
+    ``_grad_fn(g)`` maps the output's gradient to (parent node, gradient)
+    pairs. The rule's closure holds the parents' nodes and the arrays the
+    rule reads, never the output Tensor nor its parents' Tensors, so an
+    array no rule reads is freed once the forward drops its Tensor.
+    ``grad`` stays None under :func:`backward`; a sweep that keeps
+    intermediate gradients may write it.
+    """
+
+    __slots__ = ("_parents", "_grad_fn", "grad")
+
+    def __init__(self, parents, grad_fn):
+        self._parents = parents
+        self._grad_fn = grad_fn
+        self.grad = None
+
+
+def _graph_nodes(*tensors):
+    """Internal: the node each tensor's gradient flows to, None for a tensor
+    that takes none (all of them inside :func:`no_grad`). An op output's
+    node is its _Node record; a leaf that requires gradients is its own."""
     if not _grad_enabled.get():
-        return out
-    parents = tuple(t for t in inputs if t.requires_grad)
+        return (None,) * len(tensors)
+    return tuple([t._node if t._node is not None else t if t.requires_grad else None
+                  for t in tensors])
+
+
+def _record(data, grad_fn, *parents):
+    """Internal: an op's output over `data`, with a node over the parent
+    nodes that are not None."""
+    out = Tensor(data)
+    if None in parents:  # all None inside no_grad: skip the filter
+        parents = (tuple([p for p in parents if p is not None])
+                   if parents.count(None) < len(parents) else ())
     if parents:
         out.requires_grad = True
-        out._parents = parents
-        out._grad_fn = grad_fn
+        out._node = _Node(parents, grad_fn)
     return out
 
 
@@ -162,149 +205,169 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
+    na, nb = _graph_nodes(a, b)
+    sa, sb = a.data.shape, b.data.shape
 
     def grad_fn(g):
         out = []
-        if a.requires_grad:
-            out.append((a, _unbroadcast(g, a.data.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(g, b.data.shape)))
+        if na is not None:
+            out.append((na, _unbroadcast(g, sa)))
+        if nb is not None:
+            out.append((nb, _unbroadcast(g, sb)))
         return out
 
-    return _node(a.data + b.data, (a, b), grad_fn)
+    return _record(a.data + b.data, grad_fn, na, nb)
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
+    na, nb = _graph_nodes(a, b)
+    sa, sb = a.data.shape, b.data.shape
 
     def grad_fn(g):
         out = []
-        if a.requires_grad:
-            out.append((a, _unbroadcast(g, a.data.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(-g, b.data.shape)))
+        if na is not None:
+            out.append((na, _unbroadcast(g, sa)))
+        if nb is not None:
+            out.append((nb, _unbroadcast(-g, sb)))
         return out
 
-    return _node(a.data - b.data, (a, b), grad_fn)
+    return _record(a.data - b.data, grad_fn, na, nb)
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
+    na, nb = _graph_nodes(a, b)
+    x, y = a.data, b.data
 
     def grad_fn(g):
         out = []
-        if a.requires_grad:
-            out.append((a, _unbroadcast(g * b.data, a.data.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(g * a.data, b.data.shape)))
+        if na is not None:
+            out.append((na, _unbroadcast(g * y, x.shape)))
+        if nb is not None:
+            out.append((nb, _unbroadcast(g * x, y.shape)))
         return out
 
-    return _node(a.data * b.data, (a, b), grad_fn)
+    return _record(x * y, grad_fn, na, nb)
 
 
 def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
+    na, nb = _graph_nodes(a, b)
+    x, y = a.data, b.data
 
     def grad_fn(g):
         out = []
-        if a.requires_grad:
-            out.append((a, _unbroadcast(g / b.data, a.data.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
+        if na is not None:
+            out.append((na, _unbroadcast(g / y, x.shape)))
+        if nb is not None:
+            out.append((nb, _unbroadcast(-g * x / (y * y), y.shape)))
         return out
 
-    return _node(a.data / b.data, (a, b), grad_fn)
+    return _record(x / y, grad_fn, na, nb)
 
 
 def power(a, exponent):
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
+    x = a.data
     e = float(exponent)
-    out_data = a.data**e
 
     def grad_fn(g):
-        return [(a, g * e * a.data ** (e - 1.0))]
+        return [(na, g * e * x ** (e - 1.0))]
 
-    return _node(out_data, (a,), grad_fn)
+    return _record(x**e, grad_fn, na)
 
 
 def exp(a):
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
     out_data = np.exp(a.data)
 
     def grad_fn(g):
-        return [(a, g * out_data)]
+        return [(na, g * out_data)]
 
-    return _node(out_data, (a,), grad_fn)
+    return _record(out_data, grad_fn, na)
 
 
 def cos(a):
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
+    x = a.data
 
     def grad_fn(g):
-        return [(a, -g * np.sin(a.data))]
+        return [(na, -g * np.sin(x))]
 
-    return _node(np.cos(a.data), (a,), grad_fn)
+    return _record(np.cos(x), grad_fn, na)
 
 
 def sin(a):
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
+    x = a.data
 
     def grad_fn(g):
-        return [(a, g * np.cos(a.data))]
+        return [(na, g * np.cos(x))]
 
-    return _node(np.sin(a.data), (a,), grad_fn)
+    return _record(np.sin(x), grad_fn, na)
 
 
 def tanh(a):
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
     out_data = np.tanh(a.data)
 
     def grad_fn(g):
-        return [(a, g * (1.0 - out_data * out_data))]
+        return [(na, g * (1.0 - out_data * out_data))]
 
-    return _node(out_data, (a,), grad_fn)
+    return _record(out_data, grad_fn, na)
 
 
 def maximum(a, b):
     """Elementwise max; ties route the gradient to the first argument."""
     a, b = as_tensor(a), as_tensor(b)
+    na, nb = _graph_nodes(a, b)
+    sa, sb = a.data.shape, b.data.shape
     take_a = a.data >= b.data
 
     def grad_fn(g):
         out = []
-        if a.requires_grad:
-            out.append((a, _unbroadcast(g * take_a, a.data.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(g * ~take_a, b.data.shape)))
+        if na is not None:
+            out.append((na, _unbroadcast(g * take_a, sa)))
+        if nb is not None:
+            out.append((nb, _unbroadcast(g * ~take_a, sb)))
         return out
 
-    return _node(np.maximum(a.data, b.data), (a, b), grad_fn)
+    return _record(np.maximum(a.data, b.data), grad_fn, na, nb)
 
 
 def minimum(a, b):
     """Elementwise min; ties route the gradient to the first argument."""
     a, b = as_tensor(a), as_tensor(b)
+    na, nb = _graph_nodes(a, b)
+    sa, sb = a.data.shape, b.data.shape
     take_a = a.data <= b.data
 
     def grad_fn(g):
         out = []
-        if a.requires_grad:
-            out.append((a, _unbroadcast(g * take_a, a.data.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(g * ~take_a, b.data.shape)))
+        if na is not None:
+            out.append((na, _unbroadcast(g * take_a, sa)))
+        if nb is not None:
+            out.append((nb, _unbroadcast(g * ~take_a, sb)))
         return out
 
-    return _node(np.minimum(a.data, b.data), (a, b), grad_fn)
+    return _record(np.minimum(a.data, b.data), grad_fn, na, nb)
 
 
 def relu(a):
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
     mask = a.data > 0
 
     def grad_fn(g):
-        return [(a, g * mask)]
+        return [(na, g * mask)]
 
-    return _node(a.data * mask, (a,), grad_fn)
+    return _record(a.data * mask, grad_fn, na)
 
 
 LEAKY_SLOPE = 0.01  # slope of the head MLPs' activation below zero
@@ -312,12 +375,13 @@ LEAKY_SLOPE = 0.01  # slope of the head MLPs' activation below zero
 
 def leaky_relu(a):
     a = as_tensor(a)
-    factor = np.where(a.data > 0, 1.0, LEAKY_SLOPE)
+    (na,) = _graph_nodes(a)
+    mask = a.data > 0
 
     def grad_fn(g):
-        return [(a, g * factor)]
+        return [(na, g * np.where(mask, 1.0, LEAKY_SLOPE))]
 
-    return _node(a.data * factor, (a,), grad_fn)
+    return _record(a.data * np.where(mask, 1.0, LEAKY_SLOPE), grad_fn, na)
 
 
 # ---------------------------------------------------------------------------
@@ -327,61 +391,66 @@ def leaky_relu(a):
 
 def reshape(a, shape):
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
     orig = a.data.shape
 
     def grad_fn(g):
-        return [(a, g.reshape(orig))]
+        return [(na, g.reshape(orig))]
 
-    return _node(a.data.reshape(shape), (a,), grad_fn)
+    return _record(a.data.reshape(shape), grad_fn, na)
 
 
 def swapaxes(a, ax0, ax1):
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
 
     def grad_fn(g):
-        return [(a, g.swapaxes(ax0, ax1))]
+        return [(na, g.swapaxes(ax0, ax1))]
 
-    return _node(a.data.swapaxes(ax0, ax1).copy(), (a,), grad_fn)
+    return _record(a.data.swapaxes(ax0, ax1).copy(), grad_fn, na)
 
 
 def broadcast_to(a, shape):
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
     orig = a.data.shape
 
     def grad_fn(g):
-        return [(a, _unbroadcast(g, orig))]
+        return [(na, _unbroadcast(g, orig))]
 
-    return _node(np.broadcast_to(a.data, shape).copy(), (a,), grad_fn)
+    return _record(np.broadcast_to(a.data, shape).copy(), grad_fn, na)
 
 
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
+    nodes = _graph_nodes(*tensors)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
     def grad_fn(g):
         out = []
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if node is not None:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
-                out.append((t, g[tuple(sl)]))
+                out.append((node, g[tuple(sl)]))
         return out
 
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), grad_fn)
+    return _record(np.concatenate([t.data for t in tensors], axis=axis), grad_fn, *nodes)
 
 
 def getitem(a, idx):
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
     shape = a.data.shape
 
     def grad_fn(g):
         buf = np.zeros(shape)
         np.add.at(buf, idx, g)
-        return [(a, buf)]
+        return [(na, buf)]
 
     out = a.data[idx]
-    return _node(out.copy() if isinstance(out, np.ndarray) else out, (a,), grad_fn)
+    return _record(out.copy() if isinstance(out, np.ndarray) else out, grad_fn, na)
 
 
 def permute(a, perm):
@@ -396,11 +465,12 @@ def permute(a, perm):
     if not np.array_equal(np.sort(perm), np.arange(a.shape[0])):
         raise NumericError(f"not a permutation of {a.shape[0]} rows: {perm.tolist()}")
     inverse = np.argsort(perm)
+    (na,) = _graph_nodes(a)
 
     def grad_fn(g):
-        return [(a, g[inverse])]
+        return [(na, g[inverse])]
 
-    return _node(a.data[perm], (a,), grad_fn)
+    return _record(a.data[perm], grad_fn, na)
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +480,16 @@ def permute(a, perm):
 
 def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
     shape = a.data.shape
 
     def grad_fn(g):
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        return [(a, np.broadcast_to(gg, shape))]
+        return [(na, np.broadcast_to(gg, shape))]
 
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), grad_fn)
+    return _record(a.data.sum(axis=axis, keepdims=keepdims), grad_fn, na)
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -430,14 +501,16 @@ def tmean(a, axis=None, keepdims=False):
 def _select_along(a, axis, keepdims, reduce, arg):
     """Reduce one axis by picking an entry; the gradient goes to that entry."""
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
+    x = a.data
 
     def grad_fn(g):
-        buf = np.zeros(a.data.shape)
-        picked = np.expand_dims(arg(a.data, axis=axis), axis)
+        buf = np.zeros(x.shape)
+        picked = np.expand_dims(arg(x, axis=axis), axis)
         np.put_along_axis(buf, picked, g if keepdims else np.expand_dims(g, axis), axis)
-        return [(a, buf)]
+        return [(na, buf)]
 
-    return _node(reduce(a.data, axis=axis, keepdims=keepdims), (a,), grad_fn)
+    return _record(reduce(x, axis=axis, keepdims=keepdims), grad_fn, na)
 
 
 def amax(a, axis, keepdims=False):
@@ -464,16 +537,18 @@ def matmul(a, b):
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError as err:
         raise NumericError(f"matmul batch extents disagree: {a.shape} x {b.shape}") from err
+    na, nb = _graph_nodes(a, b)
+    x, y = a.data, b.data
 
     def grad_fn(g):
         out = []
-        if a.requires_grad:
-            out.append((a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)))
+        if na is not None:
+            out.append((na, _unbroadcast(g @ y.swapaxes(-1, -2), x.shape)))
+        if nb is not None:
+            out.append((nb, _unbroadcast(x.swapaxes(-1, -2) @ g, y.shape)))
         return out
 
-    return _node(a.data @ b.data, (a, b), grad_fn)
+    return _record(x @ y, grad_fn, na, nb)
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +559,15 @@ def matmul(a, b):
 def log_softmax(a):
     """Log-softmax over the last axis."""
     a = as_tensor(a)
+    (na,) = _graph_nodes(a)
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - lse
 
     def grad_fn(g):
-        return [(a, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))]
+        return [(na, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))]
 
-    return _node(out_data, (a,), grad_fn)
+    return _record(out_data, grad_fn, na)
 
 
 # Largest score bound under which a slab's scores are exponentiated unshifted.
@@ -561,6 +637,8 @@ def attention_core(Q, K, V, scale, capture=False):
     with the core that held ``e`` bit for bit.
     """
     Q, K, V = as_tensor(Q), as_tensor(K), as_tensor(V)
+    nq, nk, nv = _graph_nodes(Q, K, V)
+    shapes = Q.data.shape, K.data.shape, V.data.shape
     *lead, Lq, dh = Q.shape
     Lk = K.shape[-2]
     n = math.prod(lead)
@@ -587,9 +665,9 @@ def attention_core(Q, K, V, scale, capture=False):
 
     def grad_fn(g):
         g = g.reshape(n, Lq, dh)
-        gq = np.empty((n, Lq, dh)) if Q.requires_grad else None
-        gk = np.empty((n, Lk, dh)) if K.requires_grad else None
-        gv = np.empty((n, Lk, dh)) if V.requires_grad else None
+        gq = np.empty((n, Lq, dh)) if nq is not None else None
+        gk = np.empty((n, Lk, dh)) if nk is not None else None
+        gv = np.empty((n, Lk, dh)) if nv is not None else None
         for b in blocks:
             e = _block_weights(qs[b], kt[b], shifted[b])
             gr = g[b] * r[b]
@@ -603,17 +681,18 @@ def attention_core(Q, K, V, scale, capture=False):
                 np.matmul(gs, k[b], out=gq[b])
             if gk is not None:
                 np.matmul(gs.swapaxes(-1, -2), qs[b], out=gk[b])
+        q_shape, k_shape, v_shape = shapes
         out = []
         if gv is not None:
-            out.append((V, gv.reshape(V.shape)))
+            out.append((nv, gv.reshape(v_shape)))
         if gq is not None:
             gq *= scale
-            out.append((Q, gq.reshape(Q.shape)))
+            out.append((nq, gq.reshape(q_shape)))
         if gk is not None:
-            out.append((K, gk.reshape(K.shape)))
+            out.append((nk, gk.reshape(k_shape)))
         return out
 
-    out = _node(ctx.reshape(Q.shape), (Q, K, V), grad_fn)
+    out = _record(ctx.reshape(Q.shape), grad_fn, nq, nk, nv)
     return out, None if weights is None else Tensor(weights.reshape(*lead, Lq, Lk))
 
 
@@ -628,21 +707,23 @@ def linear(x, weight, bias):
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if weight.ndim != 2 or x.shape[-1:] != weight.shape[:1]:
         raise NumericError(f"linear extents disagree: {x.shape} x {weight.shape}")
-    out_data = x.data @ weight.data
+    nx, nw, nb = _graph_nodes(x, weight, bias)
+    xd, wd, bias_shape = x.data, weight.data, bias.data.shape
+    out_data = xd @ wd
     out_data += bias.data
 
     def grad_fn(g):
         out = []
-        if x.requires_grad:
-            out.append((x, g @ weight.data.T))
-        if weight.requires_grad:
-            k, n = weight.shape
-            out.append((weight, x.data.reshape(-1, k).T @ g.reshape(-1, n)))
-        if bias.requires_grad:
-            out.append((bias, _unbroadcast(g, bias.data.shape)))
+        if nx is not None:
+            out.append((nx, g @ wd.T))
+        if nw is not None:
+            k, n = wd.shape
+            out.append((nw, xd.reshape(-1, k).T @ g.reshape(-1, n)))
+        if nb is not None:
+            out.append((nb, _unbroadcast(g, bias_shape)))
         return out
 
-    return _node(out_data, (x, weight, bias), grad_fn)
+    return _record(out_data, grad_fn, nx, nw, nb)
 
 
 LAYER_NORM_EPS = 1e-12  # see layer_norm's docstring
@@ -661,28 +742,30 @@ def layer_norm(x, gain, bias):
     normalized variance within ~1e-12 of 1 for any non-degenerate input.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    nx, ng, nb = _graph_nodes(x, gain, bias)
+    gd, gain_shape, bias_shape = gain.data, gain.data.shape, bias.data.shape
     n = x.shape[-1]
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
     inv = (var + LAYER_NORM_EPS) ** -0.5
     xhat = centered * inv
-    out_data = xhat * gain.data
+    out_data = xhat * gd
     out_data += bias.data
 
     def grad_fn(g):
         out = []
-        if x.requires_grad:
-            gx = g * gain.data
+        if nx is not None:
+            gx = g * gd
             gx -= gx.mean(axis=-1, keepdims=True) + xhat * (gx * xhat).mean(axis=-1, keepdims=True)
             gx *= inv
-            out.append((x, gx))
-        if gain.requires_grad:
-            out.append((gain, _unbroadcast(g * xhat, gain.data.shape)))
-        if bias.requires_grad:
-            out.append((bias, _unbroadcast(g, bias.data.shape)))
+            out.append((nx, gx))
+        if ng is not None:
+            out.append((ng, _unbroadcast(g * xhat, gain_shape)))
+        if nb is not None:
+            out.append((nb, _unbroadcast(g, bias_shape)))
         return out
 
-    return _node(out_data, (x, gain, bias), grad_fn)
+    return _record(out_data, grad_fn, nx, ng, nb)
 
 
 def multi_head_attention(q, k, v, heads, params, capture=False):
@@ -775,8 +858,9 @@ def backward(loss):
     loss = as_tensor(loss)
     if loss.data.size != 1:
         raise NumericError(f"backward needs a scalar, got shape {loss.shape}")
-    pending = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(_toposort(loss)):
+    root = loss if loss._node is None else loss._node
+    pending = {id(root): np.ones_like(loss.data)}
+    for node in reversed(_toposort(root)):
         g = pending.pop(id(node), None)
         if g is None:
             continue

@@ -35,7 +35,7 @@ class NonFiniteLoss(NumericError):
     """A training step produced a non-finite objective."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 8
     epochs: int = 40

@@ -199,15 +199,16 @@ def softmax(a, axis=-1):
     from frustumbox import tensor as T
 
     a = T.as_tensor(a)
+    (na,) = T._graph_nodes(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
 
     def grad_fn(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return [(a, out_data * (g - dot))]
+        return [(na, out_data * (g - dot))]
 
-    return T._node(out_data, (a,), grad_fn)
+    return T._record(out_data, grad_fn, na)
 
 
 def attention_core_composed(Q, K, V, scale):
@@ -229,6 +230,7 @@ def attention_core_held(Q, K, V, scale, capture=False):
     from frustumbox import tensor as T
 
     Q, K, V = T.as_tensor(Q), T.as_tensor(K), T.as_tensor(V)
+    nq, nk, nv = T._graph_nodes(Q, K, V)
     qs = Q.data * scale
     kt = K.data.swapaxes(-1, -2).copy()
     e = qs @ kt
@@ -246,21 +248,21 @@ def attention_core_held(Q, K, V, scale, capture=False):
     def grad_fn(g):
         out = []
         gr = g * r
-        if V.requires_grad:
-            out.append((V, e.swapaxes(-1, -2) @ gr))
+        if nv is not None:
+            out.append((nv, e.swapaxes(-1, -2) @ gr))
         d = (gr * ctx).sum(axis=-1, keepdims=True)
         gs = gr @ V.data.swapaxes(-1, -2)
         gs -= d
         gs *= e
-        if Q.requires_grad:
+        if nq is not None:
             gq = gs @ K.data
             gq *= scale
-            out.append((Q, gq))
-        if K.requires_grad:
-            out.append((K, gs.swapaxes(-1, -2) @ qs))
+            out.append((nq, gq))
+        if nk is not None:
+            out.append((nk, gs.swapaxes(-1, -2) @ qs))
         return out
 
-    return T._node(ctx, (Q, K, V), grad_fn), weights
+    return T._record(ctx, grad_fn, nq, nk, nv), weights
 
 
 def linear_composed(x, weight, bias):

@@ -469,6 +469,15 @@ class TestAnnotateAndEval:
         assert report["recall07"] == 1.0
         assert report["ap11"] == 1.0 and report["ap40"] == 1.0
 
+    def test_eval_txt_out_is_config_error(self, dataset, tmp_path, capsys):
+        # the row's .txt twin of a .txt report is the report itself
+        out = tmp_path / "reports" / "report.txt"
+        code = run(["eval", "--pred", dataset, "--gt", dataset, "--out", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error category=config" in captured.err and "same file" in captured.err
+        assert "report:" not in captured.out and not out.parent.exists()
+
     def test_eval_disjoint_dirs_frame_mismatch(self, dataset, tmp_path, capsys):
         other = tmp_path / "other"
         assert run(["synth", "--out", other, "--seed", "9", "n_scenes=2",

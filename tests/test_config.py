@@ -1,4 +1,4 @@
-from dataclasses import fields, is_dataclass
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 
 import pytest
 
@@ -96,6 +96,14 @@ class TestBuild:
         # d not divisible by heads is rejected at construction
         with pytest.raises(ConfigError, match="embed width 30 not divisible by 8 heads"):
             build_run_config({"model.d": "30"})
+
+    @pytest.mark.parametrize("section, key, value", [("scene", "occlusion", 5.0),
+                                                     ("train", "checkpoint_every", -1)])
+    def test_sections_frozen_once_validated(self, section, key, value):
+        # __post_init__ is the only validation, so a field set afterwards must fail
+        cfg = getattr(build_run_config({}), section)
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, key, value)
 
 
 class TestResolvedText:
