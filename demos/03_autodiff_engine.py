@@ -35,9 +35,11 @@ params = {
 params.update({name: Tensor(np.zeros(d), requires_grad=True)
                for name in ("bq", "bk", "bv", "bo")})
 seq = Tensor(rng.normal(size=(1, 5, d)), requires_grad=True)
-out, weights = T.multi_head_attention(seq, seq, seq, heads, params, capture=True)
+out = T.multi_head_attention(seq, seq, seq, heads, params)
+# the weights it applied, rebuilt from the queries and keys alone, outside the graph
+weights = T.attention_weights(seq, seq, heads, params)
 print(f"\nattention weights shape {weights.shape}, rows sum to "
-      f"{weights.data.sum(-1).round(12).max()}")
+      f"{weights.sum(-1).round(12).max()}")
 
 probe = Tensor(rng.normal(size=out.shape))
 backward(T.tsum(out * probe))
@@ -45,9 +47,9 @@ analytic = seq.grad[0, 2, 3]
 h = 1e-6
 bumped = seq.data.copy()
 bumped[0, 2, 3] += h
-hi, _ = T.multi_head_attention(Tensor(bumped), Tensor(bumped), Tensor(bumped), heads, params)
+hi = T.multi_head_attention(Tensor(bumped), Tensor(bumped), Tensor(bumped), heads, params)
 bumped[0, 2, 3] -= 2 * h
-lo, _ = T.multi_head_attention(Tensor(bumped), Tensor(bumped), Tensor(bumped), heads, params)
+lo = T.multi_head_attention(Tensor(bumped), Tensor(bumped), Tensor(bumped), heads, params)
 numeric = ((hi.data - lo.data) * probe.data).sum() / (2 * h)
 print(f"attention gradient: analytic {analytic:.8f} vs finite-diff {numeric:.8f}")
 

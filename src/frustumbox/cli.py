@@ -30,14 +30,14 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .config import load_run_config, resolved_text
 from .errors import CATEGORIES, ConfigError, DataError
-from .evaluate import ablation_config, evaluate_boxes, object_table, run_ablation
+from .evaluate import ABLATION_TOGGLES, ablation_config, evaluate_boxes, object_table, run_ablation
 from .frustums import (
     build_dataset_samples,
     build_frustum_sample,  # noqa: F401 - looked up on this module by perfbench/tracing.py
     filter_samples,
     frame_samples,
 )
-from .gradcheck import model_gradient_check
+from .gradcheck import DEFAULT_STEP, model_gradient_check
 from .geometry import Box3D
 from .inference import forward_chunks, object_key, predict_samples, prediction_record
 from .kitti import (
@@ -70,14 +70,13 @@ def _resolve_config(args):
     return load_run_config(getattr(args, "config", None), overrides)
 
 
-def _log_config(cfg, out_dir=None):
+def _log_config(cfg, out_dir):
     text = resolved_text(cfg)
     print("resolved configuration:")
     print(text, end="")
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "resolved_config.txt").write_text(text)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "resolved_config.txt").write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +195,16 @@ def _label_frames(root):
 
 
 def _boxes_from_labels(root, frame, calib):
-    """{object key: (sensor-frame box, score)} of a label file's care rows
-    with 3D extents."""
+    """({object key: (sensor-frame box, score)} of a label file's care rows
+    with 3D extents, {object key} of its care rows without them)."""
     rows = parse_kitti_label((Path(root) / "label_2" / f"{frame}.txt").read_text())
-    return object_table(
+    rows = [rec for rec in rows if rec.is_care]
+    boxes = object_table(
         ((object_key(frame, rec.box2d), scored_box_from_label(rec, calib))
-         for rec in rows if rec.is_care and rec.has_box3d),
+         for rec in rows if rec.has_box3d),
         root,
     )
+    return boxes, {object_key(frame, rec.box2d) for rec in rows if not rec.has_box3d}
 
 
 def cmd_eval(args):
@@ -221,9 +222,11 @@ def cmd_eval(args):
         calib = parse_kitti_calib(
             (Path(args.gt) / "calib" / f"{frame}.txt").read_text()
         )
-        preds.update(_boxes_from_labels(args.pred, frame, calib))
-        gts.update((key, box) for key, (box, _)
-                   in _boxes_from_labels(args.gt, frame, calib).items())
+        frame_preds, _ = _boxes_from_labels(args.pred, frame, calib)
+        frame_gts, unscored = _boxes_from_labels(args.gt, frame, calib)
+        # a reference row without 3D extents has no box to score a prediction against
+        preds.update((key, p) for key, p in frame_preds.items() if key not in unscored)
+        gts.update((key, box) for key, (box, _) in frame_gts.items())
     report = evaluate_boxes(preds, gts)
     print(report.format_row())
     if args.out:
@@ -387,7 +390,7 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="train")
-    p.add_argument("--ablation", choices=["A", "B", "C", "D", "full"])
+    p.add_argument("--ablation", choices=list(ABLATION_TOGGLES))
     p.add_argument("--resume", help="checkpoint to continue from")
     common(p)
     p.set_defaults(func=cmd_train)
@@ -409,7 +412,7 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference backward check")
     p.add_argument("--batch", type=int, default=4)
     p.add_argument("--probes", type=int, default=2)
-    p.add_argument("--step", type=float, default=1e-4)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
     common(p)
     p.set_defaults(func=cmd_gradcheck)
 

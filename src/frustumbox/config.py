@@ -103,7 +103,7 @@ def build_run_config(pairs=None, overrides=()):
                                   for name, section_values in values.items()})
 
 
-def load_run_config(path=None, overrides=()):
+def load_run_config(path, overrides):
     pairs = {}
     if path is not None:
         with open(path) as fh:

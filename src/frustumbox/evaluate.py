@@ -106,14 +106,13 @@ def _interpolated_ap(scored, recall_points):
     return total / len(recall_points)
 
 
-def compute_ap(scored, mode=11, threshold=None):
+def compute_ap(scored, mode, threshold=DEFAULT_IOU_THRESHOLD):
     """Interpolated average precision at 11 or 40 recall positions.
 
     scored entries are (score, iou, tiebreak_id); a prediction counts as a
     match when its IoU meets the threshold (inclusive).
     """
-    thr = DEFAULT_IOU_THRESHOLD if threshold is None else threshold
-    matches = [(s, iou >= thr, oid) for s, iou, oid in scored]
+    matches = [(s, iou >= threshold, oid) for s, iou, oid in scored]
     if mode == 11:
         points = [k / 10.0 for k in range(11)]
     elif mode == 40:
@@ -215,7 +214,7 @@ def evaluate_model(model, samples, batch_size):
 
 
 def run_ablation(train_samples, eval_samples, base_config, train_config, seeds,
-                 variants=("A", "B", "C", "D", "full"), log=None):
+                 variants=tuple(ABLATION_TOGGLES), log=None):
     """Train each toggle configuration identically and report mean/spread.
 
     Every (variant, seed) run uses a fresh model initialized from that seed

@@ -68,8 +68,8 @@ def _loss_value(model, points, gt_boxes, lambda_box):
         return total_loss(out.boxes, out.direction_logits, gt_boxes, lambda_box).total.item()
 
 
-def model_gradient_check(model, points, gt_boxes, lambda_box, probes=2,
-                         step=DEFAULT_STEP, seed=0):
+def model_gradient_check(model, points, gt_boxes, lambda_box, probes, seed,
+                         step=DEFAULT_STEP):
     """Directional finite-difference check over every parameter of the
     training objective weighted by ``lambda_box`` (the run's
     ``TrainConfig.lambda_box``).

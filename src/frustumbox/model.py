@@ -119,10 +119,9 @@ class AttentionExport:
 class BoxAnnotator:
     """Frustum sub-clouds in, 3D box rows and direction logits out."""
 
-    def __init__(self, config: ModelConfig, rng=None):
+    def __init__(self, config: ModelConfig, rng):
         self.config = config
         self.params: dict[str, Parameter] = {}
-        rng = rng if rng is not None else np.random.default_rng(0)
         self._build(rng)
 
     # -- parameter construction -------------------------------------------
@@ -217,10 +216,8 @@ class BoxAnnotator:
         """
         h = self._layer_norm(x, f"{prefix}.ln1")
         q, x = (h, x) if rows is None else (h[:, :rows], x[:, :rows])
-        attn_out, _ = T.multi_head_attention(
-            q, h, h, self.config.heads, self._attn_params(f"{prefix}.attn")
-        )
-        x = x + attn_out
+        x = x + T.multi_head_attention(q, h, h, self.config.heads,
+                                       self._attn_params(f"{prefix}.attn"))
         h = self._layer_norm(x, f"{prefix}.ln2")
         return x + self._linear(T.relu(self._linear(h, f"{prefix}.mlp.l1")), f"{prefix}.mlp.l2")
 
@@ -286,7 +283,7 @@ class BoxAnnotator:
         recompute-for-memory trade of Chen et al., arXiv:1604.06174): one
         graph-free pass builds the layer's input with the forward's own ops
         (embedding, positional encoding, box tokens, the layers before it
-        on all rows), then only this layer's weights.
+        on all rows), then this layer's weights from its Q and K alone.
         """
         n = self.config.n_local_layers
         if not -n <= layer < n:
@@ -298,10 +295,8 @@ class BoxAnnotator:
             for i in range(layer):
                 x = self._encoder_layer(x, f"local.{i}")
             h = self._layer_norm(x, f"local.{layer}.ln1")
-            _, weights = T.multi_head_attention(
-                h, h, h, self.config.heads, self._attn_params(f"local.{layer}.attn"), True
-            )
-        return weights.data
+            return T.attention_weights(h, h, self.config.heads,
+                                       self._attn_params(f"local.{layer}.attn"))
 
     def forward_global(self, features):
         """Cross-object encoder: attends along the batch axis per position.
@@ -333,11 +328,10 @@ class BoxAnnotator:
         heads = self.config.heads
         for i in range(self.config.n_decoder_layers):
             h = self._layer_norm(q, f"dec.{i}.ln1")
-            sa, _ = T.multi_head_attention(h, h, h, heads, self._attn_params(f"dec.{i}.self"))
-            q = q + sa
+            q = q + T.multi_head_attention(h, h, h, heads, self._attn_params(f"dec.{i}.self"))
             h = self._layer_norm(q, f"dec.{i}.ln2")
-            ca, _ = T.multi_head_attention(h, mem, mem, heads, self._attn_params(f"dec.{i}.cross"))
-            q = q + ca
+            q = q + T.multi_head_attention(h, mem, mem, heads,
+                                           self._attn_params(f"dec.{i}.cross"))
             h = self._layer_norm(q, f"dec.{i}.ln3")
             q = q + self._linear(T.relu(self._linear(h, f"dec.{i}.mlp.l1")), f"dec.{i}.mlp.l2")
         return q

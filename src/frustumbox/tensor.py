@@ -19,7 +19,8 @@ by reference counting alone as soon as the caller drops its last tensor.
 
 Attention's scores, softmax and context are one op, :func:`attention_core`,
 with a hand-written backward; :func:`multi_head_attention` adds the head
-projections around it. The core shifts a slab's scores by their row max only
+projections around it, and :func:`attention_weights` rebuilds its weights,
+graph-free, from Q and K. The core shifts a slab's scores by their row max
 where a bound on the slab's scores, read from its (L, dh) operands, exceeds
 :data:`EXP_SAFE_SCORE`; below it ``exp`` of the raw scores stays inside
 float64's normal range, and the shift would only cost two passes over the
@@ -421,7 +422,7 @@ def broadcast_to(a, shape):
     return _record(np.broadcast_to(a.data, shape).copy(), grad_fn, na)
 
 
-def concat(tensors, axis=0):
+def concat(tensors, axis):
     tensors = [as_tensor(t) for t in tensors]
     nodes = _graph_nodes(*tensors)
     sizes = [t.data.shape[axis] for t in tensors]
@@ -601,12 +602,25 @@ def _block_weights(qs, kt, shifted):
     return e
 
 
-def attention_core(Q, K, V, scale, capture=False):
+def _slabs(q, k, scale):
+    """The (..., Lq, dh) queries scaled and the (..., Lk, dh) keys flattened
+    to (n, L, dh) slabs, with a contiguous Kᵀ (its product runs ~25% faster
+    than the transposed view's), each slab's shift decision (n,) and the
+    blocks of whole slabs, at least one, that fit ATTENTION_BLOCK_BYTES."""
+    *lead, Lq, dh = q.shape
+    n, Lk = math.prod(lead), k.shape[-2]
+    qs = (q * scale).reshape(n, Lq, dh)
+    k = k.reshape(n, Lk, dh)
+    shifted = dh * _abs_max(qs) * _abs_max(k) > EXP_SAFE_SCORE
+    step = max(1, ATTENTION_BLOCK_BYTES // (8 * Lq * Lk))
+    blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    return qs, k, k.swapaxes(-1, -2).copy(), shifted, blocks
+
+
+def attention_core(Q, K, V, scale):
     """Scaled dot-product attention as one node: ``softmax(Q Kᵀ·scale) V``.
 
-    Q: (..., Lq, dh), K and V: (..., Lk, dh). Returns (context (..., Lq, dh),
-    weights). The weights (..., Lq, Lk) are built only when ``capture`` is
-    set, as a plain Tensor outside the graph; otherwise they are None.
+    Q: (..., Lq, dh), K and V: (..., Lk, dh); returns the context (..., Lq, dh).
 
     The scale is folded into Q, and the softmax's normalization is applied
     to the context (the deferred normalization of online softmax, Milakov &
@@ -638,36 +652,23 @@ def attention_core(Q, K, V, scale, capture=False):
     """
     Q, K, V = as_tensor(Q), as_tensor(K), as_tensor(V)
     nq, nk, nv = _graph_nodes(Q, K, V)
-    shapes = Q.data.shape, K.data.shape, V.data.shape
-    *lead, Lq, dh = Q.shape
-    Lk = K.shape[-2]
-    n = math.prod(lead)
-    qs = (Q.data * scale).reshape(n, Lq, dh)
-    k = K.data.reshape(n, Lk, dh)
-    v = V.data.reshape(n, Lk, dh)
-    # a contiguous Kᵀ runs the product ~25% faster than the transposed view
-    kt = k.swapaxes(-1, -2).copy()
-    shifted = dh * _abs_max(qs) * _abs_max(k) > EXP_SAFE_SCORE
-    step = max(1, ATTENTION_BLOCK_BYTES // (8 * Lq * Lk))
-    blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    q_shape, k_shape, v_shape = Q.data.shape, K.data.shape, V.data.shape
+    qs, k, kt, shifted, blocks = _slabs(Q.data, K.data, scale)
+    n, Lq, dh = qs.shape
+    v = V.data.reshape(k.shape)
     r = np.empty((n, Lq, 1))
     ctx = np.empty((n, Lq, dh))
-    weights = np.empty((n, Lq, Lk)) if capture else None
     for b in blocks:
         e = _block_weights(qs[b], kt[b], shifted[b])
-        total = e.sum(axis=-1, keepdims=True)
-        np.divide(1.0, total, out=r[b])
+        np.divide(1.0, e.sum(axis=-1, keepdims=True), out=r[b])
         np.matmul(e, v[b], out=ctx[b])
         ctx[b] *= r[b]
-        if capture:
-            # dividing keeps a one-key row exactly 1.0, where e·(1/e) may miss by an ulp
-            np.divide(e, total, out=weights[b])
 
     def grad_fn(g):
         g = g.reshape(n, Lq, dh)
-        gq = np.empty((n, Lq, dh)) if nq is not None else None
-        gk = np.empty((n, Lk, dh)) if nk is not None else None
-        gv = np.empty((n, Lk, dh)) if nv is not None else None
+        gq = np.empty(qs.shape) if nq is not None else None
+        gk = np.empty(k.shape) if nk is not None else None
+        gv = np.empty(k.shape) if nv is not None else None
         for b in blocks:
             e = _block_weights(qs[b], kt[b], shifted[b])
             gr = g[b] * r[b]
@@ -681,7 +682,6 @@ def attention_core(Q, K, V, scale, capture=False):
                 np.matmul(gs, k[b], out=gq[b])
             if gk is not None:
                 np.matmul(gs.swapaxes(-1, -2), qs[b], out=gk[b])
-        q_shape, k_shape, v_shape = shapes
         out = []
         if gv is not None:
             out.append((nv, gv.reshape(v_shape)))
@@ -692,8 +692,7 @@ def attention_core(Q, K, V, scale, capture=False):
             out.append((nk, gk.reshape(k_shape)))
         return out
 
-    out = _record(ctx.reshape(Q.shape), grad_fn, nq, nk, nv)
-    return out, None if weights is None else Tensor(weights.reshape(*lead, Lq, Lk))
+    return _record(ctx.reshape(Q.shape), grad_fn, nq, nk, nv)
 
 
 def linear(x, weight, bias):
@@ -768,16 +767,20 @@ def layer_norm(x, gain, bias):
     return _record(out_data, grad_fn, nx, ng, nb)
 
 
-def multi_head_attention(q, k, v, heads, params, capture=False):
+def _heads(x, part, heads, params):
+    """x (B, L, d) projected by ``params``' w/b ``part``: (B, heads, L, d/heads)."""
+    B, L, d = x.shape
+    y = linear(x, params[f"w{part}"], params[f"b{part}"])
+    return swapaxes(reshape(y, (B, L, heads, d // heads)), 1, 2)
+
+
+def multi_head_attention(q, k, v, heads, params):
     """Scaled dot-product attention with per-head projections.
 
     q: (B, Lq, d), k and v: (B, Lk, d). `params` maps wq, bq, wk, bk, wv,
-    bv, wo, bo to tensors. Returns (output (B, Lq, d), weights): the
-    weights (B, heads, Lq, Lk) are built only when ``capture`` is set, for
-    callers that export attention maps, and are None otherwise. This
-    function only splits
-    and merges the heads around their projections; the scores, softmax and
-    context are one :func:`attention_core` node.
+    bv, wo, bo to tensors. Returns the output (B, Lq, d). This function only
+    splits and merges the heads around their projections; the scores,
+    softmax and context are one :func:`attention_core` node.
 
     Permuting the keys permutes the summands of the softmax and context
     reductions, so the output is key-order-invariant only up to rounding.
@@ -786,9 +789,7 @@ def multi_head_attention(q, k, v, heads, params, capture=False):
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
-        raise NumericError(
-            f"attention expects rank-3 q/k/v, got {q.shape}, {k.shape}, {v.shape}"
-        )
+        raise NumericError(f"attention expects rank-3 q/k/v, got {q.shape}, {k.shape}, {v.shape}")
     B, Lq, d = q.shape
     if k.shape[0] != B or v.shape[0] != B or k.shape[2] != d or v.shape[2] != d:
         raise NumericError(f"attention operands disagree: {q.shape}, {k.shape}, {v.shape}")
@@ -796,20 +797,25 @@ def multi_head_attention(q, k, v, heads, params, capture=False):
         raise NumericError(f"key/value lengths disagree: {k.shape} vs {v.shape}")
     if d % heads != 0:
         raise NumericError(f"width {d} not divisible by {heads} heads")
-    Lk = k.shape[1]
-    dh = d // heads
-
-    def split(x, L):
-        return swapaxes(reshape(x, (B, L, heads, dh)), 1, 2)
-
-    Q = split(linear(q, params["wq"], params["bq"]), Lq)
-    K = split(linear(k, params["wk"], params["bk"]), Lk)
-    V = split(linear(v, params["wv"], params["bv"]), Lk)
-
-    ctx, weights = attention_core(Q, K, V, 1.0 / math.sqrt(dh), capture)
-
+    Q, K, V = (_heads(x, part, heads, params) for x, part in ((q, "q"), (k, "k"), (v, "v")))
+    ctx = attention_core(Q, K, V, 1.0 / math.sqrt(d // heads))
     merged = reshape(swapaxes(ctx, 1, 2), (B, Lq, d))
-    return linear(merged, params["wo"], params["bo"]), weights
+    return linear(merged, params["wo"], params["bo"])
+
+
+def attention_weights(q, k, heads, params):
+    """The (B, heads, Lq, Lk) softmax weights ``multi_head_attention(q, k,
+    v, heads, params)`` applies, bit for bit, as an ndarray built outside
+    any graph from its head split, slabs, shift decisions and block weights.
+    Rows are divided by their sum: a one-key row is exactly 1.0."""
+    with no_grad():
+        Q, K = _heads(q, "q", heads, params), _heads(k, "k", heads, params)
+    qs, _, kt, shifted, blocks = _slabs(Q.data, K.data, 1.0 / math.sqrt(Q.shape[-1]))
+    e = np.empty((len(qs), qs.shape[1], kt.shape[2]))
+    for b in blocks:
+        e[b] = _block_weights(qs[b], kt[b], shifted[b])
+    e /= e.sum(axis=-1, keepdims=True)
+    return e.reshape(*Q.shape[:-1], K.shape[-2])
 
 
 def cross_entropy(logits, labels):

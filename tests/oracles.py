@@ -286,15 +286,38 @@ def layer_norm_composed(x, gain, bias, eps=1e-12):
     return T.add(T.mul(T.mul(centered, inv), gain), bias)
 
 
+def split_heads(x, weight, bias, heads):
+    """x (B, L, d) projected and split into (B, heads, L, d / heads), as
+    ``tensor.multi_head_attention`` splits its operands."""
+    from frustumbox import tensor as T
+
+    B, L, d = x.shape
+    return T.swapaxes(T.reshape(T.linear(x, weight, bias), (B, L, heads, d // heads)), 1, 2)
+
+
+def held_self_attention_weights(x, heads, params):
+    """The (B, heads, L, L) self-attention weights of ``x`` (B, L, d) under
+    ``params``, from ``attention_core_held``'s weights over the projected
+    and head-split Q, K and V, without a graph."""
+    from frustumbox import tensor as T
+
+    with T.no_grad():
+        Q, K, V = (split_heads(x, params[f"w{part}"], params[f"b{part}"], heads)
+                   for part in "qkv")
+        return attention_core_held(Q, K, V, 1.0 / math.sqrt(Q.shape[-1]), capture=True)[1]
+
+
 def _full_encoder_layer(model, x, prefix, capture):
-    """A pre-norm encoder layer of ``model`` in which every row queries."""
+    """A pre-norm encoder layer of ``model`` in which every row queries;
+    its attention weights are built only under ``capture``."""
     from frustumbox import tensor as T
 
     p = model.params
+    heads = model.config.heads
     attn = {f"{w}{part}": p[f"{prefix}.attn.{part}.{w}"] for part in "qkvo" for w in "wb"}
     h = T.layer_norm(x, p[f"{prefix}.ln1.gain"], p[f"{prefix}.ln1.bias"])
-    a, weights = T.multi_head_attention(h, h, h, model.config.heads, attn, capture)
-    x = x + a
+    weights = held_self_attention_weights(h, heads, attn) if capture else None
+    x = x + T.multi_head_attention(h, h, h, heads, attn)
     h = T.layer_norm(x, p[f"{prefix}.ln2.gain"], p[f"{prefix}.ln2.bias"])
     h = T.relu(T.linear(h, p[f"{prefix}.mlp.l1.w"], p[f"{prefix}.mlp.l1.b"]))
     return x + T.linear(h, p[f"{prefix}.mlp.l2.w"], p[f"{prefix}.mlp.l2.b"]), weights

@@ -512,6 +512,40 @@ class TestAnnotateAndEval:
         assert "error category=data" in err
         assert object_key(frame, parse_kitti_label(rows[0])[0].box2d) in err
 
+    def test_eval_leaves_predictions_of_2d_only_reference_rows_unscored(
+            self, dataset, training, tmp_path, capsys):
+        # annotate labels every care row, one without 3D extents too; eval
+        # scores only the reference rows with them, and leaves that row's
+        # prediction out instead of calling it unmatched
+        from frustumbox.inference import object_key
+
+        data, pseudo = tmp_path / "data", tmp_path / "pseudo"
+        shutil.copytree(dataset, data)
+        frame = manifest_frames(data)[0]
+        label = data / "label_2" / f"{frame}.txt"
+        rows = label.read_text().splitlines()
+        fields = rows[0].split()
+        fields[8:15] = ["-1", "-1", "-1", "-1000", "-1000", "-1000", "-10"]
+        label.write_text("\n".join([" ".join(fields)] + rows[1:]) + "\n")
+        assert run(["annotate", "--checkpoint", Path(training) / "ckpt_final.bin",
+                    "--dataset", data, "--out", pseudo, "--seed", "0"] + FAST) == 0
+        report = tmp_path / "report.json"
+        assert run(["eval", "--pred", pseudo, "--gt", data, "--out", report]) == 0
+        scored = {r["id"] for r in json.loads(report.read_text())["per_object"]}
+        two_d = object_key(frame, parse_kitti_label(rows[0])[0].box2d)
+        assert two_d not in scored and object_key(
+            frame, parse_kitti_label(rows[1])[0].box2d) in scored
+        # a prediction with no reference row, and a 3D reference row with no
+        # prediction, stay data errors
+        pred_label = pseudo / "label_2" / f"{frame}.txt"
+        pred_rows = pred_label.read_text().splitlines()
+        stray = pred_rows[0].split()
+        stray[4] = f"{float(stray[4]) + 1.0:.2f}"
+        for bad in (pred_rows + [" ".join(stray)], pred_rows[:1]):
+            pred_label.write_text("\n".join(bad) + "\n")
+            assert run(["eval", "--pred", pseudo, "--gt", data]) == 4
+            assert "error category=data" in capsys.readouterr().err
+
     def test_annotate_eval_reproduces_train_miou(self, dataset, training, annotated,
                                                  tmp_path, capsys):
         # the number printed at the end of training is the same number an

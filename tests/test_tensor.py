@@ -8,9 +8,11 @@ from frustumbox import tensor as T
 from oracles import (
     attention_core_composed,
     attention_core_held,
+    held_self_attention_weights,
     layer_norm_composed,
     linear_composed,
     softmax,
+    split_heads,
 )
 from frustumbox.errors import NumericError
 from frustumbox.tensor import (
@@ -437,8 +439,9 @@ class TestAttention:
         p = self._params(rng, d)
         q = Tensor(rng.normal(size=(2, 5, d)))
         kv = Tensor(rng.normal(size=(2, 1, d)))
-        out, w = T.multi_head_attention(q, kv, kv, 2, p, capture=True)
-        np.testing.assert_allclose(w.data, 1.0)
+        out = T.multi_head_attention(q, kv, kv, 2, p)
+        # each row is divided by its sum, so a one-key row is exactly 1.0
+        assert (T.attention_weights(q, kv, 2, p) == 1.0).all()
         # with one key every query position receives the same context vector
         for b in range(2):
             for i in range(1, 5):
@@ -449,9 +452,37 @@ class TestAttention:
         d = 8
         p = self._params(rng, d)
         x = Tensor(rng.normal(size=(3, 6, d)))
-        _, w = T.multi_head_attention(x, x, x, 4, p, capture=True)
+        w = T.attention_weights(x, x, 4, p)
         assert w.shape == (3, 4, 6, 6)
-        np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("case", ["shifted", "slab_over_budget", "global"])
+    def test_weights_equal_held_core_bit_for_bit(self, case):
+        # the weights multi_head_attention applies, from the held core's one
+        # pass over every slab: a batch with shifted and unshifted slabs, a
+        # slab past ATTENTION_BLOCK_BYTES, and the global stack's (L, H, B, dh)
+        # slabs (positions as the batch, objects as the sequence)
+        rng = np.random.default_rng(50)
+        d, heads = 16, 2
+        p = self._params(rng, d)
+        shape = {"shifted": (3, 9, d), "slab_over_budget": (1, 300, d), "global": (135, 3, d)}
+        x = rng.normal(size=shape[case])
+        if case == "shifted":
+            x[1] *= 60.0
+        x = Tensor(x)
+        Q, K = (split_heads(x, p[f"w{part}"], p[f"b{part}"], heads) for part in "qk")
+        scale = 1.0 / math.sqrt(d // heads)
+        bound = 8 * np.abs(Q.data * scale).max(axis=(-2, -1)) * np.abs(K.data).max(axis=(-2, -1))
+        over = bound > T.EXP_SAFE_SCORE
+        if case == "shifted":
+            assert over[1].all() and not over[[0, 2]].any()
+        if case == "slab_over_budget":
+            assert 8 * 300 * 300 > T.ATTENTION_BLOCK_BYTES
+        if case == "global":
+            assert Q.shape == (135, heads, 3, 8)
+        held = held_self_attention_weights(x, heads, p)
+        w = T.attention_weights(x, x, heads, p)
+        assert w.shape == held.shape and np.array_equal(w, held.data)
 
     def test_head_divisibility(self):
         rng = np.random.default_rng(28)
@@ -477,8 +508,7 @@ class TestAttention:
         w = rng.normal(size=(2, 3, d))
 
         def loss(t):
-            out, _ = T.multi_head_attention(t, t, t, 2, p)
-            return T.tsum(out * Tensor(w))
+            return T.tsum(T.multi_head_attention(t, t, t, 2, p) * Tensor(w))
 
         check_grad(loss, x0, step=1e-6, tol=1e-4)
 
@@ -493,12 +523,14 @@ class TestAttentionCore:
         "global": ((135, 4, 3, 8), (135, 4, 3, 8)),
     }
 
-    def _run(self, fn, q0, k0, v0, g0, **kw):
+    def _run(self, fn, q0, k0, v0, g0):
         Q, K, V = (Tensor(x.copy(), requires_grad=True) for x in (q0, k0, v0))
-        ctx, w = fn(Q, K, V, 1.0 / math.sqrt(q0.shape[-1]), **kw)
+        ctx = fn(Q, K, V, 1.0 / math.sqrt(q0.shape[-1]))
+        if isinstance(ctx, tuple):  # an oracle's (context, weights)
+            ctx = ctx[0]
         # the upstream gradient arrives strided, as from the head merge
         backward(T.tsum(T.swapaxes(ctx, 1, 2) * Tensor(g0)))
-        return ctx.data, None if w is None else w.data, Q.grad, K.grad, V.grad
+        return ctx.data, Q.grad, K.grad, V.grad
 
     @pytest.mark.parametrize("case", sorted(SHAPES))
     def test_matches_composition(self, case):
@@ -508,9 +540,9 @@ class TestAttentionCore:
         rng = np.random.default_rng(41)
         q0, k0, v0 = rng.normal(size=q_shape), rng.normal(size=kv_shape), rng.normal(size=kv_shape)
         g0 = rng.normal(size=T.swapaxes(Tensor(q0), 1, 2).shape)
-        fused = self._run(T.attention_core, q0, k0, v0, g0, capture=True)
+        fused = self._run(T.attention_core, q0, k0, v0, g0)
         composed = self._run(attention_core_composed, q0, k0, v0, g0)
-        for name, a, b in zip(("context", "weights", "gQ", "gK", "gV"), fused, composed):
+        for name, a, b in zip(("context", "gQ", "gK", "gV"), fused, composed):
             assert rel_diff(a, b) < 1e-12, f"{case}: {name} differs"
 
     @staticmethod
@@ -541,17 +573,24 @@ class TestAttentionCore:
         if case == "slab_over_budget":
             assert 8 * 300 * 300 > T.ATTENTION_BLOCK_BYTES and per_block == 1
         g0 = rng.normal(size=T.swapaxes(Tensor(q0), 1, 2).shape)
-        blocked = self._run(T.attention_core, q0, k0, v0, g0, capture=True)
-        held = self._run(attention_core_held, q0, k0, v0, g0, capture=True)
-        for name, a, b in zip(("context", "weights", "gQ", "gK", "gV"), blocked, held):
+        blocked = self._run(T.attention_core, q0, k0, v0, g0)
+        held = self._run(attention_core_held, q0, k0, v0, g0)
+        for name, a, b in zip(("context", "gQ", "gK", "gV"), blocked, held):
             assert np.array_equal(a, b), f"{case}: {name} differs"
 
     def test_weights_outside_graph(self):
+        # the core returns the context alone; the weights are an array built
+        # without a graph, even from parameters and inputs that take gradients
         rng = np.random.default_rng(42)
         Q, K, V = (Tensor(rng.normal(size=(1, 2, 3, 4)), requires_grad=True) for _ in range(3))
-        ctx, w = T.attention_core(Q, K, V, 0.5, capture=True)
-        assert ctx.requires_grad and not w.requires_grad and w._parents == ()
-        np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
+        assert isinstance(T.attention_core(Q, K, V, 0.5), Tensor)
+        p = {f"{w}{part}": Tensor(rng.normal(size=(4, 4) if w == "w" else 4), requires_grad=True)
+             for w in "wb" for part in "qk"}
+        x = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+        w = T.attention_weights(x, x, 2, p)
+        assert type(w) is np.ndarray and w.shape == (1, 2, 3, 3)
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
+        assert T.linear(x, p["wq"], p["bq"]).requires_grad  # the graph is on again
 
     @staticmethod
     def _reference_context(q0, k0, v0, shift):
@@ -564,7 +603,7 @@ class TestAttentionCore:
         q0 = rng.normal(size=(2, 3, 9, 4))
         k0, v0 = rng.normal(size=(2, 3, 11, 4)), rng.normal(size=(2, 3, 11, 4))
         assert 4 * np.abs(0.5 * q0).max() * np.abs(k0).max() <= T.EXP_SAFE_SCORE
-        ctx, _ = T.attention_core(q0, k0, v0, 0.5)
+        ctx = T.attention_core(q0, k0, v0, 0.5)
         assert np.array_equal(ctx.data, self._reference_context(q0, k0, v0, 0.0))
 
     @pytest.mark.parametrize("side", ["under", "over"])
@@ -581,9 +620,9 @@ class TestAttentionCore:
         scores = 0.5 * q0 @ k0.swapaxes(-1, -2)
         assert np.abs(scores).max() == pytest.approx(T.EXP_SAFE_SCORE, rel=1e-8)
         g0 = rng.normal(size=(1, 6, 1, 4))
-        fused = self._run(T.attention_core, q0, k0, v0, g0, capture=True)
+        fused = self._run(T.attention_core, q0, k0, v0, g0)
         composed = self._run(attention_core_composed, q0, k0, v0, g0)
-        for name, a, b in zip(("context", "weights", "gQ", "gK", "gV"), fused, composed):
+        for name, a, b in zip(("context", "gQ", "gK", "gV"), fused, composed):
             assert np.isfinite(a).all(), name
             assert rel_diff(a, b) < 1e-12, name
         shift = 0.0 if side == "under" else scores.max(axis=-1, keepdims=True)
@@ -599,9 +638,9 @@ class TestAttentionCore:
         q0[0, 1, 2:4] *= 500.0
         assert (0.5 * q0 @ k0.swapaxes(-1, -2)).max() > np.log(np.finfo(float).max)
         g0 = rng.normal(size=(2, 6, 2, 4))
-        fused = self._run(T.attention_core, q0, k0, v0, g0, capture=True)
+        fused = self._run(T.attention_core, q0, k0, v0, g0)
         composed = self._run(attention_core_composed, q0, k0, v0, g0)
-        for name, a, b in zip(("context", "weights", "gQ", "gK", "gV"), fused, composed):
+        for name, a, b in zip(("context", "gQ", "gK", "gV"), fused, composed):
             assert np.isfinite(a).all(), name
             assert rel_diff(a, b) < 1e-12, name
 
@@ -612,30 +651,20 @@ class TestAttentionCore:
         rng = np.random.default_rng(46)
         q0, k0, v0 = (rng.normal(size=(2, 2, 5, 4)) for _ in range(3))
         g0 = rng.normal(size=(2, 5, 2, 4))
-        alone = self._run(T.attention_core, q0[:1], k0[:1], v0[:1], g0[:1], capture=True)
+        alone = self._run(T.attention_core, q0[:1], k0[:1], v0[:1], g0[:1])
         for huge in ((1,), (1, 0)):
             q = q0.copy()
             q[huge] *= 3000.0
             bound = 4 * np.abs(0.5 * q).max(axis=(-2, -1)) * np.abs(k0).max(axis=(-2, -1))
             assert (bound[0] <= T.EXP_SAFE_SCORE).all() and (bound[huge] > T.EXP_SAFE_SCORE).all()
-            batched = self._run(T.attention_core, q, k0, v0, g0, capture=True)
+            batched = self._run(T.attention_core, q, k0, v0, g0)
             for a, b in zip(alone, batched):
                 assert np.array_equal(a[0], b[0])
             for h in range(2):
                 one = self._run(T.attention_core, q[1:, h:h + 1], k0[1:, h:h + 1],
-                                v0[1:, h:h + 1], g0[1:, :, h:h + 1], capture=True)
+                                v0[1:, h:h + 1], g0[1:, :, h:h + 1])
                 for a, b in zip(one, batched):
                     assert np.array_equal(a[0, 0], b[1, h])
-
-    def test_capture_changes_nothing_but_the_weights(self):
-        rng = np.random.default_rng(44)
-        q0, k0, v0 = (rng.normal(size=(2, 2, 5, 4)) for _ in range(3))
-        g0 = rng.normal(size=(2, 5, 2, 4))
-        plain = self._run(T.attention_core, q0, k0, v0, g0)
-        captured = self._run(T.attention_core, q0, k0, v0, g0, capture=True)
-        assert plain[1] is None and captured[1] is not None
-        for i in (0, 2, 3, 4):  # context, gQ, gK, gV
-            assert np.array_equal(plain[i], captured[i])
 
     @pytest.mark.parametrize("which", [0, 1, 2])
     def test_gradient_matches_finite_differences(self, which):
@@ -647,8 +676,7 @@ class TestAttentionCore:
         def loss(t):
             args = [Tensor(x) for x in ops]
             args[which] = t
-            ctx, _ = T.attention_core(*args, 0.5)
-            return T.tsum(ctx * probe)
+            return T.tsum(T.attention_core(*args, 0.5) * probe)
 
         check_grad(loss, ops[which], step=1e-6, tol=1e-6)
 
@@ -658,7 +686,7 @@ class TestNoGrad:
         p = Tensor(np.arange(3.0), requires_grad=True)
         with T.no_grad():
             out = T.tsum(p * p)
-            ctx, _ = T.attention_core(*(T.reshape(p, (1, 3, 1)) for _ in range(3)), 1.0)
+            ctx = T.attention_core(*(T.reshape(p, (1, 3, 1)) for _ in range(3)), 1.0)
         for t in (out, ctx):
             assert not t.requires_grad and t._parents == () and t._grad_fn is None
         np.testing.assert_array_equal(out.data, 5.0)
