@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,8 @@ FORMAT_VERSION = 1
 class Checkpoint:
     config: dict
     params: dict
-    extras: dict = field(default_factory=dict)
-    extra_arrays: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
+    extras: dict
+    extra_arrays: dict
 
 
 def save_checkpoint(path, config, params, extras=None, extra_arrays=None):
@@ -132,5 +131,4 @@ def load_checkpoint(path):
         params=params,
         extras=extras,
         extra_arrays=extra_arrays,
-        format_version=version,
     )

@@ -1,21 +1,25 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 A Tensor wraps an ndarray plus, for an op output, a data-free node record
-(:class:`_Node`): its parents' nodes and its backward rule. Graphs are
-built eagerly by the op functions below, one function per op; a Tensor
-adds only the arithmetic operators and indexing as sugar. Graph edges
-point at nodes, never at Tensors (a leaf, a tensor no op produced such as
-a parameter, is its own node), and a rule's closure holds only the arrays
-the rule reads: ``linear`` its input and weight, ``mul`` and ``matmul``
-their operands, ``exp``, ``tanh`` and ``log_softmax`` their output,
-``layer_norm`` x̂ and 1/σ, ``relu`` its mask, shape ops only shapes. An
-activation no rule reads (a q/k/v projection, a pre-activation MLP output,
-a residual sum) is freed as soon as the forward drops its Tensor, so a
-graph holds what its backward reads and nothing more. ``backward`` walks
-the nodes once per call and accumulates into the ``.grad`` of the leaves
-until the caller clears it with :func:`zero_grads`; an intermediate node
-never holds a gradient. No node refers to its Tensor, so a graph is freed
-by reference counting alone as soon as the caller drops its last tensor.
+(:class:`_Node`): its inputs' nodes and shapes and its backward rule.
+Graphs are built eagerly by the op functions below, one function per op;
+a Tensor adds only the arithmetic operators and indexing as sugar. Every
+rule returns one gradient per op input, in input order, at the input's
+shape or the one it broadcasts to; :func:`_record` alone decides which
+inputs take a gradient, and :func:`backward` alone drops the others and
+reduces the rest to their input's shape. Graph edges point at nodes,
+never at Tensors (a leaf, a tensor no op produced such as a parameter, is
+its own node), and a rule's closure holds only the arrays the rule reads:
+``linear`` its input and weight, ``mul`` and ``matmul`` their operands,
+``exp``, ``tanh`` and ``log_softmax`` their output, ``layer_norm`` x̂ and
+1/σ, ``relu`` its mask, shape ops only shapes. An activation no rule
+reads (a q/k/v projection, a pre-activation MLP output, a residual sum) is
+freed as soon as the forward drops its Tensor, so a graph holds what its
+backward reads and nothing more. ``backward`` walks the nodes once per
+call and accumulates into the ``.grad`` of the leaves until the caller
+clears it with :func:`zero_grads`; an intermediate node has no gradient
+field. No node refers to its Tensor, so a graph is freed by reference
+counting alone as soon as the caller drops its last tensor.
 
 Attention's scores, softmax and context are one op, :func:`attention_core`,
 with a hand-written backward; :func:`multi_head_attention` adds the head
@@ -28,7 +32,7 @@ float64's normal range, and the shift would only cost two passes over the
 its backward rebuilds each block's weights instead of holding them, so no
 graph keeps an (L, L) array. :func:`linear` and :func:`layer_norm` are one
 node each too, so an encoder layer builds 20 nodes. Inside a :func:`no_grad`
-block the ops record no parents, so a forward-only pass (inference,
+block the ops record no node, so a forward-only pass (inference,
 attention export) builds no graph and frees each intermediate array once
 the next op has read it.
 
@@ -145,44 +149,44 @@ def no_grad():
 
 
 class _Node:
-    """The backward record of one op output: its parents' nodes and its rule.
+    """The backward record of one op output: its inputs' nodes and its rule.
 
-    ``_grad_fn(g)`` maps the output's gradient to (parent node, gradient)
-    pairs. The rule's closure holds the parents' nodes and the arrays the
-    rule reads, never the output Tensor nor its parents' Tensors, so an
-    array no rule reads is freed once the forward drops its Tensor.
-    ``grad`` stays None under :func:`backward`; a sweep that keeps
-    intermediate gradients may write it.
+    ``_grad_fn(g)`` maps the output's gradient to one gradient per op input,
+    in input order, each at its input's shape or one it broadcasts to.
+    ``_inputs`` holds, per op input, the input's node and shape if it
+    takes a gradient and None if it takes none; ``_parents`` is those nodes
+    in input order, the edges a graph walk follows. The rule's closure
+    holds only the arrays the rule reads, never the output Tensor nor its
+    inputs' Tensors, so an array no rule reads is freed once the forward
+    drops its Tensor.
     """
 
-    __slots__ = ("_parents", "_grad_fn", "grad")
+    __slots__ = ("_parents", "_inputs", "_grad_fn")
 
-    def __init__(self, parents, grad_fn):
+    def __init__(self, parents, inputs, grad_fn):
         self._parents = parents
+        self._inputs = inputs
         self._grad_fn = grad_fn
-        self.grad = None
 
 
-def _graph_nodes(*tensors):
-    """Internal: the node each tensor's gradient flows to, None for a tensor
-    that takes none (all of them inside :func:`no_grad`). An op output's
-    node is its _Node record; a leaf that requires gradients is its own."""
-    if not _grad_enabled.get():
-        return (None,) * len(tensors)
-    return tuple([t._node if t._node is not None else t if t.requires_grad else None
-                  for t in tensors])
+def _record(data, grad_fn, *inputs):
+    """Internal: an op's output over `data`, whose rule `grad_fn` returns
+    one gradient per Tensor of `inputs`.
 
-
-def _record(data, grad_fn, *parents):
-    """Internal: an op's output over `data`, with a node over the parent
-    nodes that are not None."""
+    Outside :func:`no_grad`, an input takes a gradient if it requires one:
+    an op output does exactly when it has a node, and its gradient goes to
+    that node; a leaf is its own node. The output gets a node only if some
+    input takes a gradient.
+    """
     out = Tensor(data)
-    if None in parents:  # all None inside no_grad: skip the filter
-        parents = (tuple([p for p in parents if p is not None])
-                   if parents.count(None) < len(parents) else ())
+    if not _grad_enabled.get():
+        return out
+    edges = tuple([(t._node or t, t.data.shape) if t.requires_grad else None
+                   for t in inputs])
+    parents = tuple([e[0] for e in edges if e is not None])
     if parents:
         out.requires_grad = True
-        out._node = _Node(parents, grad_fn)
+        out._node = _Node(parents, edges, grad_fn)
     return out
 
 
@@ -206,169 +210,123 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    na, nb = _graph_nodes(a, b)
-    sa, sb = a.data.shape, b.data.shape
 
     def grad_fn(g):
-        out = []
-        if na is not None:
-            out.append((na, _unbroadcast(g, sa)))
-        if nb is not None:
-            out.append((nb, _unbroadcast(g, sb)))
-        return out
+        return g, g
 
-    return _record(a.data + b.data, grad_fn, na, nb)
+    return _record(a.data + b.data, grad_fn, a, b)
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    na, nb = _graph_nodes(a, b)
-    sa, sb = a.data.shape, b.data.shape
 
     def grad_fn(g):
-        out = []
-        if na is not None:
-            out.append((na, _unbroadcast(g, sa)))
-        if nb is not None:
-            out.append((nb, _unbroadcast(-g, sb)))
-        return out
+        return g, -g
 
-    return _record(a.data - b.data, grad_fn, na, nb)
+    return _record(a.data - b.data, grad_fn, a, b)
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    na, nb = _graph_nodes(a, b)
     x, y = a.data, b.data
 
     def grad_fn(g):
-        out = []
-        if na is not None:
-            out.append((na, _unbroadcast(g * y, x.shape)))
-        if nb is not None:
-            out.append((nb, _unbroadcast(g * x, y.shape)))
-        return out
+        return g * y, g * x
 
-    return _record(x * y, grad_fn, na, nb)
+    return _record(x * y, grad_fn, a, b)
 
 
 def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    na, nb = _graph_nodes(a, b)
     x, y = a.data, b.data
 
     def grad_fn(g):
-        out = []
-        if na is not None:
-            out.append((na, _unbroadcast(g / y, x.shape)))
-        if nb is not None:
-            out.append((nb, _unbroadcast(-g * x / (y * y), y.shape)))
-        return out
+        return g / y, -g * x / (y * y)
 
-    return _record(x / y, grad_fn, na, nb)
+    return _record(x / y, grad_fn, a, b)
 
 
 def power(a, exponent):
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
     x = a.data
     e = float(exponent)
 
     def grad_fn(g):
-        return [(na, g * e * x ** (e - 1.0))]
+        return (g * e * x ** (e - 1.0),)
 
-    return _record(x**e, grad_fn, na)
+    return _record(x**e, grad_fn, a)
 
 
 def exp(a):
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
     out_data = np.exp(a.data)
 
     def grad_fn(g):
-        return [(na, g * out_data)]
+        return (g * out_data,)
 
-    return _record(out_data, grad_fn, na)
+    return _record(out_data, grad_fn, a)
 
 
 def cos(a):
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
     x = a.data
 
     def grad_fn(g):
-        return [(na, -g * np.sin(x))]
+        return (-g * np.sin(x),)
 
-    return _record(np.cos(x), grad_fn, na)
+    return _record(np.cos(x), grad_fn, a)
 
 
 def sin(a):
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
     x = a.data
 
     def grad_fn(g):
-        return [(na, g * np.cos(x))]
+        return (g * np.cos(x),)
 
-    return _record(np.sin(x), grad_fn, na)
+    return _record(np.sin(x), grad_fn, a)
 
 
 def tanh(a):
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
     out_data = np.tanh(a.data)
 
     def grad_fn(g):
-        return [(na, g * (1.0 - out_data * out_data))]
+        return (g * (1.0 - out_data * out_data),)
 
-    return _record(out_data, grad_fn, na)
+    return _record(out_data, grad_fn, a)
 
 
 def maximum(a, b):
     """Elementwise max; ties route the gradient to the first argument."""
     a, b = as_tensor(a), as_tensor(b)
-    na, nb = _graph_nodes(a, b)
-    sa, sb = a.data.shape, b.data.shape
     take_a = a.data >= b.data
 
     def grad_fn(g):
-        out = []
-        if na is not None:
-            out.append((na, _unbroadcast(g * take_a, sa)))
-        if nb is not None:
-            out.append((nb, _unbroadcast(g * ~take_a, sb)))
-        return out
+        return g * take_a, g * ~take_a
 
-    return _record(np.maximum(a.data, b.data), grad_fn, na, nb)
+    return _record(np.maximum(a.data, b.data), grad_fn, a, b)
 
 
 def minimum(a, b):
     """Elementwise min; ties route the gradient to the first argument."""
     a, b = as_tensor(a), as_tensor(b)
-    na, nb = _graph_nodes(a, b)
-    sa, sb = a.data.shape, b.data.shape
     take_a = a.data <= b.data
 
     def grad_fn(g):
-        out = []
-        if na is not None:
-            out.append((na, _unbroadcast(g * take_a, sa)))
-        if nb is not None:
-            out.append((nb, _unbroadcast(g * ~take_a, sb)))
-        return out
+        return g * take_a, g * ~take_a
 
-    return _record(np.minimum(a.data, b.data), grad_fn, na, nb)
+    return _record(np.minimum(a.data, b.data), grad_fn, a, b)
 
 
 def relu(a):
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
     mask = a.data > 0
 
     def grad_fn(g):
-        return [(na, g * mask)]
+        return (g * mask,)
 
-    return _record(a.data * mask, grad_fn, na)
+    return _record(a.data * mask, grad_fn, a)
 
 
 LEAKY_SLOPE = 0.01  # slope of the head MLPs' activation below zero
@@ -376,13 +334,12 @@ LEAKY_SLOPE = 0.01  # slope of the head MLPs' activation below zero
 
 def leaky_relu(a):
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
     mask = a.data > 0
 
     def grad_fn(g):
-        return [(na, g * np.where(mask, 1.0, LEAKY_SLOPE))]
+        return (g * np.where(mask, 1.0, LEAKY_SLOPE),)
 
-    return _record(a.data * np.where(mask, 1.0, LEAKY_SLOPE), grad_fn, na)
+    return _record(a.data * np.where(mask, 1.0, LEAKY_SLOPE), grad_fn, a)
 
 
 # ---------------------------------------------------------------------------
@@ -392,66 +349,53 @@ def leaky_relu(a):
 
 def reshape(a, shape):
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
     orig = a.data.shape
 
     def grad_fn(g):
-        return [(na, g.reshape(orig))]
+        return (g.reshape(orig),)
 
-    return _record(a.data.reshape(shape), grad_fn, na)
+    return _record(a.data.reshape(shape), grad_fn, a)
 
 
 def swapaxes(a, ax0, ax1):
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
 
     def grad_fn(g):
-        return [(na, g.swapaxes(ax0, ax1))]
+        return (g.swapaxes(ax0, ax1),)
 
-    return _record(a.data.swapaxes(ax0, ax1).copy(), grad_fn, na)
+    return _record(a.data.swapaxes(ax0, ax1).copy(), grad_fn, a)
 
 
 def broadcast_to(a, shape):
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
-    orig = a.data.shape
 
     def grad_fn(g):
-        return [(na, _unbroadcast(g, orig))]
+        return (g,)
 
-    return _record(np.broadcast_to(a.data, shape).copy(), grad_fn, na)
+    return _record(np.broadcast_to(a.data, shape).copy(), grad_fn, a)
 
 
 def concat(tensors, axis):
     tensors = [as_tensor(t) for t in tensors]
-    nodes = _graph_nodes(*tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def grad_fn(g):
-        out = []
-        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            if node is not None:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                out.append((node, g[tuple(sl)]))
-        return out
+        return np.split(g, splits, axis=axis)
 
-    return _record(np.concatenate([t.data for t in tensors], axis=axis), grad_fn, *nodes)
+    return _record(np.concatenate([t.data for t in tensors], axis=axis), grad_fn, *tensors)
 
 
 def getitem(a, idx):
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
     shape = a.data.shape
 
     def grad_fn(g):
         buf = np.zeros(shape)
         np.add.at(buf, idx, g)
-        return [(na, buf)]
+        return (buf,)
 
     out = a.data[idx]
-    return _record(out.copy() if isinstance(out, np.ndarray) else out, grad_fn, na)
+    return _record(out.copy() if isinstance(out, np.ndarray) else out, grad_fn, a)
 
 
 def permute(a, perm):
@@ -466,12 +410,11 @@ def permute(a, perm):
     if not np.array_equal(np.sort(perm), np.arange(a.shape[0])):
         raise NumericError(f"not a permutation of {a.shape[0]} rows: {perm.tolist()}")
     inverse = np.argsort(perm)
-    (na,) = _graph_nodes(a)
 
     def grad_fn(g):
-        return [(na, g[inverse])]
+        return (g[inverse],)
 
-    return _record(a.data[perm], grad_fn, na)
+    return _record(a.data[perm], grad_fn, a)
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +424,15 @@ def permute(a, perm):
 
 def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
     shape = a.data.shape
 
     def grad_fn(g):
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        return [(na, np.broadcast_to(gg, shape))]
+        return (np.broadcast_to(gg, shape),)
 
-    return _record(a.data.sum(axis=axis, keepdims=keepdims), grad_fn, na)
+    return _record(a.data.sum(axis=axis, keepdims=keepdims), grad_fn, a)
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -502,16 +444,15 @@ def tmean(a, axis=None, keepdims=False):
 def _select_along(a, axis, keepdims, reduce, arg):
     """Reduce one axis by picking an entry; the gradient goes to that entry."""
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
     x = a.data
 
     def grad_fn(g):
         buf = np.zeros(x.shape)
         picked = np.expand_dims(arg(x, axis=axis), axis)
         np.put_along_axis(buf, picked, g if keepdims else np.expand_dims(g, axis), axis)
-        return [(na, buf)]
+        return (buf,)
 
-    return _record(reduce(x, axis=axis, keepdims=keepdims), grad_fn, na)
+    return _record(reduce(x, axis=axis, keepdims=keepdims), grad_fn, a)
 
 
 def amax(a, axis, keepdims=False):
@@ -538,18 +479,12 @@ def matmul(a, b):
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError as err:
         raise NumericError(f"matmul batch extents disagree: {a.shape} x {b.shape}") from err
-    na, nb = _graph_nodes(a, b)
     x, y = a.data, b.data
 
     def grad_fn(g):
-        out = []
-        if na is not None:
-            out.append((na, _unbroadcast(g @ y.swapaxes(-1, -2), x.shape)))
-        if nb is not None:
-            out.append((nb, _unbroadcast(x.swapaxes(-1, -2) @ g, y.shape)))
-        return out
+        return g @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g
 
-    return _record(x @ y, grad_fn, na, nb)
+    return _record(x @ y, grad_fn, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -560,15 +495,14 @@ def matmul(a, b):
 def log_softmax(a):
     """Log-softmax over the last axis."""
     a = as_tensor(a)
-    (na,) = _graph_nodes(a)
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - lse
 
     def grad_fn(g):
-        return [(na, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))]
+        return (g - np.exp(out_data) * g.sum(axis=-1, keepdims=True),)
 
-    return _record(out_data, grad_fn, na)
+    return _record(out_data, grad_fn, a)
 
 
 # Largest score bound under which a slab's scores are exponentiated unshifted.
@@ -651,7 +585,6 @@ def attention_core(Q, K, V, scale):
     with the core that held ``e`` bit for bit.
     """
     Q, K, V = as_tensor(Q), as_tensor(K), as_tensor(V)
-    nq, nk, nv = _graph_nodes(Q, K, V)
     q_shape, k_shape, v_shape = Q.data.shape, K.data.shape, V.data.shape
     qs, k, kt, shifted, blocks = _slabs(Q.data, K.data, scale)
     n, Lq, dh = qs.shape
@@ -666,33 +599,21 @@ def attention_core(Q, K, V, scale):
 
     def grad_fn(g):
         g = g.reshape(n, Lq, dh)
-        gq = np.empty(qs.shape) if nq is not None else None
-        gk = np.empty(k.shape) if nk is not None else None
-        gv = np.empty(k.shape) if nv is not None else None
+        gq, gk, gv = np.empty(qs.shape), np.empty(k.shape), np.empty(k.shape)
         for b in blocks:
             e = _block_weights(qs[b], kt[b], shifted[b])
             gr = g[b] * r[b]
-            if gv is not None:
-                np.matmul(e.swapaxes(-1, -2), gr, out=gv[b])
+            np.matmul(e.swapaxes(-1, -2), gr, out=gv[b])
             d = (gr * ctx[b]).sum(axis=-1, keepdims=True)
             gs = gr @ v[b].swapaxes(-1, -2)
             gs -= d
             gs *= e
-            if gq is not None:
-                np.matmul(gs, k[b], out=gq[b])
-            if gk is not None:
-                np.matmul(gs.swapaxes(-1, -2), qs[b], out=gk[b])
-        out = []
-        if gv is not None:
-            out.append((nv, gv.reshape(v_shape)))
-        if gq is not None:
-            gq *= scale
-            out.append((nq, gq.reshape(q_shape)))
-        if gk is not None:
-            out.append((nk, gk.reshape(k_shape)))
-        return out
+            np.matmul(gs, k[b], out=gq[b])
+            np.matmul(gs.swapaxes(-1, -2), qs[b], out=gk[b])
+        gq *= scale
+        return gq.reshape(q_shape), gk.reshape(k_shape), gv.reshape(v_shape)
 
-    return _record(ctx.reshape(Q.shape), grad_fn, nq, nk, nv)
+    return _record(ctx.reshape(Q.shape), grad_fn, Q, K, V)
 
 
 def linear(x, weight, bias):
@@ -706,23 +627,15 @@ def linear(x, weight, bias):
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if weight.ndim != 2 or x.shape[-1:] != weight.shape[:1]:
         raise NumericError(f"linear extents disagree: {x.shape} x {weight.shape}")
-    nx, nw, nb = _graph_nodes(x, weight, bias)
-    xd, wd, bias_shape = x.data, weight.data, bias.data.shape
+    xd, wd = x.data, weight.data
     out_data = xd @ wd
     out_data += bias.data
 
     def grad_fn(g):
-        out = []
-        if nx is not None:
-            out.append((nx, g @ wd.T))
-        if nw is not None:
-            k, n = wd.shape
-            out.append((nw, xd.reshape(-1, k).T @ g.reshape(-1, n)))
-        if nb is not None:
-            out.append((nb, _unbroadcast(g, bias_shape)))
-        return out
+        k, n = wd.shape
+        return g @ wd.T, xd.reshape(-1, k).T @ g.reshape(-1, n), g
 
-    return _record(out_data, grad_fn, nx, nw, nb)
+    return _record(out_data, grad_fn, x, weight, bias)
 
 
 LAYER_NORM_EPS = 1e-12  # see layer_norm's docstring
@@ -741,8 +654,7 @@ def layer_norm(x, gain, bias):
     normalized variance within ~1e-12 of 1 for any non-degenerate input.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    nx, ng, nb = _graph_nodes(x, gain, bias)
-    gd, gain_shape, bias_shape = gain.data, gain.data.shape, bias.data.shape
+    gd = gain.data
     n = x.shape[-1]
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
@@ -752,19 +664,12 @@ def layer_norm(x, gain, bias):
     out_data += bias.data
 
     def grad_fn(g):
-        out = []
-        if nx is not None:
-            gx = g * gd
-            gx -= gx.mean(axis=-1, keepdims=True) + xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            gx *= inv
-            out.append((nx, gx))
-        if ng is not None:
-            out.append((ng, _unbroadcast(g * xhat, gain_shape)))
-        if nb is not None:
-            out.append((nb, _unbroadcast(g, bias_shape)))
-        return out
+        gx = g * gd
+        gx -= gx.mean(axis=-1, keepdims=True) + xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        gx *= inv
+        return gx, g * xhat, g
 
-    return _record(out_data, grad_fn, nx, ng, nb)
+    return _record(out_data, grad_fn, x, gain, bias)
 
 
 def _heads(x, part, heads, params):
@@ -858,8 +763,11 @@ def backward(loss):
 
     Only leaves (tensors no op produced, such as parameters) get ``.grad``;
     an intermediate's gradient lives only until its own backward rule has
-    read it, so it stays None. Leaf gradients accumulate across calls;
-    clear with ``zero_grads`` between optimization steps.
+    read it. Each rule's gradients are paired with its node's inputs, a
+    count that differs raising ValueError; those of inputs that take none
+    are dropped, the rest summed down to their input's shape. Leaf
+    gradients accumulate across calls; clear with ``zero_grads`` between
+    optimization steps.
     """
     loss = as_tensor(loss)
     if loss.data.size != 1:
@@ -874,8 +782,11 @@ def backward(loss):
             # grads are never mutated in place, so sharing buffers is safe
             node.grad = g if node.grad is None else node.grad + g
             continue
-        for parent, pg in node._grad_fn(g):
-            pg = np.asarray(pg, dtype=np.float64)
+        for edge, pg in zip(node._inputs, node._grad_fn(g), strict=True):
+            if edge is None:
+                continue
+            parent, shape = edge
+            pg = _unbroadcast(np.asarray(pg, dtype=np.float64), shape)
             key = id(parent)
             if key in pending:
                 pending[key] = pending[key] + pg

@@ -199,16 +199,15 @@ def softmax(a, axis=-1):
     from frustumbox import tensor as T
 
     a = T.as_tensor(a)
-    (na,) = T._graph_nodes(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
 
     def grad_fn(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return [(na, out_data * (g - dot))]
+        return (out_data * (g - dot),)
 
-    return T._record(out_data, grad_fn, na)
+    return T._record(out_data, grad_fn, a)
 
 
 def attention_core_composed(Q, K, V, scale):
@@ -230,7 +229,6 @@ def attention_core_held(Q, K, V, scale, capture=False):
     from frustumbox import tensor as T
 
     Q, K, V = T.as_tensor(Q), T.as_tensor(K), T.as_tensor(V)
-    nq, nk, nv = T._graph_nodes(Q, K, V)
     qs = Q.data * scale
     kt = K.data.swapaxes(-1, -2).copy()
     e = qs @ kt
@@ -246,23 +244,17 @@ def attention_core_held(Q, K, V, scale, capture=False):
     weights = T.Tensor(e / total) if capture else None
 
     def grad_fn(g):
-        out = []
         gr = g * r
-        if nv is not None:
-            out.append((nv, e.swapaxes(-1, -2) @ gr))
+        gv = e.swapaxes(-1, -2) @ gr
         d = (gr * ctx).sum(axis=-1, keepdims=True)
         gs = gr @ V.data.swapaxes(-1, -2)
         gs -= d
         gs *= e
-        if nq is not None:
-            gq = gs @ K.data
-            gq *= scale
-            out.append((nq, gq))
-        if nk is not None:
-            out.append((nk, gs.swapaxes(-1, -2) @ qs))
-        return out
+        gq = gs @ K.data
+        gq *= scale
+        return gq, gs.swapaxes(-1, -2) @ qs, gv
 
-    return T._record(ctx, grad_fn, nq, nk, nv), weights
+    return T._record(ctx, grad_fn, Q, K, V), weights
 
 
 def linear_composed(x, weight, bias):
@@ -357,14 +349,19 @@ def full_rows_forward(model, points, capture=False):
 
 
 def every_node_backward(loss):
-    """Reverse-mode sweep that stores a gradient on every node it visits,
-    intermediates included: the engine's backward before it kept ``.grad``
-    on leaves only. The nodes are visited in the engine's order (a
-    depth-first post-order from the loss, parents pushed in order), so each
-    gradient adds its summands in the same order and the leaves' gradients
-    must match the engine's bit for bit.
+    """Reverse-mode sweep that keeps the gradient of every node it visits,
+    intermediates included: the engine's backward before it kept gradients
+    on leaves only. Leaves accumulate into ``.grad`` as under the engine;
+    the op nodes' gradients are returned, keyed by node. The nodes are
+    visited in the engine's order (a depth-first post-order from the loss's
+    node, parents pushed in order), so each gradient adds its summands in
+    the same order and the leaves' gradients must match the engine's bit
+    for bit.
     """
-    order, visited, stack = [], set(), [(loss, False)]
+    from frustumbox import tensor as T
+
+    root = loss if loss._node is None else loss._node
+    order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -373,18 +370,23 @@ def every_node_backward(loss):
             visited.add(id(node))
             stack.append((node, True))
             stack.extend((p, False) for p in node._parents if id(p) not in visited)
-    pending = {id(loss): np.ones_like(loss.data)}
+    pending = {id(root): np.ones_like(loss.data)}
+    kept = {}
     for node in reversed(order):
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
         if node._grad_fn is None:
+            node.grad = g if node.grad is None else node.grad + g
             continue
-        for parent, pg in node._grad_fn(g):
-            pg = np.asarray(pg, dtype=np.float64)
-            key = id(parent)
-            pending[key] = pending[key] + pg if key in pending else pg
+        kept[node] = g
+        for edge, pg in zip(node._inputs, node._grad_fn(g), strict=True):
+            if edge is not None:
+                parent, shape = edge
+                pg = T._unbroadcast(np.asarray(pg, dtype=np.float64), shape)
+                key = id(parent)
+                pending[key] = pending[key] + pg if key in pending else pg
+    return kept
 
 
 def denormalize_frustum(sample):

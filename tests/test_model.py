@@ -744,8 +744,8 @@ class TestGraphMemory:
 
 
 class TestLeafOnlyBackward:
-    """``tensor.backward`` stores gradients on leaves only; the oracle stores
-    one on every node, as the engine did before, in the same order."""
+    """``tensor.backward`` stores gradients on leaves only; the oracle keeps
+    one for every node, as the engine did before, in the same order."""
 
     @pytest.mark.parametrize("b", [1, 4, 16])
     @pytest.mark.parametrize("variant", ["A", "B", "C", "full"])
@@ -761,18 +761,22 @@ class TestLeafOnlyBackward:
             out = m.forward(pts)
             total = total_loss(out.boxes, out.direction_logits, gts,
                                TrainConfig().lambda_box).total
-            backward(total)
-            return total, {name: p.grad.tobytes() for name, p in m.params.items()}
+            kept = backward(total)
+            return total, kept, {name: p.grad.tobytes() for name, p in m.params.items()}
 
-        total, want = step(every_node_backward)
-        assert total.grad is not None  # the oracle keeps intermediate gradients
-        total, got = step(T.backward)
+        def op_nodes(total):
+            nodes, stack = {}, [total._node]
+            while stack:
+                node = stack.pop()
+                if id(node) not in nodes:
+                    nodes[id(node)] = node
+                    stack.extend(node._parents)
+            return [n for n in nodes.values() if n._grad_fn is not None]
+
+        total, kept, want = step(every_node_backward)
+        intermediates = op_nodes(total)
+        assert intermediates and set(kept) == set(intermediates)  # the oracle keeps them all
+        total, kept, got = step(T.backward)
         assert got == want
-        nodes, stack = {}, [total]
-        while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes[id(node)] = node
-                stack.extend(node._parents)
-        intermediates = [n for n in nodes.values() if n._grad_fn is not None]
-        assert intermediates and all(n.grad is None for n in intermediates)
+        assert kept is None and total.grad is None
+        assert not any(hasattr(n, "grad") for n in op_nodes(total))

@@ -718,6 +718,62 @@ class TestNoGrad:
         assert (p * 2.0).requires_grad
 
 
+def _elementwise_cases():
+    ops = [T.add, T.sub, T.mul, T.div, T.maximum, T.minimum]
+    forms = [[(3, 4), (3, 4)], [(3, 4), (4,)], [(1, 4), (3, 4)], [(3, 4), ()], [(), (3, 4)]]
+    return [pytest.param(op, shapes, id=f"{op.__name__}-{shapes}")
+            for op in ops for shapes in forms]
+
+
+MULTI_INPUT_CASES = _elementwise_cases() + [
+    pytest.param(T.matmul, [(2, 3, 4), (4, 5)], id="matmul-folded"),
+    pytest.param(T.matmul, [(1, 3, 4), (2, 4, 5)], id="matmul-batch-broadcast"),
+    pytest.param(lambda *ts: T.concat(ts, axis=1), [(2, 3), (2, 1), (2, 2)], id="concat"),
+    pytest.param(T.linear, [(2, 3, 4), (4, 5), (5,)], id="linear"),
+    pytest.param(T.linear, [(2, 3, 4), (4, 5), (1, 5)], id="linear-bias-(1, d)"),
+    pytest.param(T.layer_norm, [(2, 3, 4), (4,), (1, 4)], id="layer_norm"),
+    pytest.param(T.layer_norm, [(2, 3, 4), (), ()], id="layer_norm-scalar-affine"),
+    pytest.param(lambda q, k, v: T.attention_core(q, k, v, 0.5),
+                 [(2, 3, 4), (2, 5, 4), (2, 5, 4)], id="attention_core"),
+]
+
+
+class TestInputsTakingNoGradient:
+    """Every rule returns a gradient for every input; ``backward`` drops the
+    ones of inputs that take none and reduces the rest to their shape."""
+
+    @staticmethod
+    def _arrays(shapes):
+        rng = np.random.default_rng(41)
+        # positive and apart from each other: div stays finite, maximum has no ties
+        return [rng.uniform(0.5, 1.5, size=shape) for shape in shapes]
+
+    @staticmethod
+    def _backward(out):
+        probe = np.random.default_rng(42).normal(size=out.shape)
+        backward(T.tsum(T.mul(out, probe)))
+
+    @pytest.mark.parametrize("op, shapes", MULTI_INPUT_CASES)
+    def test_input_alone_gets_its_gradient_among_all(self, op, shapes):
+        arrays = self._arrays(shapes)
+        every = [Tensor(a, requires_grad=True) for a in arrays]
+        self._backward(op(*every))
+        for i, a in enumerate(arrays):
+            alone = Tensor(a, requires_grad=True)
+            out = op(*[alone if j == i else other for j, other in enumerate(arrays)])
+            assert len(out._parents) == 1 and out._parents[0] is alone
+            self._backward(out)
+            assert alone.grad.shape == a.shape
+            assert alone.grad.tobytes() == every[i].grad.tobytes()
+
+    @pytest.mark.parametrize("op, shapes", MULTI_INPUT_CASES)
+    def test_builds_no_node_under_no_grad(self, op, shapes):
+        inputs = [Tensor(a, requires_grad=True) for a in self._arrays(shapes)]
+        with T.no_grad():
+            out = op(*inputs)
+        assert not out.requires_grad and out._node is None
+
+
 class TestCrossEntropy:
     def test_uniform_logits_ln2(self):
         logits = Tensor(np.zeros((5, 2)))
@@ -786,6 +842,19 @@ class TestBackward:
             x = x + 1.0
         backward(x)
         assert p.grad == 1.0
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("b_takes_one", [True, False])
+    def test_rule_returning_a_wrong_gradient_count_raises(self, count, b_takes_one):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=b_takes_one)
+
+        def grad_fn(g):
+            return (g,) * count  # add has two inputs
+
+        out = T._record(a.data + b.data, grad_fn, a, b)
+        with pytest.raises(ValueError, match="zip"):
+            backward(T.tsum(out))
 
     def test_constant_branches_pruned(self):
         c = Tensor(np.ones(3)) * 2.0  # no gradient requirement anywhere
